@@ -31,13 +31,12 @@ _EXPORTS = {
     "save_scheme": "stencil",
     "load_scheme": "stencil",
     # boundary: ghost-value closures
-    "BoundaryConfig": "boundary",
     "backward_difference": "boundary",
     "fill_right_ghosts": "boundary",
-    "fill_left_ghosts": "boundary",
     "MAX_EXTRAPOLATION_ORDER": "boundary",
     # operators: interval / lattice / half-line steppers and matrices
     "Grid": "operators",
+    "IntervalOperator": "operators",
     "IterationMatrix": "operators",
     "SupportedSequence": "operators",
     "step_interval": "operators",

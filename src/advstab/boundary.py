@@ -1,4 +1,4 @@
-"""Ghost-cell closures: Dirichlet inflow and backward-difference extrapolation.
+"""Outflow ghost-cell closure: backward-difference extrapolation of order k.
 
 The outflow closure of order k asks that the k-th backward difference of the
 solution vanish at every ghost index, which resolves the ghost values one at
@@ -8,47 +8,16 @@ a time, left to right, each from the k values before it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 __all__ = [
-    "BoundaryConfig",
     "backward_difference",
-    "fill_left_ghosts",
     "fill_right_ghosts",
 ]
 
 # binomials stay exact in int64-free Python integers; extrapolation orders
 # beyond this are rejected as unrealistic rather than risked
 MAX_EXTRAPOLATION_ORDER = 30
-
-
-@dataclass(frozen=True)
-class BoundaryConfig:
-    """Closure description: extrapolation order k and ghost counts (r, p)."""
-
-    k: int
-    left_ghost_count: int
-    right_ghost_count: int
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError("extrapolation order k must be >= 1")
-        if self.k > MAX_EXTRAPOLATION_ORDER:
-            raise ValueError(
-                f"extrapolation order k = {self.k} exceeds the supported "
-                f"maximum {MAX_EXTRAPOLATION_ORDER}"
-            )
-        if self.left_ghost_count < 0 or self.right_ghost_count < 0:
-            raise ValueError("ghost counts must be nonnegative")
-
-    def require_grid(self, n_points: int) -> None:
-        # the ghost recursion reads k interior values, so the grid must hold them
-        if n_points < self.k:
-            raise ValueError(
-                f"grid with {n_points} points cannot support extrapolation "
-                f"order k = {self.k}"
-            )
 
 
 def backward_difference(values: Sequence[float], k: int) -> float:
@@ -102,10 +71,3 @@ def fill_right_ghosts(interior_tail: Sequence[float], p: int, k: int) -> list[fl
         ghosts.append(g)
         window.append(g)
     return ghosts
-
-
-def fill_left_ghosts(r: int) -> list[float]:
-    """Homogeneous Dirichlet inflow: r zeros."""
-    if r < 0:
-        raise ValueError("ghost count r must be nonnegative")
-    return [0.0] * r

@@ -184,7 +184,7 @@ def cmd_scheme_check(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from .operators import Grid, assemble_matrix, save_matrix
-    from .spectral import dense_eigen_oracle, save_spectrum_csv, spectral_radius
+    from .spectral import save_spectrum_csv, spectral_radius
 
     scheme = _resolve_scheme(args)
     try:
@@ -193,8 +193,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    method = "dense" if args.full else args.method
-    result = spectral_radius(A, method=method)
+    if args.full:
+        # one dense eigensolve serves rho and the full list, largest modulus first
+        result = spectral_radius(A, method="dense", n_leading=A.n)
+    else:
+        result = spectral_radius(A, method=args.method)
     rate = (result.rho - 1.0) / grid.dx
     report: dict = {
         "command": "spectrum",
@@ -209,20 +212,18 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         "rho_minus_one": result.rho - 1.0,
         "normalized_excess": rate,
         "eigen_residual": result.residual,
-        "leading_eigenvalues": [[z.real, z.imag] for z in result.leading_eigenvalues],
+        "leading_eigenvalues": [[z.real, z.imag] for z in result.leading_eigenvalues[:10]],
     }
     written: list[str] = []
     if args.dump_matrix:
         written.extend(save_matrix(A, args.dump_matrix))
-    eig_all = None
     if args.full:
-        eig_all = dense_eigen_oracle(A)
-        report["eigenvalues"] = [[float(z.real), float(z.imag)] for z in eig_all]
+        report["eigenvalues"] = [[z.real, z.imag] for z in result.leading_eigenvalues]
     if args.out:
         json_path = _report_json_path(args.out)
-        if eig_all is not None:
+        if args.full:
             csv_path = json_path[: -len(".json")] + ".csv"
-            save_spectrum_csv(eig_all, csv_path)
+            save_spectrum_csv(result.leading_eigenvalues, csv_path)
             written.append(csv_path)
         written.append(json_path)
         report["written"] = written
@@ -284,7 +285,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             },
         )
         report["written"] = [record_path, snapshot_path, sidecar_path]
-    print(json.dumps(report, indent=2))
+    _emit_report(report, None)
     return EXIT_OK
 
 

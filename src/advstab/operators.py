@@ -16,11 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryConfig, fill_left_ghosts, fill_right_ghosts
+from .boundary import MAX_EXTRAPOLATION_ORDER, fill_right_ghosts
 from .stencil import Scheme
 
 __all__ = [
     "Grid",
+    "IntervalOperator",
     "IterationMatrix",
     "MAX_DENSE_DIMENSION",
     "SupportedSequence",
@@ -90,55 +91,91 @@ class IterationMatrix:
         return self.entries.shape[0]
 
 
-def _check_interval_sizes(scheme: Scheme, k: int, n_points: int) -> BoundaryConfig:
-    cfg = BoundaryConfig(k=k, left_ghost_count=scheme.r, right_ghost_count=scheme.p)
-    cfg.require_grid(n_points)
-    if n_points < scheme.r + scheme.p:
-        raise ValueError(
-            f"grid with {n_points} points is narrower than the stencil "
-            f"(r + p = {scheme.r + scheme.p})"
-        )
-    return cfg
+@dataclass(frozen=True)
+class IntervalOperator:
+    """The interval one-step operator for (scheme, k, J), closures folded once.
+
+    The Dirichlet inflow contributes r zero ghosts. The order-k outflow
+    ghosts are linear in the last k interior values, so the recursion of
+    fill_right_ghosts is run once on the k unit tails and kept as the p x k
+    matrix ghost_fold. All size and order checks happen here, at
+    construction, and never per step.
+    """
+
+    scheme: Scheme
+    k: int
+    J: int
+    ghost_fold: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.k <= MAX_EXTRAPOLATION_ORDER:
+            raise ValueError(
+                f"extrapolation order k = {self.k} must lie in "
+                f"[1, {MAX_EXTRAPOLATION_ORDER}]"
+            )
+        n, r, p = self.n, self.scheme.r, self.scheme.p
+        # the ghost recursion reads k interior values, so the grid must hold them
+        if n < self.k:
+            raise ValueError(
+                f"grid with {n} points cannot support extrapolation order k = {self.k}"
+            )
+        if n < r + p:
+            raise ValueError(
+                f"grid with {n} points is narrower than the stencil (r + p = {r + p})"
+            )
+        fold = np.array(
+            [fill_right_ghosts(e, p, self.k) for e in np.eye(self.k)], dtype=np.float64
+        ).T
+        fold.setflags(write=False)
+        object.__setattr__(self, "ghost_fold", fold)
+
+    @property
+    def n(self) -> int:
+        return self.J + 1
+
+    def step(self, u: np.ndarray) -> np.ndarray:
+        """One interval step of the state u_0..u_J."""
+        r, n = self.scheme.r, self.n
+        ext = np.empty(n + r + self.scheme.p, dtype=np.float64)
+        ext[:r] = 0.0
+        ext[r:r + n] = u
+        ext[r + n:] = self.ghost_fold @ u[-self.k:]
+        # correlate computes out[j] = sum_m ext[j+m] c[m] = sum_l a_l u_{j+l}
+        return np.correlate(ext, self.scheme.coeffs_float, mode="valid")
+
+    def matrix(self) -> IterationMatrix:
+        """Assemble the dense iteration matrix column by column from unit vectors.
+
+        Column j is one step of the j-th basis vector, so the stepper remains
+        the single source of truth and displayed matrices stay available as
+        independent test oracles.
+        """
+        n = self.n
+        if n > MAX_DENSE_DIMENSION:
+            raise ValueError(f"J + 1 = {n} exceeds dense guard {MAX_DENSE_DIMENSION}")
+        A = np.zeros((n, n), dtype=np.float64)
+        e = np.zeros(n, dtype=np.float64)
+        for j in range(n):
+            e[j] = 1.0
+            A[:, j] = self.step(e)
+            e[j] = 0.0
+        return IterationMatrix(entries=A, scheme_name=self.scheme.name, k=self.k, J=self.J)
 
 
 def step_interval(scheme: Scheme, k: int, u: np.ndarray) -> np.ndarray:
-    """One interval step: ghosts recomputed from u, stencil applied at 0..J.
+    """One interval step of u; builds the IntervalOperator for u.size points.
 
-    Ghost values are never persisted; they are rebuilt from the current
-    state on every call.
+    Loops should build the operator once and call its step instead.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError("state must be one-dimensional")
-    _check_interval_sizes(scheme, k, u.size)
-    r, p = scheme.r, scheme.p
-    ext = np.empty(u.size + r + p, dtype=np.float64)
-    ext[:r] = fill_left_ghosts(r)
-    ext[r:r + u.size] = u
-    if p > 0:
-        ext[r + u.size:] = fill_right_ghosts(u[-k:], p, k)
-    # correlate computes out[j] = sum_m ext[j+m] c[m] = sum_l a_l u_{j+l}
-    return np.correlate(ext, scheme.coeffs_float, mode="valid")
+    return IntervalOperator(scheme, k, u.size - 1).step(u)
 
 
 def assemble_matrix(scheme: Scheme, k: int, J: int) -> IterationMatrix:
-    """Assemble the dense iteration matrix column by column from unit vectors.
-
-    Column j is one interval step of the j-th basis vector, so the stepper
-    remains the single source of truth and displayed matrices stay available
-    as independent test oracles.
-    """
-    n = J + 1
-    if n > MAX_DENSE_DIMENSION:
-        raise ValueError(f"J + 1 = {n} exceeds dense guard {MAX_DENSE_DIMENSION}")
-    _check_interval_sizes(scheme, k, n)
-    A = np.zeros((n, n), dtype=np.float64)
-    e = np.zeros(n, dtype=np.float64)
-    for j in range(n):
-        e[j] = 1.0
-        A[:, j] = step_interval(scheme, k, e)
-        e[j] = 0.0
-    return IterationMatrix(entries=A, scheme_name=scheme.name, k=k, J=J)
+    """Dense (J+1) x (J+1) iteration matrix with both closures folded in."""
+    return IntervalOperator(scheme, k, J).matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -219,12 +256,10 @@ def step_halfline_outflow(
     m, M = u.support
     if M > J:
         raise ValueError("outflow half-line state must be supported on j <= J")
-    cfg = BoundaryConfig(k=k, left_ghost_count=scheme.r, right_ghost_count=scheme.p)
     r, p = scheme.r, scheme.p
     # extend the stored window up to the boundary index J
     values = np.concatenate([u.values, np.zeros(J - M)])
-    cfg.require_grid(values.size)
-    ghosts = fill_right_ghosts(values[-k:], p, k) if p > 0 else []
+    ghosts = fill_right_ghosts(values, p, k)
     ext = np.concatenate([np.zeros(r + p), values, ghosts])
     out = np.correlate(ext, scheme.coeffs_float, mode="valid")
     return SupportedSequence(values=out, offset=m - p)

@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import quad
 
-from .operators import Grid, _atomic_write_bytes, step_interval
+from .operators import Grid, IntervalOperator, _atomic_write_bytes
 from .stencil import Scheme
 
 __all__ = [
@@ -152,6 +152,7 @@ def run(
         raise ValueError("n_steps must be >= 1")
     if snapshot_stride < 0:
         raise ValueError("snapshot_stride must be >= 0")
+    op = IntervalOperator(scheme, k, grid.J)
     u = build_initial(ic, grid)
     dx = grid.dx
     dt = grid.dt
@@ -164,7 +165,7 @@ def run(
     truncated = False
     n_done = 0
     for n in range(1, n_steps + 1):
-        u = step_interval(scheme, k, u)
+        u = op.step(u)
         s = float(np.dot(u, u))
         sqnorms[n] = s
         n_done = n
@@ -300,10 +301,11 @@ def convergence_check(
     a = scheme.velocity_float
     for J in J_list:
         grid = Grid(J=J, L=L, lam=scheme.lam_float)
+        op = IntervalOperator(scheme, k, J)
         n = max(1, round(t_final / grid.dt))
         u = np.array([float(f(x)) for x in grid.xs])
         for _ in range(n):
-            u = step_interval(scheme, k, u)
+            u = op.step(u)
         ref = exact_solution(f, a, n * grid.dt, grid)
         err = float(np.sqrt(grid.dx * np.sum((u - ref) ** 2)))
         rows.append((J, err))

@@ -165,34 +165,10 @@ def spectral_radius(
     )
 
 
-def operator_norm(A: IterationMatrix | np.ndarray, tol: float = 1e-12) -> float:
-    """l2-induced operator norm (largest singular value).
-
-    Dense SVD below a size threshold; above it, power iteration on the
-    normal operator u -> A^T(A u) with relative tolerance tol.
-    """
+def operator_norm(A: IterationMatrix | np.ndarray) -> float:
+    """l2-induced operator norm (largest singular value) by dense SVD."""
     entries = A.entries if isinstance(A, IterationMatrix) else np.asarray(A)
-    n = entries.shape[0]
-    if n <= 3000:
-        return float(np.linalg.norm(entries, 2))
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(10000):
-        w = entries.T @ (entries @ v)
-        s = float(np.linalg.norm(w))
-        if s == 0.0:
-            return 0.0
-        v = w / s
-        cur = math.sqrt(s)
-        if abs(cur - prev) <= tol * max(cur, 1.0):
-            return cur
-        prev = cur
-    raise EigenConvergenceError(
-        "operator norm power iteration did not converge",
-        best_estimate=prev, residual=abs(cur - prev),
-    )
+    return float(np.linalg.norm(entries, 2))
 
 
 def power_bound_probe(

@@ -1,4 +1,4 @@
-"""Ghost-value closures: Dirichlet zeros and backward-difference extrapolation."""
+"""Outflow ghost values: backward-difference extrapolation of order k."""
 
 from __future__ import annotations
 
@@ -91,27 +91,3 @@ def test_fill_right_ghosts_validation() -> None:
     with pytest.raises(ValueError):
         boundary.fill_right_ghosts([1.0], p=1, k=0)
     assert boundary.fill_right_ghosts([1.0, 2.0], p=0, k=2) == []
-
-
-def test_fill_left_ghosts_zeros() -> None:
-    assert boundary.fill_left_ghosts(3) == [0.0, 0.0, 0.0]
-    assert boundary.fill_left_ghosts(0) == []
-    with pytest.raises(ValueError):
-        boundary.fill_left_ghosts(-1)
-
-
-def test_boundary_config_validation() -> None:
-    cfg = boundary.BoundaryConfig(k=2, left_ghost_count=1, right_ghost_count=1)
-    cfg.require_grid(2)
-    with pytest.raises(ValueError):
-        cfg.require_grid(1)
-    with pytest.raises(ValueError):
-        boundary.BoundaryConfig(k=0, left_ghost_count=0, right_ghost_count=0)
-    with pytest.raises(ValueError):
-        boundary.BoundaryConfig(k=1, left_ghost_count=-1, right_ghost_count=0)
-    with pytest.raises(ValueError):
-        boundary.BoundaryConfig(
-            k=boundary.MAX_EXTRAPOLATION_ORDER + 1,
-            left_ghost_count=0,
-            right_ghost_count=0,
-        )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -103,6 +104,7 @@ def test_spectrum_full_writes_artifacts(capsys, tmp_path) -> None:
     )
     assert code == 0
     assert len(rep["eigenvalues"]) == 11
+    assert math.hypot(*rep["eigenvalues"][0]) == rep["rho"]
     assert json.loads(out.read_text())["rho"] == rep["rho"]
     csv_rows = (tmp_path / "spec.csv").read_text().strip().splitlines()
     assert csv_rows[0] == "re,im" and len(csv_rows) == 12

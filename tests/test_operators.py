@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from advstab import operators, stencil
-from advstab.operators import Grid, IterationMatrix, SupportedSequence
+from advstab import boundary, operators, stencil
+from advstab.operators import Grid, IntervalOperator, IterationMatrix, SupportedSequence
 
 
 def _three_point_display(lam_a: float, nu: float, J: int, k: int) -> np.ndarray:
@@ -111,6 +112,34 @@ def test_step_interval_rejects_small_grids() -> None:
         operators.step_interval(s, 1, np.zeros(10))  # needs r + p = 14
     with pytest.raises(ValueError):
         operators.step_interval(stencil.builtin("upwind", lam_a=0.5), 3, np.zeros(2))
+
+
+def test_interval_operator_validation() -> None:
+    upwind = stencil.builtin("upwind", lam_a=0.5)
+    IntervalOperator(upwind, boundary.MAX_EXTRAPOLATION_ORDER, 40)
+    with pytest.raises(ValueError):
+        IntervalOperator(upwind, 0, 10)
+    with pytest.raises(ValueError):
+        IntervalOperator(upwind, boundary.MAX_EXTRAPOLATION_ORDER + 1, 40)
+    with pytest.raises(ValueError):
+        IntervalOperator(stencil.builtin("coeff1"), 1, 12)  # n = 13 < r + p = 14
+    with pytest.raises(ValueError):
+        IntervalOperator(upwind, 4, 2)  # n = 3 < k
+
+
+def test_ghost_fold_matches_the_ghost_recursion() -> None:
+    # integer tails keep both sides exact, so the fold must agree to the bit
+    rng = np.random.default_rng(37)
+    for k in range(1, 7):
+        for p in range(0, 9):
+            s = stencil.Scheme(
+                name="right-sided", r=0, p=p, coefficients=(Fraction(1),) * (p + 1),
+                lam=Fraction(1), velocity=Fraction(1),
+            )
+            fold = IntervalOperator(s, k, max(k, p)).ghost_fold
+            assert fold.shape == (p, k)
+            tail = rng.integers(-9, 10, size=k).astype(np.float64)
+            assert (fold @ tail).tolist() == boundary.fill_right_ghosts(tail, p, k)
 
 
 def test_assemble_matrix_guards_dimension() -> None:

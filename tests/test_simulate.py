@@ -98,6 +98,20 @@ def test_run_is_deterministic() -> None:
     assert np.array_equal(r1.l2_norms, r2.l2_norms)
 
 
+def test_run_k1_norms_match_step_interval_loop_bitwise() -> None:
+    # k = 1 ghosts copy u_J, so folding them once changes no rounding
+    s = stencil.builtin("coeff1")
+    grid = Grid(J=60, lam=s.lam_float)
+    ic = InitialCondition(kind="wavepacket", packet_theta=0.8 * math.pi)
+    rec = simulate.run(s, 1, grid, ic, n_steps=300)
+    u = simulate.build_initial(ic, grid)
+    sqnorms = [np.dot(u, u)]
+    for _ in range(300):
+        u = operators.step_interval(s, 1, u)
+        sqnorms.append(np.dot(u, u))
+    assert np.array_equal(rec.l2_norms, np.sqrt(grid.dx * np.array(sqnorms)))
+
+
 def test_run_norms_match_matrix_powers() -> None:
     s = stencil.builtin("three-point", lam_a=0.4, nu=0.6)
     grid = Grid(J=20, lam=s.lam_float)

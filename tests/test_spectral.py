@@ -87,16 +87,6 @@ def test_operator_norm_matches_svd_on_random_dense() -> None:
     assert abs(spectral.operator_norm(A) - np.linalg.svd(A, compute_uv=False)[0]) < 1e-10
 
 
-def test_operator_norm_power_iteration_path() -> None:
-    # above the dense threshold the norm comes from power iteration on A^T A
-    n = 3010
-    diag = np.ones(n)
-    diag[5] = 2.5
-    A = np.zeros((n, n))
-    np.fill_diagonal(A, diag)
-    assert abs(spectral.operator_norm(A) - 2.5) < 1e-9
-
-
 # ---------------------------------------------------------------------------
 # power bounds
 
