@@ -164,16 +164,18 @@ def run(
     guard = OVERFLOW_RATIO * max(math.sqrt(sqnorms[0]), np.finfo(float).tiny)
     truncated = False
     n_done = 0
-    for n in range(1, n_steps + 1):
-        u = op.step(u)
-        s = float(np.dot(u, u))
-        sqnorms[n] = s
-        n_done = n
-        if snapshot_stride and n % snapshot_stride == 0:
-            snapshots.append((n, u.copy()))
-        if not math.isfinite(s) or math.sqrt(s) > guard:
-            truncated = True
-            break
+    # an overflowing norm is caught by the guard below, not reported by numpy
+    with np.errstate(over="ignore"):
+        for n in range(1, n_steps + 1):
+            u = op.step(u)
+            s = float(np.dot(u, u))
+            sqnorms[n] = s
+            n_done = n
+            if snapshot_stride and n % snapshot_stride == 0:
+                snapshots.append((n, u.copy()))
+            if not math.isfinite(s) or math.sqrt(s) > guard:
+                truncated = True
+                break
     m = n_done + 1
     l2 = np.sqrt(dx * sqnorms[:m])
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,7 +132,9 @@ def test_run_truncates_on_overflow() -> None:
     s = stencil.builtin("three-point", lam_a=0.9, nu=0.1)
     grid = Grid(J=40, lam=s.lam_float)
     ic = InitialCondition(kind="gaussian")
-    rec = simulate.run(s, 1, grid, ic, n_steps=100000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = simulate.run(s, 1, grid, ic, n_steps=100000)
     assert rec.truncated
     assert rec.times.size < 100001
     # the offending sample is kept so the record shows where it blew up

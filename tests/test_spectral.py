@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from advstab import operators, spectral, stencil
 
@@ -54,6 +57,13 @@ def test_dense_and_iterative_paths_agree() -> None:
     assert abs(dense.rho - iterative.rho) < 1e-9
     assert iterative.method == "iterative"
     assert iterative.residual < 1e-8
+
+
+def test_iterative_path_is_deterministic() -> None:
+    A = operators.assemble_matrix(stencil.builtin("coeff2"), 2, 300)
+    first = spectral.spectral_radius(A, method="iterative")
+    second = spectral.spectral_radius(A, method="iterative")
+    assert first.rho == second.rho
 
 
 def test_spectral_radius_auto_picks_dense_below_limit() -> None:
@@ -132,6 +142,82 @@ def test_power_bound_probe_nilpotent_terminates_at_zero() -> None:
 def test_power_bound_probe_validation() -> None:
     with pytest.raises(ValueError):
         spectral.power_bound_probe(np.eye(2), n_max=0)
+
+
+def test_power_bound_probe_certifies_most_criterion_7_powers() -> None:
+    scheme = stencil.builtin("three-point", lam_a=0.5, nu=0.5)
+    probe = spectral.power_bound_probe(operators.assemble_matrix(scheme, 2, 20), n_max=2000)
+    assert probe.n_svd < 100
+
+
+def test_power_bound_probe_falls_back_to_svd_without_a_gap() -> None:
+    # equal singular values: 2 theta - ||B||_F^2 is never positive
+    probe = spectral.power_bound_probe(2.0 * np.eye(3), n_max=60)
+    assert probe.n_svd == 60
+    assert probe.series[59] == pytest.approx(2.0**60, rel=1e-12)
+    Q, _ = np.linalg.qr(np.random.default_rng(37).standard_normal((81, 81)))
+    probe = spectral.power_bound_probe(Q, n_max=60)
+    assert probe.n_svd == 60
+    assert max(abs(x - 1.0) for x in probe.series) < 1e-12
+
+
+def test_power_bound_probe_start_vector_in_null_space() -> None:
+    # A @ ones = 0: the power step has no direction, so the SVD must answer
+    A = np.array([[1.0, -1.0], [1.0, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        probe = spectral.power_bound_probe(A, n_max=3)
+    assert probe.series[0] == pytest.approx(2.0, rel=1e-15)
+    assert probe.series[1:] == (0.0, 0.0)
+    assert probe.n_svd == 2
+
+
+def _direct_power_norms(A: np.ndarray, n_max: int) -> np.ndarray:
+    B = np.eye(A.shape[0])
+    norms = []
+    for _ in range(n_max):
+        B = A @ B
+        norms.append(np.linalg.norm(B, 2))
+    return np.array(norms)
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(2, 40), width=st.floats(0.0, 2.0), seed=st.integers(0, 2**32 - 1))
+def test_power_bound_probe_matches_direct_norms_on_bidiagonal(
+    size: int, width: float, seed: int
+) -> None:
+    band = np.random.default_rng(seed).uniform(-width, width, size - 1)
+    A = 0.5 * np.eye(size) + np.diag(band, -1)
+    probe = spectral.power_bound_probe(A, n_max=200)
+    np.testing.assert_allclose(probe.series, _direct_power_norms(A, 200), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(size=st.integers(2, 40), scale=st.floats(0.9, 1.1), seed=st.integers(0, 2**32 - 1))
+def test_power_bound_probe_matches_direct_norms_on_dense(
+    size: int, scale: float, seed: int
+) -> None:
+    # spectral radius near 1 keeps every direct power well inside float range
+    G = np.random.default_rng(seed).standard_normal((size, size))
+    A = scale * G / np.max(np.abs(np.linalg.eigvals(G)))
+    probe = spectral.power_bound_probe(A, n_max=200)
+    np.testing.assert_allclose(probe.series, _direct_power_norms(A, 200), rtol=1e-12, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(size=st.integers(1, 60), spread=st.floats(1.0, 1e4), seed=st.integers(0, 2**32 - 1))
+def test_certified_norm_agrees_with_svd(size: int, spread: float, seed: int) -> None:
+    # a rank-one term of weight `spread` opens the singular gap
+    rng = np.random.default_rng(seed)
+    x, y = rng.standard_normal((2, size))
+    B = rng.standard_normal((size, size)) + spread * np.outer(x, y)
+    v = rng.standard_normal(size)
+    s, _, from_svd = spectral._certified_norm2(B, v / np.linalg.norm(v))
+    sigma = np.linalg.norm(B, 2)
+    # the certified bracket is 2 eps wide; both sides add a few eps of rounding
+    assert from_svd or abs(s - sigma) <= 8 * np.finfo(float).eps * sigma
+    if spread >= 1e3:
+        assert not from_svd  # a wide gap is certified within the step budget
 
 
 # ---------------------------------------------------------------------------
