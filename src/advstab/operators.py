@@ -1,10 +1,15 @@
 """Interval, lattice and half-line one-step operators plus matrix assembly.
 
 The interval operator folds the Dirichlet inflow and extrapolation outflow
-closures into a dense (J+1) x (J+1) iteration matrix. The lattice and
-half-line steppers act on exact finite-support sequences, growing their
-windows with the finite propagation speed of the stencil so no artificial
-second boundary ever contaminates a half-line experiment.
+closures into a dense (J+1) x (J+1) iteration matrix. Its step runs the
+stencil as one matrix product per step: the zero-padded state is viewed as
+overlapping rows of a block Toeplitz product with a small fixed block of
+the coefficients. Its matrix() writes the Toeplitz diagonals straight from
+the coefficients and steps only the last k unit vectors, the columns the
+outflow ghost fold touches. The lattice and half-line steppers act on
+exact finite-support sequences, growing their windows with the finite
+propagation speed of the stencil so no artificial second boundary ever
+contaminates a half-line experiment.
 """
 
 from __future__ import annotations
@@ -36,6 +41,10 @@ __all__ = [
 
 # dense storage guard; the spectral study needs dense eigensolves anyway
 MAX_DENSE_DIMENSION = 20000
+
+# output points per row of the blocked Toeplitz step; the block is at most
+# (16 + r + p) x 16, small enough to build per operator
+_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -98,14 +107,19 @@ class IntervalOperator:
     The Dirichlet inflow contributes r zero ghosts. The order-k outflow
     ghosts are linear in the last k interior values, so the recursion of
     fill_right_ghosts is run once on the k unit tails and kept as the p x k
-    matrix ghost_fold. All size and order checks happen here, at
-    construction, and never per step.
+    matrix ghost_fold. The stencil itself is kept as toeplitz_block, the
+    (b + r + p) x b block with column q holding a_{-r}, ..., a_p from row q
+    on, so that one window of b + r + p padded values times the block gives
+    b consecutive outputs. All size and order checks happen here, at
+    construction, and never per step; both arrays are read-only, so the
+    operator holds no mutable state.
     """
 
     scheme: Scheme
     k: int
     J: int
     ghost_fold: np.ndarray = field(init=False, repr=False, compare=False)
+    toeplitz_block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.k <= MAX_EXTRAPOLATION_ORDER:
@@ -128,34 +142,57 @@ class IntervalOperator:
         ).T
         fold.setflags(write=False)
         object.__setattr__(self, "ghost_fold", fold)
+        block = np.zeros((_BLOCK + r + p, _BLOCK), dtype=np.float64)
+        cols = np.arange(_BLOCK)
+        block[np.arange(r + p + 1)[:, None] + cols, cols] = self.scheme.coeffs_float[:, None]
+        block.setflags(write=False)
+        object.__setattr__(self, "toeplitz_block", block)
 
     @property
     def n(self) -> int:
         return self.J + 1
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        """One interval step of the state u_0..u_J."""
+        """One interval step of the state u_0..u_J.
+
+        The padded state ext (r Dirichlet zeros, u, the p outflow ghosts,
+        then zeros up to whole blocks) is read as ceil(n/b) overlapping rows
+        of b + r + p values at stride b; row i times toeplitz_block gives
+        out[i*b:(i+1)*b], with out[j] = sum_l a_l ext[r+j+l].
+        """
         r, n = self.scheme.r, self.n
-        ext = np.empty(n + r + self.scheme.p, dtype=np.float64)
-        ext[:r] = 0.0
+        rows, width = -(-n // _BLOCK), self.toeplitz_block.shape[0]
+        ext = np.zeros((rows - 1) * _BLOCK + width, dtype=np.float64)
         ext[r:r + n] = u
-        ext[r + n:] = self.ghost_fold @ u[-self.k:]
-        # correlate computes out[j] = sum_m ext[j+m] c[m] = sum_l a_l u_{j+l}
-        return np.correlate(ext, self.scheme.coeffs_float, mode="valid")
+        ext[r + n:r + n + self.scheme.p] = self.ghost_fold @ u[-self.k:]
+        # a strided view over ext (numpy checks it stays inside the buffer);
+        # cheaper to build per step than stride_tricks.as_strided
+        windows = np.ndarray(
+            (rows, width), dtype=np.float64, buffer=ext,
+            strides=(_BLOCK * ext.itemsize, ext.itemsize),
+        )
+        return (windows @ self.toeplitz_block).ravel()[:n]
 
     def matrix(self) -> IterationMatrix:
-        """Assemble the dense iteration matrix column by column from unit vectors.
+        """Assemble the dense iteration matrix: diagonals, then ghost columns.
 
-        Column j is one step of the j-th basis vector, so the stepper remains
-        the single source of truth and displayed matrices stay available as
-        independent test oracles.
+        Away from the outflow ghosts column j is the stencil read downwards,
+        A[j - l, j] = a_l, so each diagonal is written straight from the
+        coefficients and those entries are exact. Only the last k columns
+        feel the ghost fold; each is one step of its unit vector, so the
+        stepper stays the source of truth there and displayed matrices stay
+        available as independent test oracles.
         """
         n = self.n
         if n > MAX_DENSE_DIMENSION:
             raise ValueError(f"J + 1 = {n} exceeds dense guard {MAX_DENSE_DIMENSION}")
         A = np.zeros((n, n), dtype=np.float64)
+        idx = np.arange(n)
+        for ell, a in zip(self.scheme.ells.tolist(), self.scheme.coeffs_float):
+            rows = idx[max(0, -ell):n - max(0, ell)]
+            A[rows, rows + ell] = a
         e = np.zeros(n, dtype=np.float64)
-        for j in range(n):
+        for j in range(n - self.k, n):
             e[j] = 1.0
             A[:, j] = self.step(e)
             e[j] = 0.0
@@ -221,11 +258,11 @@ class SupportedSequence:
 
 def step_lattice(scheme: Scheme, u: SupportedSequence) -> SupportedSequence:
     """Whole-lattice convolution step; support widens to [m - p, M + r]."""
-    r, p = scheme.r, scheme.p
-    pad = np.zeros(p + r)
-    ext = np.concatenate([pad, u.values, pad])
+    w, size = scheme.r + scheme.p, u.values.size
+    ext = np.zeros(size + 2 * w)
+    ext[w:w + size] = u.values
     out = np.correlate(ext, scheme.coeffs_float, mode="valid")
-    return SupportedSequence(values=out, offset=u.offset - p)
+    return SupportedSequence(values=out, offset=u.offset - scheme.p)
 
 
 def step_halfline_inflow(scheme: Scheme, u: SupportedSequence) -> SupportedSequence:
@@ -236,10 +273,11 @@ def step_halfline_inflow(scheme: Scheme, u: SupportedSequence) -> SupportedSeque
     """
     if u.offset < 0:
         raise ValueError("inflow half-line state must be supported on j >= 0")
-    r, p = scheme.r, scheme.p
-    # realign the window to start at j = 0 so the Dirichlet ghosts sit below it
-    values = np.concatenate([np.zeros(u.offset), u.values])
-    ext = np.concatenate([np.zeros(r), values, np.zeros(p + r)])
+    r, size = scheme.r, u.values.size
+    # one window from j = -r: the Dirichlet ghosts, the zeros below the
+    # support, the values, and p + r zeros for the window's growth
+    ext = np.zeros(2 * r + u.offset + size + scheme.p)
+    ext[r + u.offset:r + u.offset + size] = u.values
     out = np.correlate(ext, scheme.coeffs_float, mode="valid")
     return SupportedSequence(values=out, offset=0)
 
@@ -256,11 +294,13 @@ def step_halfline_outflow(
     m, M = u.support
     if M > J:
         raise ValueError("outflow half-line state must be supported on j <= J")
-    r, p = scheme.r, scheme.p
-    # extend the stored window up to the boundary index J
-    values = np.concatenate([u.values, np.zeros(J - M)])
-    ghosts = fill_right_ghosts(values, p, k)
-    ext = np.concatenate([np.zeros(r + p), values, ghosts])
+    w, p = scheme.r + scheme.p, scheme.p
+    # one window from j = m - w: zeros, the values extended by zeros up to
+    # the boundary index J, then the p ghosts
+    n = u.values.size + J - M
+    ext = np.zeros(w + n + p)
+    ext[w:w + u.values.size] = u.values
+    ext[w + n:] = fill_right_ghosts(ext[w:w + n], p, k)
     out = np.correlate(ext, scheme.coeffs_float, mode="valid")
     return SupportedSequence(values=out, offset=m - p)
 

@@ -43,6 +43,7 @@ DENSE_EIGEN_LIMIT = 2500
 # power steps per scaled power before the probe falls back to the dense SVD
 _CERTIFY_ITERATIONS = 4
 _EPS = float(np.finfo(float).eps)
+_LN2 = math.log(2.0)
 
 
 class EigenConvergenceError(RuntimeError):
@@ -216,13 +217,13 @@ def power_bound_probe(
 ) -> PowerBoundResult:
     """Compute ||A^n|| for n = 1..n_max with renormalized products.
 
-    Powers are accumulated with per-step renormalization and a log-scale
-    ledger so the probe survives growth and decay far beyond float range;
-    only the reported norms themselves can overflow, which raises
-    PowerBoundOverflow carrying the partial series. Each norm comes from a
-    few power steps warm-started from the previous power's vector and is
-    kept only under a Kato-Temple certificate; otherwise the dense SVD
-    supplies it.
+    Powers are accumulated with per-step renormalization by a power of two
+    and a base-2 exponent ledger, so the rescaling is exact and the probe
+    survives growth and decay far beyond float range; only the reported
+    norms themselves can overflow, which raises PowerBoundOverflow carrying
+    the partial series. Each norm comes from a few power steps warm-started
+    from the previous power's vector and is kept only under a Kato-Temple
+    certificate; otherwise the dense SVD supplies it.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -231,7 +232,7 @@ def power_bound_probe(
     B = np.eye(size)
     v = np.full(size, 1.0 / math.sqrt(size))
     n_svd = 0
-    log_scale = 0.0
+    exponent = 0  # A^n = 2**exponent * B
     series: list[float] = []
     sup = 0.0
     argmax_n = 1
@@ -243,20 +244,21 @@ def power_bound_probe(
             # nilpotent from here on: all further norms are zero
             series.extend([0.0] * (n_max - n + 1))
             break
-        log_norm = log_scale + math.log(s)
-        if log_norm > 700.0:
+        if exponent * _LN2 + math.log(s) > 700.0:
             # n_reached counts the norms actually recorded, n - 1 of them
             raise PowerBoundOverflow(
                 f"||A^{n}|| overflows float range (gross instability)",
                 n_reached=n - 1, series=series,
             )
-        value = math.exp(log_norm)
+        value = math.ldexp(s, exponent)
         series.append(value)
         if value > sup:
             sup = value
             argmax_n = n
-        B /= s
-        log_scale = log_norm
+        # scale B into [0.5, 1) in norm by a power of two: exact, no rounding
+        e = math.frexp(s)[1]
+        B = np.ldexp(B, -e)
+        exponent += e
     return PowerBoundResult(
         sup_norm=sup, argmax_n=argmax_n, series=tuple(series), n_svd=n_svd
     )

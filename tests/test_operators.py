@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from advstab import boundary, operators, stencil
 from advstab.operators import Grid, IntervalOperator, IterationMatrix, SupportedSequence
@@ -140,6 +142,63 @@ def test_ghost_fold_matches_the_ghost_recursion() -> None:
             assert fold.shape == (p, k)
             tail = rng.integers(-9, 10, size=k).astype(np.float64)
             assert (fold @ tail).tolist() == boundary.fill_right_ghosts(tail, p, k)
+
+
+def _reference_step(op: IntervalOperator, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One step as a plain correlation of the padded state; also returns the pad."""
+    ext = np.concatenate([np.zeros(op.scheme.r), u, op.ghost_fold @ u[-op.k:]])
+    return np.correlate(ext, op.scheme.coeffs_float, mode="valid"), ext
+
+
+def _unit_vector_matrix(op: IntervalOperator) -> np.ndarray:
+    return np.column_stack([_reference_step(op, e)[0] for e in np.eye(op.n)])
+
+
+_endpoint = hst.floats(-2.0, 2.0).filter(lambda x: x != 0.0)
+
+
+@hst.composite
+def _random_operators(draw) -> IntervalOperator:
+    r, p, k = draw(hst.integers(0, 3)), draw(hst.integers(0, 3)), draw(hst.integers(1, 4))
+    J = draw(hst.integers(max(1, k - 1, r + p - 1), 60))
+    inner = draw(hst.lists(hst.floats(-2.0, 2.0), min_size=max(r + p - 1, 0),
+                           max_size=max(r + p - 1, 0)))
+    if r + p == 0:
+        coeffs = [draw(hst.floats(-2.0, 2.0))]
+    else:
+        coeffs = [draw(_endpoint), *inner, draw(_endpoint)]
+    s = stencil.Scheme(
+        name="random", r=r, p=p, coefficients=tuple(Fraction(c) for c in coeffs),
+        lam=Fraction(1), velocity=Fraction(1),
+    )
+    return IntervalOperator(s, k, J)
+
+
+@settings(max_examples=60, deadline=None)
+@given(op=_random_operators(), seed=hst.integers(0, 2**32 - 1))
+def test_blocked_step_and_diagonal_assembly_match_the_correlation(
+    op: IntervalOperator, seed: int
+) -> None:
+    n, k = op.n, op.k
+    assert not op.toeplitz_block.flags.writeable
+    u = np.random.default_rng(seed).standard_normal(n)
+    expected, ext = _reference_step(op, u)
+    # both sum the same r + p + 1 products, possibly in another order
+    bound = 4 * np.finfo(float).eps * np.correlate(
+        np.abs(ext), np.abs(op.scheme.coeffs_float), mode="valid"
+    )
+    assert np.all(np.abs(op.step(u) - expected) <= bound)
+    A = op.matrix().entries
+    for e in np.eye(n):
+        assert np.array_equal(A @ e, op.step(e))
+    # away from the ghost fold every entry is a single coefficient, exactly
+    assert np.array_equal(A[:, :n - k], _unit_vector_matrix(op)[:, :n - k])
+
+
+def test_headline_matrices_match_the_unit_vector_assembly() -> None:
+    for name, k, J in (("coeff1", 1, 994), ("coeff2", 2, 1000)):
+        op = IntervalOperator(stencil.builtin(name), k, J)
+        assert np.array_equal(op.matrix().entries, _unit_vector_matrix(op))
 
 
 def test_assemble_matrix_guards_dimension() -> None:

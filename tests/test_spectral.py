@@ -193,11 +193,12 @@ def test_power_bound_probe_matches_direct_norms_on_bidiagonal(
 
 
 @settings(max_examples=25, deadline=None)
-@given(size=st.integers(2, 40), scale=st.floats(0.9, 1.1), seed=st.integers(0, 2**32 - 1))
+@given(size=st.integers(2, 40), scale=st.floats(0.5, 1.1), seed=st.integers(0, 2**32 - 1))
 def test_power_bound_probe_matches_direct_norms_on_dense(
     size: int, scale: float, seed: int
 ) -> None:
-    # spectral radius near 1 keeps every direct power well inside float range
+    # spectral radius 0.5-1.1 keeps every direct power well inside float range;
+    # decaying powers are where a rounded rescaling ledger used to drift
     G = np.random.default_rng(seed).standard_normal((size, size))
     A = scale * G / np.max(np.abs(np.linalg.eigvals(G)))
     probe = spectral.power_bound_probe(A, n_max=200)
