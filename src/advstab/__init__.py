@@ -53,13 +53,11 @@ _EXPORTS = {
     "ScanRow": "spectral",
     "EigenConvergenceError": "spectral",
     "PowerBoundOverflow": "spectral",
-    "dense_eigen_oracle": "spectral",
     "spectral_radius": "spectral",
     "operator_norm": "spectral",
     "power_bound_probe": "spectral",
     "rho_vs_J_scan": "spectral",
     "save_spectrum_csv": "spectral",
-    "save_report": "spectral",
     "DENSE_EIGEN_LIMIT": "spectral",
     # simulate: time-stepping experiments and records
     "InitialCondition": "simulate",
@@ -76,6 +74,11 @@ _EXPORTS = {
     "save_snapshots_csv": "simulate",
     "save_sidecar_json": "simulate",
     "OVERFLOW_RATIO": "simulate",
+    # experiments: the pinned reproduce bundles
+    "TARGETS": "experiments",
+    "BundleInputError": "experiments",
+    "load_manifest": "experiments",
+    "reproduce": "experiments",
 }
 
 __all__ = ["__version__", *sorted(_EXPORTS)]

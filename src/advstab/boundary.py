@@ -11,6 +11,7 @@ import math
 from typing import Sequence
 
 __all__ = [
+    "MAX_EXTRAPOLATION_ORDER",
     "backward_difference",
     "fill_right_ghosts",
 ]

@@ -5,9 +5,14 @@ prints a JSON report to standard output; --out persists artifacts to disk
 (written atomically). Exit codes: 0 success, 1 a check ran and failed,
 2 usage error, 3 numeric failure (eigensolver nonconvergence, overflow).
 
+The commands only parse arguments and print reports: the pinned reproduce
+bundles and their manifest live in the experiments module, the numerics in
+the library modules.
+
 ADVSTAB_THREADS caps the BLAS/OpenMP thread count. It is honored by seeding
 the standard thread-count environment variables before numpy is loaded, so
-this module and the package __init__ import nothing numeric at module scope.
+this module, experiments and the package __init__ import nothing numeric at
+module scope.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import json
 import math
 import os
 import sys
-from importlib import resources
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -53,21 +57,13 @@ def _cap_threads() -> None:
 
 def _add_scheme_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--scheme",
-        required=True,
-        help="builtin scheme name or path to a scheme JSON file",
+        "--scheme", required=True, help="builtin scheme name or path to a scheme JSON file"
     )
     parser.add_argument(
-        "--lam-a",
-        type=float,
-        default=None,
-        help="CFL number lambda*a for the parametric builtin schemes",
+        "--lam-a", type=float, help="CFL number lambda*a for the parametric builtin schemes"
     )
     parser.add_argument(
-        "--nu",
-        type=float,
-        default=None,
-        help="dissipation parameter nu (three-point builtin only)",
+        "--nu", type=float, help="dissipation parameter nu (three-point builtin only)"
     )
 
 
@@ -94,28 +90,24 @@ def _resolve_scheme(args: argparse.Namespace):
 def _parse_ic(text: str, center: float, width: float, cell_average: bool):
     from .simulate import InitialCondition
 
-    sampling = "cell_average" if cell_average else "point"
     if text == "gaussian":
-        return InitialCondition(
-            kind="gaussian", center=center, width_param=width, sampling=sampling
-        )
-    if text.startswith("wavepacket:"):
+        theta = None
+    elif text.startswith("wavepacket:"):
         tail = text.split(":", 1)[1]
         try:
-            ratio = float(tail)
+            theta = float(tail) * math.pi
         except ValueError as exc:
             raise UsageError(
                 f"bad wave-packet frequency {tail!r}; expected wavepacket:<theta-over-pi>"
             ) from exc
-        return InitialCondition(
-            kind="wavepacket",
-            center=center,
-            width_param=width,
-            packet_theta=ratio * math.pi,
-            sampling=sampling,
+    else:
+        raise UsageError(
+            f"unknown initial condition {text!r}; use gaussian or wavepacket:<theta-over-pi>"
         )
-    raise UsageError(
-        f"unknown initial condition {text!r}; use gaussian or wavepacket:<theta-over-pi>"
+    return InitialCondition(
+        kind="gaussian" if theta is None else "wavepacket", center=center,
+        width_param=width, packet_theta=theta,
+        sampling="cell_average" if cell_average else "point",
     )
 
 
@@ -219,18 +211,15 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         written.extend(save_matrix(A, args.dump_matrix))
     if args.full:
         report["eigenvalues"] = [[z.real, z.imag] for z in result.leading_eigenvalues]
-    if args.out:
-        json_path = _report_json_path(args.out)
-        if args.full:
-            csv_path = json_path[: -len(".json")] + ".csv"
-            save_spectrum_csv(result.leading_eigenvalues, csv_path)
-            written.append(csv_path)
+    json_path = _report_json_path(args.out) if args.out else None
+    if json_path and args.full:
+        csv_path = json_path[: -len(".json")] + ".csv"
+        save_spectrum_csv(result.leading_eigenvalues, csv_path)
+        written.append(csv_path)
+    if json_path:
         written.append(json_path)
-        report["written"] = written
-        _emit_report(report, json_path)
-    else:
-        report["written"] = written
-        _emit_report(report, None)
+    report["written"] = written
+    _emit_report(report, json_path)
     return EXIT_OK
 
 
@@ -276,14 +265,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sidecar_path = args.out + ".json"
         sim.save_record_csv(record, record_path)
         sim.save_snapshots_csv(record, snapshot_path)
-        sim.save_sidecar_json(
-            record,
-            sidecar_path,
-            extra={
-                "slope": report.get("slope"),
-                "slope_window": report.get("slope_window"),
-            },
-        )
+        extra = {"slope": report.get("slope"), "slope_window": report.get("slope_window")}
+        sim.save_sidecar_json(record, sidecar_path, extra=extra)
         report["written"] = [record_path, snapshot_path, sidecar_path]
     _emit_report(report, None)
     return EXIT_OK
@@ -292,286 +275,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # reproduce
 
-def _load_manifest(path: str | None) -> dict:
-    if path:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read manifest {path}: {exc}") from exc
-    text = (
-        resources.files("advstab")
-        .joinpath("data/reference_targets.json")
-        .read_text(encoding="utf-8")
-    )
-    return json.loads(text)
-
-
-def _clause(
-    name: str,
-    computed: float,
-    reference: float,
-    tol_kind: str,
-    tol: float,
-    passed: bool,
-) -> dict:
-    return {
-        "name": name,
-        "computed": float(computed),
-        "reference": float(reference),
-        "tolerance": {tol_kind: float(tol)},
-        "pass": bool(passed),
-    }
-
-
-def _reproduce_example(m: dict, args: argparse.Namespace) -> tuple[list[dict], dict]:
-    from . import simulate as sim
-    from . import stencil
-    from .operators import Grid, assemble_matrix
-    from .spectral import spectral_radius
-
-    scheme = stencil.builtin(m["scheme"])
-    k, J = int(m["k"]), int(m["J"])
-    grid = Grid(J=J, L=1.0, lam=scheme.lam_float)
-    result = spectral_radius(assemble_matrix(scheme, k, J))
-    rate = (result.rho - 1.0) / grid.dx
-
-    clauses = [
-        _clause(
-            "eigenvalue rate (rho - 1)/dx vs reference",
-            rate,
-            m["reference_rate"],
-            "abs",
-            m["rate_tol_abs"],
-            abs(rate - m["reference_rate"]) <= m["rate_tol_abs"],
-        )
-    ]
-
-    steps = int(args.steps) if args.steps else int(m["steps"])
-    icm = m["ic"]
-    if icm["kind"] == "gaussian":
-        ic = sim.InitialCondition(
-            kind="gaussian", center=icm["center"], width_param=icm["width_param"]
-        )
-    else:
-        ic = sim.InitialCondition(
-            kind="wavepacket",
-            center=icm["center"],
-            width_param=icm["width_param"],
-            packet_theta=icm["theta_over_pi"] * math.pi,
-        )
-    record = sim.run(scheme, k, grid, ic, steps)
-    try:
-        fit = sim.growth_slope(record)
-    except ValueError:
-        # shortened override run: the pinned window is infeasible
-        late_half = (float(record.times[-1]) / 2.0, float(record.times[-1]))
-        fit = sim.growth_slope(record, window=late_half)
-    clauses.append(
-        _clause(
-            "growth slope vs computed eigenvalue rate",
-            fit.slope,
-            rate,
-            "rel",
-            m["slope_eigen_rel_tol"],
-            abs(fit.slope - rate) <= m["slope_eigen_rel_tol"] * abs(rate),
-        )
-    )
-    clauses.append(
-        _clause(
-            "growth slope vs reference slope",
-            fit.slope,
-            m["reference_slope"],
-            "rel",
-            m["slope_reference_rel_tol"],
-            abs(fit.slope - m["reference_slope"])
-            <= m["slope_reference_rel_tol"] * abs(m["reference_slope"]),
-        )
-    )
-    info = {
-        "scheme": scheme.name,
-        "k": k,
-        "J": J,
-        "rho": result.rho,
-        "eigen_rate": rate,
-        "eigen_method": result.method,
-        "steps": steps,
-        "slope": fit.slope,
-        "slope_window": list(fit.window),
-        "slope_r_squared": fit.r_squared,
-        "truncated": record.truncated,
-    }
-    if args.steps and int(args.steps) != int(m["steps"]):
-        info["note"] = (
-            f"steps overridden to {steps}; the pinned experiment uses {m['steps']}"
-        )
-    if args.out:
-        record_path = args.out + "_record.csv"
-        sim.save_record_csv(record, record_path)
-        info["written"] = [record_path]
-    return clauses, info
-
-
-def _reproduce_lemma1(m: dict) -> tuple[list[dict], dict]:
-    import numpy as np
-
-    from . import stencil
-    from .operators import assemble_matrix
-    from .simulate import lemma1_identity_residual
-    from .spectral import operator_norm
-
-    rng = np.random.default_rng(int(m["seed"]))
-    n_grid = int(m["grid_points"])
-    j_lo, j_hi = int(m["J_range"][0]), int(m["J_range"][1])
-    k = int(m["k"])
-    worst_excess = -math.inf
-    n_matrices = 0
-    for lam_a in np.linspace(0.0, 1.0, n_grid):
-        for nu in np.linspace(lam_a * lam_a, 1.0, n_grid):
-            scheme = stencil.builtin("three-point", lam_a=float(lam_a), nu=float(nu))
-            for _ in range(int(m["J_draws_per_cell"])):
-                J = int(rng.integers(j_lo, j_hi + 1))
-                norm = operator_norm(assemble_matrix(scheme, k, J))
-                worst_excess = max(worst_excess, norm - 1.0)
-                n_matrices += 1
-
-    rng2 = np.random.default_rng(int(m["residual_seed"]))
-    la_lo, la_hi = m["residual_lam_a_range"]
-    nu_lo, nu_hi = m["residual_nu_range"]
-    rj_lo, rj_hi = int(m["residual_J_range"][0]), int(m["residual_J_range"][1])
-    worst_rel_residual = 0.0
-    for _ in range(int(m["residual_draws"])):
-        lam_a = float(rng2.uniform(la_lo, la_hi))
-        nu = float(rng2.uniform(nu_lo, nu_hi))
-        J = int(rng2.integers(rj_lo, rj_hi + 1))
-        u = rng2.standard_normal(J + 1)
-        res = lemma1_identity_residual(u, lam_a, nu)
-        norm_sq = float(np.dot(u, u))
-        worst_rel_residual = max(worst_rel_residual, res / norm_sq)
-
-    clauses = [
-        _clause(
-            "operator norm excess over the (lam*a, nu) stability box",
-            worst_excess,
-            0.0,
-            "abs",
-            m["norm_tol"],
-            worst_excess <= m["norm_tol"],
-        ),
-        _clause(
-            "energy identity residual / ||u||^2 over random draws",
-            worst_rel_residual,
-            0.0,
-            "abs",
-            m["residual_tol"],
-            worst_rel_residual <= m["residual_tol"],
-        ),
-    ]
-    info = {
-        "matrices_checked": n_matrices,
-        "residual_draws": int(m["residual_draws"]),
-        "worst_norm_excess": worst_excess,
-        "worst_relative_residual": worst_rel_residual,
-    }
-    return clauses, info
-
-
-def _reproduce_halfline(m: dict) -> tuple[list[dict], dict]:
-    import numpy as np
-
-    from . import stencil
-    from .operators import SupportedSequence, step_halfline_inflow, step_halfline_outflow
-
-    c = m["contraction"]
-    rng = np.random.default_rng(int(c["seed"]))
-    clauses: list[dict] = []
-    inflow_worst: dict[str, float] = {}
-    for entry in c["schemes"]:
-        name, lam_a, nu = entry
-        scheme = stencil.builtin(name, lam_a=lam_a, nu=nu)
-        worst = 0.0
-        for _ in range(int(c["n_ics"])):
-            width = int(rng.integers(1, int(c["max_support"]) + 1))
-            start = int(rng.integers(0, 5))
-            u = SupportedSequence(values=rng.standard_normal(width), offset=start)
-            prev = u.norm()
-            for _ in range(int(c["steps"])):
-                u = step_halfline_inflow(scheme, u)
-                cur = u.norm()
-                if prev > 1e-280:
-                    worst = max(worst, cur / prev)
-                prev = cur
-        inflow_worst[scheme.name] = worst
-        clauses.append(
-            _clause(
-                f"inflow step-norm ratio, {scheme.name}",
-                worst,
-                1.0,
-                "abs",
-                c["tol"],
-                worst <= 1.0 + c["tol"],
-            )
-        )
-
-    o = m["outflow"]
-    rng2 = np.random.default_rng(int(o["seed"]))
-    outflow_ratios: dict[str, dict[str, float]] = {}
-    for name, k in o["cases"]:
-        scheme = stencil.builtin(name)
-        support = int(o["support"])
-        u = SupportedSequence(values=rng2.standard_normal(support + 1), offset=-support)
-        norm0 = u.norm()
-        n_small, n_large = int(o["n_small"]), int(o["n_large"])
-        max_small = 1.0
-        max_large = 1.0
-        for n in range(1, n_large + 1):
-            u = step_halfline_outflow(scheme, int(k), u, J=0)
-            ratio = u.norm() / norm0
-            if n <= n_small:
-                max_small = max(max_small, ratio)
-            max_large = max(max_large, ratio)
-        rel_change = abs(max_large - max_small) / max_small
-        outflow_ratios[scheme.name] = {
-            "max_ratio_short": max_small,
-            "max_ratio_long": max_large,
-            "relative_change": rel_change,
-        }
-        clauses.append(
-            _clause(
-                f"outflow max ||u^n||/||u^0|| drift as the horizon doubles, {scheme.name} k={k}",
-                rel_change,
-                0.0,
-                "rel",
-                o["rel_change_tol"],
-                rel_change <= o["rel_change_tol"],
-            )
-        )
-    info = {"inflow_worst_ratios": inflow_worst, "outflow": outflow_ratios}
-    return clauses, info
-
-
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    manifest = _load_manifest(args.manifest)
-    target = args.target
-    if target not in manifest:
-        raise UsageError(f"manifest has no target {target!r}")
-    m = manifest[target]
-    if target in ("example1", "example2"):
-        clauses, info = _reproduce_example(m, args)
-    elif target == "lemma1":
-        clauses, info = _reproduce_lemma1(m)
-    else:
-        clauses, info = _reproduce_halfline(m)
-    overall = all(cl["pass"] for cl in clauses)
-    report = {
-        "command": "reproduce",
-        "target": target,
-        "clauses": clauses,
-        "info": info,
-        "overall": "PASS" if overall else "FAIL",
-    }
+    from . import experiments
+
+    try:
+        manifest = experiments.load_manifest(args.manifest)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read manifest {args.manifest}: {exc}") from exc
+    try:
+        # --steps 0, the default, keeps the pinned step count
+        report = experiments.reproduce(args.target, manifest, args.steps or None, args.out)
+    except experiments.BundleInputError as exc:
+        raise UsageError(str(exc)) from exc
     _emit_report(report, _report_json_path(args.out) if args.out else None)
-    return EXIT_OK if overall else EXIT_CHECK_FAILED
+    return EXIT_OK if report["overall"] == "PASS" else EXIT_CHECK_FAILED
 
 
 # ---------------------------------------------------------------------------
@@ -590,25 +307,18 @@ def build_parser() -> argparse.ArgumentParser:
     scheme = sub.add_parser("scheme", help="scheme-level inspection tools")
     scheme_sub = scheme.add_subparsers(dest="scheme_command", required=True)
     check = scheme_sub.add_parser(
-        "check",
-        help="consistency residuals, von Neumann supremum, unimodular mode table",
+        "check", help="consistency residuals, von Neumann supremum, unimodular mode table"
     )
     _add_scheme_args(check)
     check.add_argument(
-        "--assert-stable",
-        action="store_true",
-        help="exit 1 when sup|C| > 1 + tol",
+        "--assert-stable", action="store_true", help="exit 1 when sup|C| > 1 + tol"
     )
     check.add_argument(
-        "--tol",
-        type=float,
-        default=1e-8,
+        "--tol", type=float, default=1e-8,
         help="stability tolerance for --assert-stable (default 1e-8)",
     )
     check.add_argument(
-        "--mode-tol",
-        type=float,
-        default=1e-4,
+        "--mode-tol", type=float, default=1e-4,
         help="modulus tolerance for listing unimodular modes (default 1e-4)",
     )
     check.add_argument("--out", help="also write the JSON report to this path")
@@ -622,19 +332,15 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--J", type=int, required=True, help="last interior index")
     spectrum.add_argument("--L", type=float, default=1.0, help="interval length")
     spectrum.add_argument(
-        "--method",
-        choices=("auto", "dense", "iterative"),
-        default="auto",
+        "--method", choices=("auto", "dense", "iterative"), default="auto",
         help="eigensolver path (default auto)",
     )
     spectrum.add_argument(
-        "--full",
-        action="store_true",
+        "--full", action="store_true",
         help="force the dense path and include every eigenvalue in the report",
     )
     spectrum.add_argument(
-        "--out",
-        help="write the JSON report here; with --full also a full-spectrum CSV",
+        "--out", help="write the JSON report here; with --full also a full-spectrum CSV"
     )
     spectrum.add_argument(
         "--dump-matrix",
@@ -650,9 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--J", type=int, required=True, help="last interior index")
     simulate.add_argument("--L", type=float, default=1.0, help="interval length")
     simulate.add_argument(
-        "--ic",
-        required=True,
-        help="initial condition: gaussian or wavepacket:<theta-over-pi>",
+        "--ic", required=True, help="initial condition: gaussian or wavepacket:<theta-over-pi>"
     )
     simulate.add_argument("--steps", type=int, required=True, help="number of steps")
     simulate.add_argument(
@@ -662,39 +366,32 @@ def build_parser() -> argparse.ArgumentParser:
         "--width", type=float, default=50.0, help="envelope width parameter (default 50)"
     )
     simulate.add_argument(
-        "--cell-average",
-        action="store_true",
+        "--cell-average", action="store_true",
         help="sample the initial condition by cell averages instead of point values",
     )
     simulate.add_argument(
-        "--snapshot-stride",
-        type=int,
-        default=0,
+        "--snapshot-stride", type=int, default=0,
         help="record a solution snapshot every this many steps (0 disables)",
     )
     simulate.add_argument(
-        "--out",
-        help="prefix for artifacts: <out>_record.csv, <out>_snapshots.csv, <out>.json",
+        "--out", help="prefix for artifacts: <out>_record.csv, <out>_snapshots.csv, <out>.json"
     )
     simulate.set_defaults(handler=cmd_simulate)
+
+    # experiments imports nothing numeric at module scope (see _cap_threads)
+    from .experiments import TARGETS
 
     reproduce = sub.add_parser(
         "reproduce", help="run a pinned experiment bundle and compare to its targets"
     )
     reproduce.add_argument(
-        "--target",
-        required=True,
-        choices=("example1", "example2", "lemma1", "halfline"),
-        help="which bundle to run",
+        "--target", required=True, choices=TARGETS, help="which bundle to run"
     )
     reproduce.add_argument(
-        "--manifest",
-        help="override the packaged reference-target manifest with this JSON file",
+        "--manifest", help="override the packaged reference-target manifest with this JSON file"
     )
     reproduce.add_argument(
-        "--steps",
-        type=int,
-        default=0,
+        "--steps", type=int, default=0,
         help="override the pinned step count (smoke runs; 0 keeps the manifest value)",
     )
     reproduce.add_argument(
@@ -708,12 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         _cap_threads()
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,0 +1,324 @@
+"""Pinned experiment bundles: the paper's evidence as pass/fail clauses.
+
+lemma1 checks the energy identity behind the three-point norm bound,
+halfline the bounded half-line semigroups, example1 and example2 the two
+interval examples that grow exponentially. reproduce(target, manifest)
+checks every field of manifest[target] before any computation, raising
+BundleInputError that names the field, then runs the bundle. Nothing
+numeric loads at module scope, so the parser can read TARGETS before the
+BLAS thread caps are set; bundles call the library via module attributes.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from importlib import resources
+from typing import Callable
+
+from .boundary import MAX_EXTRAPOLATION_ORDER
+
+__all__ = ["TARGETS", "BundleInputError", "load_manifest", "reproduce"]
+
+
+class BundleInputError(ValueError):
+    """A manifest field or step count that a bundle cannot use."""
+
+
+def load_manifest(path: str | None = None) -> dict:
+    """The manifest JSON at path (OSError or JSONDecodeError), else the packaged one."""
+    if path:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    packaged = resources.files("advstab").joinpath("data/reference_targets.json")
+    return json.loads(packaged.read_text(encoding="utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# manifest fields: each kind is (check, what the field must hold)
+
+def _is_int(v, lo: int = 1) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= lo
+
+
+def _is_num(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+_COUNT = (_is_int, "an integer >= 1")
+_NATURAL = (lambda v: _is_int(v, 0), "an integer >= 0")
+_ORDER = (lambda v: _is_int(v) and v <= MAX_EXTRAPOLATION_ORDER,
+          f"an integer in [1, {MAX_EXTRAPOLATION_ORDER}]")
+_NUMBER = (_is_num, "a finite number")
+_OPTIONAL = (lambda v: v is None or _is_num(v), "a finite number or null")
+_TOL = (lambda v: _is_num(v) and v >= 0, "a finite number >= 0")
+_NAME = (lambda v: isinstance(v, str), "a builtin scheme name")
+_IC_KIND = (lambda v: v in ("gaussian", "wavepacket"), "'gaussian' or 'wavepacket'")
+
+
+def _pair(kind: tuple) -> tuple:
+    ok, what = kind
+    return (lambda v: isinstance(v, list) and len(v) == 2 and all(map(ok, v))
+            and v[0] <= v[1], f"[lo, hi] with lo <= hi, each {what}")
+
+
+def _rows(*kinds: tuple) -> tuple:
+    def ok(v) -> bool:
+        return isinstance(v, list) and len(v) > 0 and all(
+            isinstance(row, list) and len(row) == len(kinds)
+            and all(check(x) for (check, _), x in zip(kinds, row)) for row in v
+        )
+
+    return ok, "a non-empty list of [" + ", ".join(what for _, what in kinds) + "]"
+
+
+_EXAMPLE = {
+    "scheme": _NAME, "k": _ORDER, "J": _COUNT, "steps": _COUNT,
+    "reference_rate": _NUMBER, "rate_tol_abs": _TOL, "reference_slope": _NUMBER,
+    "slope_reference_rel_tol": _TOL, "slope_eigen_rel_tol": _TOL,
+    "ic": {"kind": _IC_KIND, "center": _NUMBER, "width_param": _NUMBER},
+}
+_LEMMA1 = {
+    "grid_points": _COUNT, "J_draws_per_cell": _COUNT, "J_range": _pair(_COUNT),
+    "k": _ORDER, "seed": _NATURAL, "norm_tol": _TOL,
+    "residual_draws": _COUNT, "residual_seed": _NATURAL, "residual_tol": _TOL,
+    "residual_lam_a_range": _pair(_NUMBER), "residual_nu_range": _pair(_NUMBER),
+    "residual_J_range": _pair(_COUNT),
+}
+_HALFLINE = {
+    "contraction": {
+        "schemes": _rows(_NAME, _OPTIONAL, _OPTIONAL), "n_ics": _COUNT, "steps": _COUNT,
+        "max_support": _COUNT, "seed": _NATURAL, "tol": _TOL,
+    },
+    "outflow": {
+        "cases": _rows(_NAME, _ORDER), "n_small": _COUNT, "n_large": _COUNT,
+        "support": _NATURAL, "seed": _NATURAL, "rel_change_tol": _TOL,
+    },
+}
+
+
+def _check(where: str, value, schema) -> None:
+    """Raise BundleInputError unless value fits schema, a kind or a dict of them."""
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise BundleInputError(f"manifest {where}: expected an object, got {value!r}")
+        for key, kind in schema.items():
+            if key not in value:
+                raise BundleInputError(f"manifest {where}.{key}: missing")
+            _check(f"{where}.{key}", value[key], kind)
+    elif not schema[0](value):
+        raise BundleInputError(f"manifest {where}: expected {schema[1]}, got {value!r}")
+
+
+def _input(where: str, build: Callable, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError reported against the manifest field."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise BundleInputError(f"manifest {where}: {exc}") from exc
+
+
+def _clause(
+    name: str, computed: float, reference: float, tol_kind: str, tol: float, passed: bool
+) -> dict:
+    return {"name": name, "computed": float(computed), "reference": float(reference),
+            "tolerance": {tol_kind: float(tol)}, "pass": bool(passed)}
+
+
+# ---------------------------------------------------------------------------
+# bundles: (target, checked section m, step override, artifact prefix) ->
+# (clauses, info); only the examples use the last two
+
+def _example(target: str, m: dict, steps: int | None, out: str | None):
+    from . import operators, simulate, spectral, stencil
+
+    scheme = _input(f"{target}.scheme", stencil.builtin, m["scheme"])
+    k, J = m["k"], m["J"]
+    _input(f"{target}.J", operators._check_interval, k, J + 1, scheme.r + scheme.p)
+    icm, theta = m["ic"], None
+    if icm["kind"] == "wavepacket":
+        _check(f"{target}.ic", icm, {"theta_over_pi": _NUMBER})
+        theta = icm["theta_over_pi"] * math.pi
+    ic = simulate.InitialCondition(kind=icm["kind"], center=icm["center"],
+                                   width_param=icm["width_param"], packet_theta=theta)
+    n_steps = m["steps"] if steps is None else steps
+    grid = operators.Grid(J=J, L=1.0, lam=scheme.lam_float)
+
+    result = spectral.spectral_radius(operators.assemble_matrix(scheme, k, J))
+    rate = (result.rho - 1.0) / grid.dx
+    record = simulate.run(scheme, k, grid, ic, n_steps)
+    try:
+        fit = simulate.growth_slope(record)
+    except ValueError:
+        # shortened override run: the pinned window is infeasible
+        late_half = (float(record.times[-1]) / 2.0, float(record.times[-1]))
+        fit = simulate.growth_slope(record, window=late_half)
+    ref_rate, rate_tol = m["reference_rate"], m["rate_tol_abs"]
+    ref_slope, ref_tol = m["reference_slope"], m["slope_reference_rel_tol"]
+    eigen_tol, slope = m["slope_eigen_rel_tol"], fit.slope
+    clauses = [
+        _clause("eigenvalue rate (rho - 1)/dx vs reference", rate, ref_rate, "abs",
+                rate_tol, abs(rate - ref_rate) <= rate_tol),
+        _clause("growth slope vs computed eigenvalue rate", slope, rate, "rel",
+                eigen_tol, abs(slope - rate) <= eigen_tol * abs(rate)),
+        _clause("growth slope vs reference slope", slope, ref_slope, "rel",
+                ref_tol, abs(slope - ref_slope) <= ref_tol * abs(ref_slope)),
+    ]
+    info = {
+        "scheme": scheme.name, "k": k, "J": J,
+        "rho": result.rho, "eigen_rate": rate, "eigen_method": result.method,
+        "steps": n_steps, "slope": fit.slope, "slope_window": list(fit.window),
+        "slope_r_squared": fit.r_squared, "truncated": record.truncated,
+    }
+    if n_steps != m["steps"]:
+        info["note"] = (
+            f"steps overridden to {n_steps}; the pinned experiment uses {m['steps']}"
+        )
+    if out:
+        record_path = out + "_record.csv"
+        simulate.save_record_csv(record, record_path)
+        info["written"] = [record_path]
+    return clauses, info
+
+
+def _lemma1(target: str, m: dict, steps: int | None, out: str | None):
+    import numpy as np
+
+    from . import operators, simulate, spectral, stencil
+
+    k, (j_lo, j_hi) = m["k"], m["J_range"]
+    # three-point schemes: r + p = 2
+    _input(f"{target}.J_range", operators._check_interval, k, j_lo + 1, 2)
+
+    rng = np.random.default_rng(m["seed"])
+    n_grid = m["grid_points"]  # per axis of the (lam*a, nu) stability box
+    worst_excess = -math.inf
+    n_matrices = 0
+    for lam_a in np.linspace(0.0, 1.0, n_grid):
+        for nu in np.linspace(lam_a * lam_a, 1.0, n_grid):
+            scheme = stencil.builtin("three-point", lam_a=float(lam_a), nu=float(nu))
+            for _ in range(m["J_draws_per_cell"]):
+                J = int(rng.integers(j_lo, j_hi + 1))
+                norm = spectral.operator_norm(operators.assemble_matrix(scheme, k, J))
+                worst_excess = max(worst_excess, norm - 1.0)
+                n_matrices += 1
+
+    rng2 = np.random.default_rng(m["residual_seed"])
+    la_lo, la_hi = m["residual_lam_a_range"]
+    nu_lo, nu_hi = m["residual_nu_range"]
+    rj_lo, rj_hi = m["residual_J_range"]
+    worst_rel_residual = 0.0
+    for _ in range(m["residual_draws"]):
+        lam_a = float(rng2.uniform(la_lo, la_hi))
+        nu = float(rng2.uniform(nu_lo, nu_hi))
+        J = int(rng2.integers(rj_lo, rj_hi + 1))
+        u = rng2.standard_normal(J + 1)
+        res = simulate.lemma1_identity_residual(u, lam_a, nu)
+        norm_sq = float(np.dot(u, u))
+        worst_rel_residual = max(worst_rel_residual, res / norm_sq)
+
+    norm_tol, res_tol, worst_res = m["norm_tol"], m["residual_tol"], worst_rel_residual
+    clauses = [
+        _clause("operator norm excess over the (lam*a, nu) stability box", worst_excess,
+                0.0, "abs", norm_tol, worst_excess <= norm_tol),
+        _clause("energy identity residual / ||u||^2 over random draws", worst_res, 0.0,
+                "abs", res_tol, worst_res <= res_tol),
+    ]
+    info = {"matrices_checked": n_matrices, "residual_draws": m["residual_draws"],
+            "worst_norm_excess": worst_excess, "worst_relative_residual": worst_rel_residual}
+    return clauses, info
+
+
+def _halfline(target: str, m: dict, steps: int | None, out: str | None):
+    import numpy as np
+
+    from . import operators, stencil
+
+    c, o = m["contraction"], m["outflow"]
+    inflow_schemes = [
+        _input(f"{target}.contraction.schemes[{i}]", stencil.builtin, name, lam_a, nu)
+        for i, (name, lam_a, nu) in enumerate(c["schemes"])
+    ]
+    cases = [
+        (_input(f"{target}.outflow.cases[{i}]", stencil.builtin, name), k)
+        for i, (name, k) in enumerate(o["cases"])
+    ]
+    n_small, n_large = o["n_small"], o["n_large"]
+    if n_small > n_large:
+        raise BundleInputError(f"manifest {target}.outflow.n_small: {n_small} exceeds "
+                               f"n_large = {n_large}")
+
+    rng = np.random.default_rng(c["seed"])
+    clauses: list[dict] = []
+    inflow_worst: dict[str, float] = {}
+    for scheme in inflow_schemes:
+        worst = 0.0
+        for _ in range(c["n_ics"]):
+            width = int(rng.integers(1, c["max_support"] + 1))
+            start = int(rng.integers(0, 5))
+            u = operators.SupportedSequence(values=rng.standard_normal(width), offset=start)
+            prev = u.norm()
+            for _ in range(c["steps"]):
+                u = operators.step_halfline_inflow(scheme, u)
+                cur = u.norm()
+                if prev > 1e-280:
+                    worst = max(worst, cur / prev)
+                prev = cur
+        inflow_worst[scheme.name] = worst
+        clauses.append(_clause(f"inflow step-norm ratio, {scheme.name}", worst, 1.0, "abs",
+                               c["tol"], worst <= 1.0 + c["tol"]))
+
+    rng2 = np.random.default_rng(o["seed"])
+    outflow_ratios: dict[str, dict[str, float]] = {}
+    for scheme, k in cases:
+        support = o["support"]
+        u = operators.SupportedSequence(rng2.standard_normal(support + 1), -support)
+        norm0 = u.norm()
+        max_small = max_large = 1.0
+        for n in range(1, n_large + 1):
+            u = operators.step_halfline_outflow(scheme, k, u, J=0)
+            ratio = u.norm() / norm0
+            if n <= n_small:
+                max_small = max(max_small, ratio)
+            max_large = max(max_large, ratio)
+        rel_change = abs(max_large - max_small) / max_small
+        outflow_ratios[scheme.name] = {"max_ratio_short": max_small,
+                                       "max_ratio_long": max_large,
+                                       "relative_change": rel_change}
+        clauses.append(_clause(
+            f"outflow max ||u^n||/||u^0|| drift as the horizon doubles, {scheme.name} k={k}",
+            rel_change, 0.0, "rel", o["rel_change_tol"], rel_change <= o["rel_change_tol"]))
+    info = {"inflow_worst_ratios": inflow_worst, "outflow": outflow_ratios}
+    return clauses, info
+
+
+# the one target table: the parser's --target choices and the dispatch
+_BUNDLES: dict[str, tuple[Callable, dict]] = {
+    "example1": (_example, _EXAMPLE),
+    "example2": (_example, _EXAMPLE),
+    "lemma1": (_lemma1, _LEMMA1),
+    "halfline": (_halfline, _HALFLINE),
+}
+TARGETS = tuple(_BUNDLES)
+
+
+def reproduce(
+    target: str, manifest: dict, steps: int | None = None, out: str | None = None
+) -> dict:
+    """Run the bundle for target against manifest[target]; return its report.
+
+    steps overrides the examples' pinned step count and out is the prefix of
+    their record CSV. overall is 'PASS' when every clause passes.
+    """
+    if target not in _BUNDLES:
+        raise BundleInputError(f"unknown target {target!r}; known: {', '.join(TARGETS)}")
+    if not isinstance(manifest, dict) or target not in manifest:
+        raise BundleInputError(f"manifest has no target {target!r}")
+    if steps is not None and not _is_int(steps):
+        raise BundleInputError(f"{target}: steps must be an integer >= 1, got {steps!r}")
+    bundle, schema = _BUNDLES[target]
+    _check(target, manifest[target], schema)
+    clauses, info = bundle(target, manifest[target], steps, out)
+    overall = all(cl["pass"] for cl in clauses)
+    return {"command": "reproduce", "target": target, "clauses": clauses, "info": info,
+            "overall": "PASS" if overall else "FAIL"}

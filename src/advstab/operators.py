@@ -100,6 +100,21 @@ class IterationMatrix:
         return self.entries.shape[0]
 
 
+def _check_interval(k: int, n: int, width: int) -> None:
+    """ValueError unless n points carry order-k ghosts and a stencil of r + p = width."""
+    if not 1 <= k <= MAX_EXTRAPOLATION_ORDER:
+        raise ValueError(
+            f"extrapolation order k = {k} must lie in [1, {MAX_EXTRAPOLATION_ORDER}]"
+        )
+    # the ghost recursion reads k interior values, so the grid must hold them
+    if n < k:
+        raise ValueError(f"grid with {n} points cannot support extrapolation order k = {k}")
+    if n < width:
+        raise ValueError(
+            f"grid with {n} points is narrower than the stencil (r + p = {width})"
+        )
+
+
 @dataclass(frozen=True)
 class IntervalOperator:
     """The interval one-step operator for (scheme, k, J), closures folded once.
@@ -122,21 +137,8 @@ class IntervalOperator:
     toeplitz_block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.k <= MAX_EXTRAPOLATION_ORDER:
-            raise ValueError(
-                f"extrapolation order k = {self.k} must lie in "
-                f"[1, {MAX_EXTRAPOLATION_ORDER}]"
-            )
-        n, r, p = self.n, self.scheme.r, self.scheme.p
-        # the ghost recursion reads k interior values, so the grid must hold them
-        if n < self.k:
-            raise ValueError(
-                f"grid with {n} points cannot support extrapolation order k = {self.k}"
-            )
-        if n < r + p:
-            raise ValueError(
-                f"grid with {n} points is narrower than the stencil (r + p = {r + p})"
-            )
+        r, p = self.scheme.r, self.scheme.p
+        _check_interval(self.k, self.n, r + p)
         fold = np.array(
             [fill_right_ghosts(e, p, self.k) for e in np.eye(self.k)], dtype=np.float64
         ).T

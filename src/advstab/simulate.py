@@ -20,10 +20,12 @@ from .stencil import Scheme
 
 __all__ = [
     "InitialCondition",
+    "OVERFLOW_RATIO",
     "RegressionResult",
     "SimulationRecord",
     "build_initial",
     "convergence_check",
+    "default_window",
     "exact_solution",
     "growth_slope",
     "lemma1_identity_residual",

@@ -11,7 +11,6 @@ under a Kato-Temple certificate.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -28,11 +27,9 @@ __all__ = [
     "PowerBoundResult",
     "ScanRow",
     "SpectralReport",
-    "dense_eigen_oracle",
     "operator_norm",
     "power_bound_probe",
     "rho_vs_J_scan",
-    "save_report",
     "save_spectrum_csv",
     "spectral_radius",
 ]
@@ -73,14 +70,6 @@ class SpectralReport:
     method: str
     residual: float
 
-    def to_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "leading_eigenvalues": [[z.real, z.imag] for z in self.leading_eigenvalues],
-            "method": self.method,
-            "residual": self.residual,
-        }
-
 
 @dataclass(frozen=True)
 class PowerBoundResult:
@@ -107,15 +96,6 @@ def _eigen_residual(A: np.ndarray, z: complex, v: np.ndarray) -> float:
     return float(np.linalg.norm(A @ v - z * v) / np.linalg.norm(v))
 
 
-def dense_eigen_oracle(A: IterationMatrix | np.ndarray) -> np.ndarray:
-    """All eigenvalues by the dense nonsymmetric solver; n <= 2500 guard."""
-    entries = A.entries if isinstance(A, IterationMatrix) else np.asarray(A)
-    n = entries.shape[0]
-    if n > DENSE_EIGEN_LIMIT:
-        raise ValueError(f"dense eigensolve limited to n <= {DENSE_EIGEN_LIMIT}, got {n}")
-    return np.linalg.eigvals(entries)
-
-
 def spectral_radius(
     A: IterationMatrix | np.ndarray,
     tol: float = 1e-10,
@@ -126,7 +106,7 @@ def spectral_radius(
 
     method 'dense' computes the full eigensystem; 'iterative' runs Arnoldi
     for the few largest-modulus eigenvalues (complex pairs included);
-    'auto' picks dense up to the oracle limit. The iterative path raises
+    'auto' picks dense up to DENSE_EIGEN_LIMIT. The iterative path raises
     EigenConvergenceError (with its best estimate) on nonconvergence.
     """
     entries = A.entries if isinstance(A, IterationMatrix) else np.asarray(A)
@@ -289,8 +269,3 @@ def save_spectrum_csv(eigenvalues: np.ndarray, path: str) -> None:
         lines.append(f"{float(z.real)!r},{float(z.imag)!r}")
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
 
-
-def save_report(report: SpectralReport, path: str) -> None:
-    _atomic_write_bytes(
-        path, (json.dumps(report.to_dict(), indent=2) + "\n").encode()
-    )

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from advstab import cli
+from advstab import cli, experiments, operators, spectral
 
 THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -209,25 +212,32 @@ def test_reproduce_example2_rate_clause_passes(capsys) -> None:
     assert code in (0, 1)  # slope clauses may miss on a smoke-length run
 
 
-def test_reproduce_with_manifest_override(capsys, tmp_path) -> None:
-    manifest = {
-        "lemma1": {
-            "grid_points": 3,
-            "J_draws_per_cell": 1,
-            "J_range": [5, 30],
-            "k": 1,
-            "norm_tol": 1e-12,
-            "seed": 5,
-            "residual_draws": 10,
-            "residual_tol": 1e-12,
-            "residual_lam_a_range": [-0.5, 1.5],
-            "residual_nu_range": [-0.5, 1.5],
-            "residual_J_range": [5, 30],
-            "residual_seed": 6,
-        }
+SMALL_LEMMA1 = {
+    "lemma1": {
+        "grid_points": 3,
+        "J_draws_per_cell": 1,
+        "J_range": [5, 30],
+        "k": 1,
+        "norm_tol": 1e-12,
+        "seed": 5,
+        "residual_draws": 10,
+        "residual_tol": 1e-12,
+        "residual_lam_a_range": [-0.5, 1.5],
+        "residual_nu_range": [-0.5, 1.5],
+        "residual_J_range": [5, 30],
+        "residual_seed": 6,
     }
+}
+
+
+def _write_manifest(tmp_path, manifest: dict) -> str:
     p = tmp_path / "mini.json"
     p.write_text(json.dumps(manifest))
+    return str(p)
+
+
+def test_reproduce_with_manifest_override(capsys, tmp_path) -> None:
+    p = _write_manifest(tmp_path, SMALL_LEMMA1)
     code, rep, _ = _run(
         capsys, ["reproduce", "--target", "lemma1", "--manifest", str(p)]
     )
@@ -242,6 +252,80 @@ def test_reproduce_unknown_target_rejected_by_parser() -> None:
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce", "--target", "example9"])
     assert exc.value.code == 2
+
+
+def test_library_reproduce_matches_cli_report(capsys, tmp_path) -> None:
+    p = _write_manifest(tmp_path, SMALL_LEMMA1)
+    code, rep, _ = _run(capsys, ["reproduce", "--target", "lemma1", "--manifest", p])
+    assert code == 0
+    assert experiments.reproduce("lemma1", copy.deepcopy(SMALL_LEMMA1)) == rep
+
+
+@pytest.fixture
+def no_numerics(monkeypatch):
+    """Fail any bundle that gets as far as a matrix or an eigensolve."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bad input must be rejected before any computation")
+
+    for module, name in ((operators, "assemble_matrix"), (spectral, "spectral_radius"),
+                         (spectral, "operator_norm")):
+        monkeypatch.setattr(module, name, forbidden)
+
+
+def _packaged_with(edit) -> dict:
+    manifest = experiments.load_manifest()
+    edit(manifest)
+    return manifest
+
+
+@pytest.mark.parametrize(
+    "target, manifest, field",
+    [
+        ("lemma1", _packaged_with(lambda m: m["lemma1"].pop("seed")), "lemma1.seed"),
+        ("lemma1", {"lemma1": "x"}, "lemma1"),
+        ("example2", _packaged_with(lambda m: m["example2"]["ic"].update(kind="triangle")),
+         "example2.ic.kind"),
+        ("halfline",
+         _packaged_with(lambda m: m["halfline"]["outflow"]["cases"].append(["nope", 1])),
+         "halfline.outflow.cases[2]"),
+    ],
+)
+def test_reproduce_bad_manifest_is_usage_error(
+    capsys, tmp_path, no_numerics, target, manifest, field
+) -> None:
+    p = _write_manifest(tmp_path, manifest)
+    code, rep, err = _run(capsys, ["reproduce", "--target", target, "--manifest", p])
+    assert code == 2 and rep == {}
+    assert f"manifest {field}" in err
+    assert "Traceback" not in err
+
+
+def test_reproduce_negative_steps_is_usage_error(capsys, no_numerics) -> None:
+    code, rep, err = _run(capsys, ["reproduce", "--target", "example2", "--steps", "-5"])
+    assert code == 2 and rep == {}
+    assert "example2" in err and "steps" in err
+
+
+def test_reproduce_numeric_value_error_still_exits_3(capsys, monkeypatch) -> None:
+    def failing(*args, **kwargs):
+        raise ValueError("eigensolve went wrong")
+
+    monkeypatch.setattr(spectral, "spectral_radius", failing)
+    code, _, err = _run(capsys, ["reproduce", "--target", "example2", "--steps", "10"])
+    assert code == 3
+    assert "numeric failure" in err
+
+
+def test_parser_leaves_numpy_unloaded() -> None:
+    # ADVSTAB_THREADS only works while numpy is still unloaded
+    probe = (
+        "import sys, advstab.cli; advstab.cli.build_parser(); "
+        "sys.exit('numpy' in sys.modules)"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
 # ---------------------------------------------------------------------------

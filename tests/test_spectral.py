@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import warnings
 
 import numpy as np
@@ -19,19 +18,13 @@ def _wrap(entries: np.ndarray) -> operators.IterationMatrix:
 
 
 # ---------------------------------------------------------------------------
-# dense oracle and spectral radius
+# spectral radius
 
-def test_dense_oracle_identity_and_shift() -> None:
-    eye = spectral.dense_eigen_oracle(np.eye(6))
-    assert np.allclose(sorted(eye.real), np.ones(6)) and np.allclose(eye.imag, 0.0)
-    shift = operators.assemble_matrix(stencil.builtin("upwind", lam_a=1.0), 1, 5)
-    w = spectral.dense_eigen_oracle(shift)
-    assert np.max(np.abs(w)) < 1e-8  # nilpotent up to rounding
-
-
-def test_dense_oracle_respects_limit() -> None:
+def test_spectral_radius_dense_respects_limit() -> None:
     with pytest.raises(ValueError):
-        spectral.dense_eigen_oracle(np.zeros((spectral.DENSE_EIGEN_LIMIT + 1,) * 2))
+        spectral.spectral_radius(
+            np.zeros((spectral.DENSE_EIGEN_LIMIT + 1,) * 2), method="dense"
+        )
 
 
 def test_spectral_radius_known_diagonal() -> None:
@@ -70,17 +63,6 @@ def test_spectral_radius_auto_picks_dense_below_limit() -> None:
     rep = spectral.spectral_radius(np.eye(10))
     assert rep.method == "dense"
     assert rep.rho == pytest.approx(1.0, abs=1e-14)
-
-
-def test_spectral_report_serializes(tmp_path) -> None:
-    rep = spectral.spectral_radius(np.diag([1.0, 3.0]))
-    d = rep.to_dict()
-    assert d["rho"] == rep.rho and d["method"] == "dense"
-    path = str(tmp_path / "report.json")
-    spectral.save_report(rep, path)
-    back = json.loads(open(path).read())
-    assert back["rho"] == rep.rho
-    assert back["leading_eigenvalues"][0] == [3.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
