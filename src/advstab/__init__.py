@@ -19,7 +19,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     # stencil: schemes and Fourier-symbol analysis
     "Scheme": "stencil",
-    "AmplificationSample": "stencil",
     "WaveMode": "stencil",
     "consistency_residuals": "stencil",
     "amplification_factor": "stencil",

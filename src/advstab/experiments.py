@@ -307,16 +307,19 @@ def reproduce(
 ) -> dict:
     """Run the bundle for target against manifest[target]; return its report.
 
-    steps overrides the examples' pinned step count and out is the prefix of
-    their record CSV. overall is 'PASS' when every clause passes.
+    steps overrides the examples' pinned step count (the other targets have
+    none) and out is the prefix of their record CSV. overall is 'PASS' when
+    every clause passes.
     """
     if target not in _BUNDLES:
         raise BundleInputError(f"unknown target {target!r}; known: {', '.join(TARGETS)}")
     if not isinstance(manifest, dict) or target not in manifest:
         raise BundleInputError(f"manifest has no target {target!r}")
+    bundle, schema = _BUNDLES[target]
+    if steps is not None and "steps" not in schema:
+        raise BundleInputError(f"{target}: has no step count, so steps cannot override it")
     if steps is not None and not _is_int(steps):
         raise BundleInputError(f"{target}: steps must be an integer >= 1, got {steps!r}")
-    bundle, schema = _BUNDLES[target]
     _check(target, manifest[target], schema)
     clauses, info = bundle(target, manifest[target], steps, out)
     overall = all(cl["pass"] for cl in clauses)

@@ -46,6 +46,9 @@ MAX_DENSE_DIMENSION = 20000
 # (16 + r + p) x 16, small enough to build per operator
 _BLOCK = 16
 
+# save_matrix adds a CSV copy for matrices of at most this dimension
+_CSV_LIMIT = 64
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -248,15 +251,6 @@ class SupportedSequence:
             return float(self.values[i])
         return 0.0
 
-    def trimmed(self, tol: float = 0.0) -> "SupportedSequence":
-        """Drop leading/trailing entries with |value| <= tol."""
-        nz = np.where(np.abs(self.values) > tol)[0]
-        if nz.size == 0:
-            return SupportedSequence(values=np.zeros(1), offset=self.offset)
-        return SupportedSequence(
-            values=self.values[nz[0]:nz[-1] + 1], offset=self.offset + int(nz[0])
-        )
-
 
 def step_lattice(scheme: Scheme, u: SupportedSequence) -> SupportedSequence:
     """Whole-lattice convolution step; support widens to [m - p, M + r]."""
@@ -324,22 +318,20 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
         raise
 
 
-def save_matrix(A: IterationMatrix, path: str, csv_limit: int = 64) -> list[str]:
+def save_matrix(A: IterationMatrix, path: str) -> list[str]:
     """Write column-major float64 binary plus a JSON sidecar; CSV for small n.
 
     Returns the list of files written. The sidecar at path + '.json' holds
     n, scheme, k and J; a CSV copy at path + '.csv' is added when
-    n <= csv_limit.
+    n <= _CSV_LIMIT.
     """
-    written = []
     _atomic_write_bytes(path, A.entries.flatten(order="F").tobytes())
-    written.append(path)
     sidecar = {"n": A.n, "scheme": A.scheme_name, "k": A.k, "J": A.J}
     _atomic_write_bytes(
         path + ".json", (json.dumps(sidecar, indent=2) + "\n").encode()
     )
-    written.append(path + ".json")
-    if A.n <= csv_limit:
+    written = [path, path + ".json"]
+    if A.n <= _CSV_LIMIT:
         rows = "\n".join(
             ",".join(repr(float(x)) for x in row) for row in A.entries
         )

@@ -45,8 +45,8 @@ class InitialCondition:
 
     kind 'gaussian' is exp(-width_param*(x - center)^2); kind 'wavepacket'
     modulates that envelope by cos(theta*(j - center/dx)) so the grid
-    frequency theta is resolved exactly at the nodes; kind 'custom' samples
-    the supplied callable. sampling is 'point' (default) or 'cell_average'.
+    frequency theta is resolved exactly at the nodes. sampling is 'point'
+    (default) or 'cell_average'.
     """
 
     kind: str
@@ -54,15 +54,12 @@ class InitialCondition:
     width_param: float = 50.0
     packet_theta: float | None = None
     sampling: str = "point"
-    func: Callable[[float], float] | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("gaussian", "wavepacket", "custom"):
+        if self.kind not in ("gaussian", "wavepacket"):
             raise ValueError(f"unknown initial condition kind {self.kind!r}")
         if self.kind == "wavepacket" and self.packet_theta is None:
             raise ValueError("wavepacket initial condition requires packet_theta")
-        if self.kind == "custom" and self.func is None:
-            raise ValueError("custom initial condition requires func")
         if self.sampling not in ("point", "cell_average"):
             raise ValueError(f"unknown sampling {self.sampling!r}")
 
@@ -75,21 +72,29 @@ class InitialCondition:
         }
         if self.kind == "wavepacket":
             d["packet_theta"] = self.packet_theta
-        if self.kind == "custom":
-            d["func"] = getattr(self.func, "__name__", repr(self.func))
         return d
 
 
 @dataclass(frozen=True)
 class SimulationRecord:
-    """Norm time series, optional snapshots, and full run parameters."""
+    """Norms (times and ln-norms derive from them), snapshots, run parameters."""
 
-    times: np.ndarray
     l2_norms: np.ndarray
-    ln_l2_norms: np.ndarray
     snapshots: tuple[tuple[int, np.ndarray], ...]
     params: dict
     truncated: bool
+
+    @property
+    def times(self) -> np.ndarray:
+        """t_n = n dt for every recorded step."""
+        return np.arange(self.l2_norms.size) * self.params["dt"]
+
+    @property
+    def ln_l2_norms(self) -> np.ndarray:
+        """ln of the norms; NaN where a norm is 0."""
+        l2 = self.l2_norms
+        # log only where positive: no log(0) warning and no full-size temporary
+        return np.log(l2, out=np.full(l2.shape, np.nan), where=l2 > 0.0)
 
 
 @dataclass(frozen=True)
@@ -106,11 +111,9 @@ def _continuum_function(ic: InitialCondition, grid: Grid) -> Callable[[float], f
     c, w = ic.center, ic.width_param
     if ic.kind == "gaussian":
         return lambda x: math.exp(-w * (x - c) ** 2)
-    if ic.kind == "wavepacket":
-        theta = float(ic.packet_theta)
-        dx = grid.dx
-        return lambda x: math.cos((theta / dx) * (x - c)) * math.exp(-w * (x - c) ** 2)
-    return ic.func
+    theta = float(ic.packet_theta)
+    dx = grid.dx
+    return lambda x: math.cos((theta / dx) * (x - c)) * math.exp(-w * (x - c) ** 2)
 
 
 def build_initial(ic: InitialCondition, grid: Grid) -> np.ndarray:
@@ -126,14 +129,12 @@ def build_initial(ic: InitialCondition, grid: Grid) -> np.ndarray:
     xs = grid.xs
     if ic.kind == "gaussian":
         return np.exp(-ic.width_param * (xs - ic.center) ** 2)
-    if ic.kind == "wavepacket":
-        # carrier phase formed from grid indices: theta*(j - center/dx) avoids
-        # the precision loss of evaluating cos((theta/dx)*(x_j - center))
-        theta = float(ic.packet_theta)
-        j = np.arange(grid.J + 1, dtype=np.float64)
-        carrier = np.cos(theta * (j - ic.center / grid.dx))
-        return carrier * np.exp(-ic.width_param * (xs - ic.center) ** 2)
-    return np.array([float(ic.func(x)) for x in xs])
+    # carrier phase formed from grid indices: theta*(j - center/dx) avoids
+    # the precision loss of evaluating cos((theta/dx)*(x_j - center))
+    theta = float(ic.packet_theta)
+    j = np.arange(grid.J + 1, dtype=np.float64)
+    carrier = np.cos(theta * (j - ic.center / grid.dx))
+    return carrier * np.exp(-ic.width_param * (xs - ic.center) ** 2)
 
 
 def run(
@@ -178,10 +179,7 @@ def run(
             if not math.isfinite(s) or math.sqrt(s) > guard:
                 truncated = True
                 break
-    m = n_done + 1
-    l2 = np.sqrt(dx * sqnorms[:m])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln = np.where(l2 > 0.0, np.log(l2), np.nan)
+    l2 = np.sqrt(dx * sqnorms[:n_done + 1])
     params = {
         "scheme": scheme.name,
         "r": scheme.r,
@@ -199,9 +197,7 @@ def run(
         "snapshot_stride": snapshot_stride,
     }
     return SimulationRecord(
-        times=np.arange(m) * dt,
         l2_norms=l2,
-        ln_l2_norms=ln,
         snapshots=tuple(snapshots),
         params=params,
         truncated=truncated,
@@ -294,9 +290,8 @@ def convergence_check(
     f: Callable[[float], float],
     t_final: float,
     J_list: Sequence[int],
-    L: float = 1.0,
 ) -> list[tuple[int, float]]:
-    """Weighted l2 error against the exact shifted profile at ~t_final.
+    """Weighted l2 error on [0, 1] against the exact shifted profile at ~t_final.
 
     Each grid runs to the step count nearest t_final and is compared with
     exact_solution at the time actually reached.
@@ -304,7 +299,7 @@ def convergence_check(
     rows: list[tuple[int, float]] = []
     a = scheme.velocity_float
     for J in J_list:
-        grid = Grid(J=J, L=L, lam=scheme.lam_float)
+        grid = Grid(J=J, lam=scheme.lam_float)
         op = IntervalOperator(scheme, k, J)
         n = max(1, round(t_final / grid.dt))
         u = np.array([float(f(x)) for x in grid.xs])

@@ -37,6 +37,8 @@ __all__ = [
 # dense eigensolves cover the headline interval sizes with margin
 DENSE_EIGEN_LIMIT = 2500
 
+# Arnoldi convergence tolerance of the iterative spectral radius
+_ARNOLDI_TOL = 1e-10
 # power steps per scaled power before the probe falls back to the dense SVD
 _CERTIFY_ITERATIONS = 4
 _EPS = float(np.finfo(float).eps)
@@ -87,9 +89,15 @@ class PowerBoundResult:
 
 @dataclass(frozen=True)
 class ScanRow:
+    """One rho_vs_J_scan row; normalized_excess is J (rho - 1).
+
+    This is not the spectrum report's normalized_excess, which is the
+    growth rate (rho - 1)/dx = (J + 1)(rho - 1)/L.
+    """
+
     J: int
     rho: float
-    normalized_excess: float  # J * (rho - 1)
+    normalized_excess: float
 
 
 def _eigen_residual(A: np.ndarray, z: complex, v: np.ndarray) -> float:
@@ -98,7 +106,6 @@ def _eigen_residual(A: np.ndarray, z: complex, v: np.ndarray) -> float:
 
 def spectral_radius(
     A: IterationMatrix | np.ndarray,
-    tol: float = 1e-10,
     method: str = "auto",
     n_leading: int = 10,
 ) -> SpectralReport:
@@ -117,36 +124,28 @@ def spectral_radius(
         if n > DENSE_EIGEN_LIMIT:
             raise ValueError(f"dense path limited to n <= {DENSE_EIGEN_LIMIT}")
         w, V = np.linalg.eig(entries)
-        order = np.argsort(-np.abs(w))
-        w = w[order]
-        V = V[:, order]
-        residual = _eigen_residual(entries, w[0], V[:, 0])
-        leading = tuple(complex(z) for z in w[:n_leading])
-        return SpectralReport(
-            rho=float(np.abs(w[0])), leading_eigenvalues=leading,
-            method="dense", residual=residual,
-        )
-    if method != "iterative":
+    elif method == "iterative":
+        k = min(max(6, n_leading), n - 2)
+        try:
+            # a fixed start vector makes repeated calls return the same answer
+            w, V = spla.eigs(
+                entries, k=k, which="LM", tol=_ARNOLDI_TOL, v0=np.ones(n),
+                maxiter=5000, ncv=min(n, max(4 * k, 40)),
+            )
+        except spla.ArpackNoConvergence as exc:
+            w_part = np.asarray(exc.eigenvalues)
+            best = float(np.abs(w_part).max()) if w_part.size else float("nan")
+            raise EigenConvergenceError(
+                f"Arnoldi did not converge within budget (best rho estimate {best})",
+                best_estimate=best, residual=float("inf"),
+            ) from exc
+    else:
         raise ValueError(f"unknown method {method!r}")
-    k = min(max(6, n_leading), n - 2)
-    try:
-        # a fixed start vector makes repeated calls return the same answer
-        w, V = spla.eigs(
-            entries, k=k, which="LM", tol=tol, v0=np.ones(n),
-            maxiter=5000, ncv=min(n, max(4 * k, 40)),
-        )
-    except spla.ArpackNoConvergence as exc:
-        w_part = np.asarray(exc.eigenvalues)
-        best = float(np.abs(w_part).max()) if w_part.size else float("nan")
-        raise EigenConvergenceError(
-            f"Arnoldi did not converge within budget (best rho estimate {best})",
-            best_estimate=best, residual=float("inf"),
-        ) from exc
     order = np.argsort(-np.abs(w))
     w = w[order]
     V = V[:, order]
     residual = _eigen_residual(entries, w[0], V[:, 0])
-    if residual > max(tol * 100, 1e-8) * max(1.0, float(np.abs(w[0]))):
+    if method == "iterative" and residual > 1e-8 * max(1.0, float(np.abs(w[0]))):
         raise EigenConvergenceError(
             f"Arnoldi residual {residual:.3e} exceeds tolerance",
             best_estimate=float(np.abs(w[0])), residual=residual,
@@ -154,7 +153,7 @@ def spectral_radius(
     leading = tuple(complex(z) for z in w[:n_leading])
     return SpectralReport(
         rho=float(np.abs(w[0])), leading_eigenvalues=leading,
-        method="iterative", residual=residual,
+        method=method, residual=residual,
     )
 
 
@@ -244,9 +243,7 @@ def power_bound_probe(
     )
 
 
-def rho_vs_J_scan(
-    scheme: Scheme, k: int, J_list: list[int], method: str = "auto"
-) -> list[ScanRow]:
+def rho_vs_J_scan(scheme: Scheme, k: int, J_list: list[int]) -> list[ScanRow]:
     """Spectral radius versus J with the normalized excess J*(rho - 1).
 
     No monotonicity is implied: the excess is typically violently sensitive
@@ -257,7 +254,7 @@ def rho_vs_J_scan(
     rows = []
     for J in J_list:
         A = assemble_matrix(scheme, k, J)
-        rep = spectral_radius(A, method=method)
+        rep = spectral_radius(A)
         rows.append(ScanRow(J=J, rho=rep.rho, normalized_excess=J * (rep.rho - 1.0)))
     return rows
 

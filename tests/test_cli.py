@@ -307,6 +307,21 @@ def test_reproduce_negative_steps_is_usage_error(capsys, no_numerics) -> None:
     assert "example2" in err and "steps" in err
 
 
+@pytest.mark.parametrize("target", ["lemma1", "halfline"])
+def test_reproduce_steps_on_a_bundle_without_steps_is_usage_error(
+    capsys, monkeypatch, no_numerics, target
+) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bad input must be rejected before any computation")
+
+    for name in ("step_halfline_inflow", "step_halfline_outflow"):
+        monkeypatch.setattr(operators, name, forbidden)
+    code, rep, err = _run(capsys, ["reproduce", "--target", target, "--steps", "5"])
+    assert code == 2 and rep == {}
+    assert target in err and "steps" in err
+    assert "Traceback" not in err
+
+
 def test_reproduce_numeric_value_error_still_exits_3(capsys, monkeypatch) -> None:
     def failing(*args, **kwargs):
         raise ValueError("eigensolve went wrong")

@@ -222,9 +222,6 @@ def test_supported_sequence_basics() -> None:
     assert u.value_at(-1) == 1.0
     assert u.value_at(5) == 0.0
     assert u.norm() == np.sqrt(14.0)
-    t = SupportedSequence(values=np.array([0.0, 5.0, 0.0]), offset=2).trimmed()
-    assert t.support == (3, 3)
-    assert t.values.tolist() == [5.0]
 
 
 def _manual_lattice_step(scheme: stencil.Scheme, u: SupportedSequence, j: int) -> float:

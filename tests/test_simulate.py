@@ -25,12 +25,6 @@ def test_point_sampled_gaussian_matches_formula() -> None:
     assert np.array_equal(u, np.exp(-50.0 * (grid.xs - 0.5) ** 2))
 
 
-def test_point_sampled_constant_function() -> None:
-    grid = Grid(J=9)
-    ic = InitialCondition(kind="custom", func=lambda x: 1.0)
-    assert np.array_equal(simulate.build_initial(ic, grid), np.ones(10))
-
-
 def test_wavepacket_resolves_grid_frequency_exactly() -> None:
     grid = Grid(J=99)
     theta = 0.8 * math.pi
@@ -43,22 +37,18 @@ def test_wavepacket_resolves_grid_frequency_exactly() -> None:
     assert np.array_equal(u, expected)
 
 
-def test_cell_average_of_linear_function_is_midpoint() -> None:
-    # averaging x over [x_j, x_{j+1}] gives (x_j + x_{j+1})/2
-    grid = Grid(J=9)
-    ic = InitialCondition(kind="custom", func=lambda x: x, sampling="cell_average")
+def test_cell_average_of_gaussian_matches_exact_integral() -> None:
+    # the integral of exp(-w (x - c)^2) over [a, b] is
+    # sqrt(pi / w) / 2 * (erf(sqrt(w) (b - c)) - erf(sqrt(w) (a - c)))
+    grid = Grid(J=19)
+    ic = InitialCondition(kind="gaussian", center=0.4, width_param=60.0, sampling="cell_average")
     u = simulate.build_initial(ic, grid)
-    expected = (grid.xs + (grid.xs + grid.dx)) / 2.0
-    assert np.allclose(u, expected, rtol=0.0, atol=1e-12)
-
-
-def test_cell_average_of_quadratic_matches_exact_integral() -> None:
-    grid = Grid(J=7)
-    ic = InitialCondition(kind="custom", func=lambda x: x * x, sampling="cell_average")
-    u = simulate.build_initial(ic, grid)
-    dx = grid.dx
-    j = np.arange(8)
-    exact = (((j + 1) * dx) ** 3 - (j * dx) ** 3) / (3.0 * dx)
+    dx, sw = grid.dx, math.sqrt(60.0)
+    exact = [
+        math.sqrt(math.pi / 60.0) / 2.0
+        * (math.erf(sw * ((j + 1) * dx - 0.4)) - math.erf(sw * (j * dx - 0.4))) / dx
+        for j in range(20)
+    ]
     assert np.allclose(u, exact, rtol=1e-9, atol=1e-14)
 
 
@@ -68,7 +58,7 @@ def test_initial_condition_validation() -> None:
     with pytest.raises(ValueError):
         InitialCondition(kind="wavepacket")  # needs packet_theta
     with pytest.raises(ValueError):
-        InitialCondition(kind="custom")  # needs func
+        InitialCondition(kind="custom")  # not a kind
     with pytest.raises(ValueError):
         InitialCondition(kind="gaussian", sampling="weird")
 
@@ -156,16 +146,9 @@ def test_run_rejects_bad_arguments() -> None:
 # slope regression
 
 def _synthetic_record(slope: float, n: int = 400, dt: float = 0.05) -> SimulationRecord:
-    times = np.arange(n + 1) * dt
-    ln = 0.3 + slope * times
-    l2 = np.exp(ln)
+    l2 = np.exp(0.3 + slope * (np.arange(n + 1) * dt))
     return SimulationRecord(
-        times=times,
-        l2_norms=l2,
-        ln_l2_norms=ln,
-        snapshots=(),
-        params={"L": 1.0},
-        truncated=False,
+        l2_norms=l2, snapshots=(), params={"L": 1.0, "dt": dt}, truncated=False
     )
 
 
@@ -297,3 +280,28 @@ def test_record_csv_round_trip(tmp_path) -> None:
     assert side["n_recorded"] == 13
     assert side["truncated"] is False
     assert side["tag"] == "unit"
+
+
+def test_record_arrays_and_csv_bytes_are_pinned(tmp_path) -> None:
+    # upwind at lam_a = 1 is an exact shift: the norm reaches 0 at step 10
+    s = stencil.builtin("upwind", lam_a=1.0)
+    grid = Grid(J=9, lam=s.lam_float)
+    ic = InitialCondition(kind="gaussian", center=0.3, width_param=80.0)
+    rec = simulate.run(s, 1, grid, ic, n_steps=12)
+    l2 = rec.l2_norms
+    assert l2.size == 13 and l2[-1] == 0.0 and (l2[:10] > 0.0).all()
+    times = np.arange(13) * grid.dt
+    with np.errstate(divide="ignore"):
+        ln = np.log(l2)
+    ln[l2 == 0.0] = np.nan
+    assert np.array_equal(rec.times, times)
+    assert np.array_equal(rec.ln_l2_norms, ln, equal_nan=True)
+
+    path = tmp_path / "run_record.csv"
+    simulate.save_record_csv(rec, str(path))
+    rows = ["n,t,l2norm,ln_l2norm"] + [
+        f"{n},{float(times[n])!r},{float(l2[n])!r},"
+        + (repr(float(ln[n])) if l2[n] > 0.0 else "")
+        for n in range(13)
+    ]
+    assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
