@@ -52,6 +52,31 @@ def test_cell_average_of_gaussian_matches_exact_integral() -> None:
     assert np.allclose(u, exact, rtol=1e-9, atol=1e-14)
 
 
+def _cell_average_of(func, grid: Grid, monkeypatch) -> np.ndarray:
+    # drive the cell-average quadrature of build_initial with a chosen
+    # continuum function in place of the Gaussian
+    monkeypatch.setattr(simulate, "_continuum_function", lambda ic, g: func)
+    ic = InitialCondition(kind="gaussian", sampling="cell_average")
+    return simulate.build_initial(ic, grid)
+
+
+def test_cell_average_of_linear_function_is_midpoint(monkeypatch) -> None:
+    # averaging x over [x_j, x_{j+1}] gives (x_j + x_{j+1})/2
+    grid = Grid(J=9)
+    u = _cell_average_of(lambda x: x, grid, monkeypatch)
+    expected = (grid.xs + (grid.xs + grid.dx)) / 2.0
+    assert np.allclose(u, expected, rtol=0.0, atol=1e-12)
+
+
+def test_cell_average_of_quadratic_matches_exact_integral(monkeypatch) -> None:
+    grid = Grid(J=7)
+    u = _cell_average_of(lambda x: x * x, grid, monkeypatch)
+    dx = grid.dx
+    j = np.arange(8)
+    exact = (((j + 1) * dx) ** 3 - (j * dx) ** 3) / (3.0 * dx)
+    assert np.allclose(u, exact, rtol=1e-9, atol=1e-14)
+
+
 def test_initial_condition_validation() -> None:
     with pytest.raises(ValueError):
         InitialCondition(kind="nosuch")
