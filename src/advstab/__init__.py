@@ -36,7 +36,6 @@ _EXPORTS = {
     # operators: interval / lattice / half-line steppers and matrices
     "Grid": "operators",
     "IntervalOperator": "operators",
-    "IterationMatrix": "operators",
     "SupportedSequence": "operators",
     "step_interval": "operators",
     "assemble_matrix": "operators",
@@ -44,7 +43,6 @@ _EXPORTS = {
     "step_halfline_inflow": "operators",
     "step_halfline_outflow": "operators",
     "save_matrix": "operators",
-    "load_matrix": "operators",
     "MAX_DENSE_DIMENSION": "operators",
     # spectral: radii, norms, power bounds
     "SpectralReport": "spectral",

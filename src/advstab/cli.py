@@ -117,7 +117,7 @@ def _emit_report(report: dict, out_path: str | None) -> None:
     if out_path:
         from .operators import _atomic_write_bytes
 
-        _atomic_write_bytes(out_path, (text + "\n").encode("utf-8"))
+        _atomic_write_bytes(out_path, [(text + "\n").encode("utf-8")])
 
 
 def _report_json_path(out: str) -> str:

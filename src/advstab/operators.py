@@ -1,15 +1,15 @@
 """Interval, lattice and half-line one-step operators plus matrix assembly.
 
 The interval operator folds the Dirichlet inflow and extrapolation outflow
-closures into a dense (J+1) x (J+1) iteration matrix. Its step runs the
+closures into one object, the interval iteration matrix. Its step runs the
 stencil as one matrix product per step: the zero-padded state is viewed as
 overlapping rows of a block Toeplitz product with a small fixed block of
-the coefficients. Its matrix() writes the Toeplitz diagonals straight from
-the coefficients and steps only the last k unit vectors, the columns the
-outflow ghost fold touches. The lattice and half-line steppers act on
-exact finite-support sequences, growing their windows with the finite
-propagation speed of the stencil so no artificial second boundary ever
-contaminates a half-line experiment.
+the coefficients. Its dense (J+1) x (J+1) entries are built on first read:
+the Toeplitz diagonals straight from the coefficients, then steps of only
+the last k unit vectors, the columns the outflow ghost fold touches. The
+lattice and half-line steppers act on exact finite-support sequences,
+growing their windows with the finite propagation speed of the stencil so
+no artificial second boundary ever contaminates a half-line experiment.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,11 +29,9 @@ from .stencil import Scheme
 __all__ = [
     "Grid",
     "IntervalOperator",
-    "IterationMatrix",
     "MAX_DENSE_DIMENSION",
     "SupportedSequence",
     "assemble_matrix",
-    "load_matrix",
     "save_matrix",
     "step_halfline_inflow",
     "step_halfline_outflow",
@@ -81,28 +81,6 @@ class Grid:
         return np.arange(self.J + 1) * self.dx
 
 
-@dataclass(frozen=True)
-class IterationMatrix:
-    """Dense one-step matrix with the closures folded in, plus metadata."""
-
-    entries: np.ndarray
-    scheme_name: str
-    k: int
-    J: int
-
-    def __post_init__(self) -> None:
-        e = np.asarray(self.entries, dtype=np.float64)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("entries must be a square matrix")
-        if e.shape[0] != self.J + 1:
-            raise ValueError("matrix dimension must equal J + 1")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-
 def _check_interval(k: int, n: int, width: int) -> None:
     """ValueError unless n points carry order-k ghosts and a stencil of r + p = width."""
     if not 1 <= k <= MAX_EXTRAPOLATION_ORDER:
@@ -129,8 +107,9 @@ class IntervalOperator:
     (b + r + p) x b block with column q holding a_{-r}, ..., a_p from row q
     on, so that one window of b + r + p padded values times the block gives
     b consecutive outputs. All size and order checks happen here, at
-    construction, and never per step; both arrays are read-only, so the
-    operator holds no mutable state.
+    construction, and never per step. The dense matrix is the entries
+    attribute, built on first read; stepping never builds it. All three
+    arrays are read-only, so the operator holds no mutable state.
     """
 
     scheme: Scheme
@@ -178,8 +157,9 @@ class IntervalOperator:
         )
         return (windows @ self.toeplitz_block).ravel()[:n]
 
-    def matrix(self) -> IterationMatrix:
-        """Assemble the dense iteration matrix: diagonals, then ghost columns.
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense iteration matrix, read-only: diagonals, then ghost columns.
 
         Away from the outflow ghosts column j is the stencil read downwards,
         A[j - l, j] = a_l, so each diagonal is written straight from the
@@ -201,7 +181,8 @@ class IntervalOperator:
             e[j] = 1.0
             A[:, j] = self.step(e)
             e[j] = 0.0
-        return IterationMatrix(entries=A, scheme_name=self.scheme.name, k=self.k, J=self.J)
+        A.setflags(write=False)
+        return A
 
 
 def step_interval(scheme: Scheme, k: int, u: np.ndarray) -> np.ndarray:
@@ -215,9 +196,15 @@ def step_interval(scheme: Scheme, k: int, u: np.ndarray) -> np.ndarray:
     return IntervalOperator(scheme, k, u.size - 1).step(u)
 
 
-def assemble_matrix(scheme: Scheme, k: int, J: int) -> IterationMatrix:
-    """Dense (J+1) x (J+1) iteration matrix with both closures folded in."""
-    return IntervalOperator(scheme, k, J).matrix()
+def assemble_matrix(scheme: Scheme, k: int, J: int) -> IntervalOperator:
+    """The interval operator with its dense (J+1) x (J+1) entries built now.
+
+    Building here, not on first read, makes the dense guard's ValueError an
+    assembly error.
+    """
+    op = IntervalOperator(scheme, k, J)
+    op.entries
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -305,12 +292,13 @@ def step_halfline_outflow(
 # matrix export
 
 
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
+def _atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to a temporary file beside path, then rename it over path."""
     d = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -318,38 +306,20 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
         raise
 
 
-def save_matrix(A: IterationMatrix, path: str) -> list[str]:
+def save_matrix(A: IntervalOperator, path: str) -> list[str]:
     """Write column-major float64 binary plus a JSON sidecar; CSV for small n.
 
     Returns the list of files written. The sidecar at path + '.json' holds
     n, scheme, k and J; a CSV copy at path + '.csv' is added when
     n <= _CSV_LIMIT.
     """
-    _atomic_write_bytes(path, A.entries.flatten(order="F").tobytes())
-    sidecar = {"n": A.n, "scheme": A.scheme_name, "k": A.k, "J": A.J}
-    _atomic_write_bytes(
-        path + ".json", (json.dumps(sidecar, indent=2) + "\n").encode()
-    )
+    _atomic_write_bytes(path, [A.entries.tobytes(order="F")])
+    sidecar = {"n": A.n, "scheme": A.scheme.name, "k": A.k, "J": A.J}
+    _atomic_write_bytes(path + ".json", [(json.dumps(sidecar, indent=2) + "\n").encode()])
     written = [path, path + ".json"]
     if A.n <= _CSV_LIMIT:
-        rows = "\n".join(
-            ",".join(repr(float(x)) for x in row) for row in A.entries
-        )
-        _atomic_write_bytes(path + ".csv", (rows + "\n").encode())
+        _atomic_write_bytes(path + ".csv", (
+            (",".join(repr(float(x)) for x in row) + "\n").encode() for row in A.entries
+        ))
         written.append(path + ".csv")
     return written
-
-
-def load_matrix(path: str) -> IterationMatrix:
-    """Read a matrix written by save_matrix (binary + sidecar)."""
-    with open(path + ".json", "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    n = int(meta["n"])
-    raw = np.fromfile(path, dtype=np.float64)
-    if raw.size != n * n:
-        raise ValueError(f"{path}: expected {n * n} float64 entries, found {raw.size}")
-    entries = raw.reshape((n, n), order="F")
-    return IterationMatrix(
-        entries=entries, scheme_name=str(meta["scheme"]), k=int(meta["k"]),
-        J=int(meta["J"]),
-    )

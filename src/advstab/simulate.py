@@ -317,13 +317,15 @@ def convergence_check(
 
 def save_record_csv(record: SimulationRecord, path: str) -> None:
     """Norm series CSV with header n,t,l2norm,ln_l2norm (blank for missing)."""
-    lines = ["n,t,l2norm,ln_l2norm"]
-    for n, (t, nrm, ln) in enumerate(
-        zip(record.times, record.l2_norms, record.ln_l2_norms)
-    ):
-        ln_txt = repr(float(ln)) if math.isfinite(ln) else ""
-        lines.append(f"{n},{float(t)!r},{float(nrm)!r},{ln_txt}")
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    def rows():
+        yield b"n,t,l2norm,ln_l2norm\n"
+        for n, (t, nrm, ln) in enumerate(
+            zip(record.times, record.l2_norms, record.ln_l2_norms)
+        ):
+            ln_txt = repr(float(ln)) if math.isfinite(ln) else ""
+            yield f"{n},{float(t)!r},{float(nrm)!r},{ln_txt}\n".encode()
+
+    _atomic_write_bytes(path, rows())
 
 
 def save_snapshots_csv(record: SimulationRecord, path: str) -> None:
@@ -332,7 +334,7 @@ def save_snapshots_csv(record: SimulationRecord, path: str) -> None:
     for n, state in record.snapshots:
         for j, val in enumerate(state):
             lines.append(f"{n},{j},{float(val)!r}")
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    _atomic_write_bytes(path, [("\n".join(lines) + "\n").encode()])
 
 
 def save_sidecar_json(record: SimulationRecord, path: str, extra: dict | None = None) -> None:
@@ -342,4 +344,4 @@ def save_sidecar_json(record: SimulationRecord, path: str, extra: dict | None = 
     doc["n_recorded"] = int(record.times.size)
     if extra:
         doc.update(extra)
-    _atomic_write_bytes(path, (json.dumps(doc, indent=2) + "\n").encode())
+    _atomic_write_bytes(path, [(json.dumps(doc, indent=2) + "\n").encode()])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .operators import IterationMatrix, _atomic_write_bytes
+from .operators import IntervalOperator, _atomic_write_bytes
 from .stencil import Scheme
 
 __all__ = [
@@ -100,12 +100,16 @@ class ScanRow:
     normalized_excess: float
 
 
+def _dense(A: IntervalOperator | np.ndarray) -> np.ndarray:
+    return A.entries if isinstance(A, IntervalOperator) else np.asarray(A)
+
+
 def _eigen_residual(A: np.ndarray, z: complex, v: np.ndarray) -> float:
     return float(np.linalg.norm(A @ v - z * v) / np.linalg.norm(v))
 
 
 def spectral_radius(
-    A: IterationMatrix | np.ndarray,
+    A: IntervalOperator | np.ndarray,
     method: str = "auto",
     n_leading: int = 10,
 ) -> SpectralReport:
@@ -116,7 +120,7 @@ def spectral_radius(
     'auto' picks dense up to DENSE_EIGEN_LIMIT. The iterative path raises
     EigenConvergenceError (with its best estimate) on nonconvergence.
     """
-    entries = A.entries if isinstance(A, IterationMatrix) else np.asarray(A)
+    entries = _dense(A)
     n = entries.shape[0]
     if method == "auto":
         method = "dense" if n <= DENSE_EIGEN_LIMIT else "iterative"
@@ -157,9 +161,9 @@ def spectral_radius(
     )
 
 
-def operator_norm(A: IterationMatrix | np.ndarray) -> float:
+def operator_norm(A: IntervalOperator | np.ndarray) -> float:
     """l2-induced operator norm (largest singular value) by dense SVD."""
-    entries = A.entries if isinstance(A, IterationMatrix) else np.asarray(A)
+    entries = _dense(A)
     return float(np.linalg.norm(entries, 2))
 
 
@@ -192,7 +196,7 @@ def _certified_norm2(B: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, b
 
 
 def power_bound_probe(
-    A: IterationMatrix | np.ndarray, n_max: int
+    A: IntervalOperator | np.ndarray, n_max: int
 ) -> PowerBoundResult:
     """Compute ||A^n|| for n = 1..n_max with renormalized products.
 
@@ -206,7 +210,7 @@ def power_bound_probe(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    entries = A.entries if isinstance(A, IterationMatrix) else np.asarray(A)
+    entries = _dense(A)
     size = entries.shape[0]
     B = np.eye(size)
     v = np.full(size, 1.0 / math.sqrt(size))
@@ -264,5 +268,5 @@ def save_spectrum_csv(eigenvalues: np.ndarray, path: str) -> None:
     lines = ["re,im"]
     for z in np.asarray(eigenvalues):
         lines.append(f"{float(z.real)!r},{float(z.imag)!r}")
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode())
+    _atomic_write_bytes(path, [("\n".join(lines) + "\n").encode()])
 

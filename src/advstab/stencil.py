@@ -46,7 +46,7 @@ def _as_fraction(x: RationalLike) -> Fraction:
     """Convert int/float/Fraction/'num/den' string to an exact Fraction."""
     if isinstance(x, str):
         return Fraction(x.strip())
-    if isinstance(x, (Fraction, int, float)):
+    if isinstance(x, (Fraction, int, float)) and not isinstance(x, bool):
         # binary floats are dyadic rationals; this conversion is exact
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as a rational number")
@@ -366,6 +366,13 @@ def save_scheme(scheme: Scheme, path: str) -> None:
         fh.write("\n")
 
 
+def _as_extent(x: object) -> int:
+    """A stencil extent from a scheme file: a JSON integer, not a boolean."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"cannot interpret {x!r} as a stencil extent")
+    return x
+
+
 def load_scheme(path: str) -> Scheme:
     """Load a scheme JSON file; rationals as 'num/den' strings or numbers."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -373,8 +380,8 @@ def load_scheme(path: str) -> Scheme:
     try:
         return Scheme(
             name=str(doc["name"]),
-            r=int(doc["r"]),
-            p=int(doc["p"]),
+            r=_as_extent(doc["r"]),
+            p=_as_extent(doc["p"]),
             coefficients=tuple(_as_fraction(c) for c in doc["coefficients"]),
             lam=_as_fraction(doc["lambda"]),
             velocity=_as_fraction(doc["a"]),

@@ -83,6 +83,24 @@ def test_check_accepts_scheme_file(capsys, tmp_path) -> None:
     assert rep["von_neumann_sup"] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("r", True), ("p", False), ("coefficients", [True, 0.5]), ("lambda", True),
+     ("a", True), ("r", 1.0), ("r", "1")],
+)
+def test_check_rejects_booleans_and_non_integer_extents(capsys, tmp_path, field, value) -> None:
+    from advstab import stencil
+
+    p = tmp_path / "custom.json"
+    stencil.save_scheme(stencil.builtin("upwind", lam_a=0.5), str(p))
+    doc = json.loads(p.read_text())
+    doc[field] = value
+    p.write_text(json.dumps(doc))
+    code, rep, err = _run(capsys, ["scheme", "check", "--scheme", str(p)])
+    assert code == 2 and rep == {}
+    assert "bad scheme file" in err
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -121,6 +139,13 @@ def test_spectrum_full_writes_artifacts(capsys, tmp_path) -> None:
 def test_spectrum_rejects_grid_too_small_for_stencil(capsys) -> None:
     code, _, err = _run(capsys, ["spectrum", "--scheme", "coeff1", "--k", "1", "--J", "5"])
     assert code == 2
+
+
+def test_spectrum_beyond_the_dense_guard_is_usage_error(capsys) -> None:
+    code, rep, err = _run(capsys, ["spectrum", "--scheme", "upwind", "--lam-a", "0.5",
+                                   "--k", "1", "--J", "20000"])
+    assert code == 2 and rep == {}
+    assert "dense guard" in err
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from advstab import boundary, operators, stencil
-from advstab.operators import Grid, IntervalOperator, IterationMatrix, SupportedSequence
+from advstab.operators import Grid, IntervalOperator, SupportedSequence
 
 
 def _three_point_display(lam_a: float, nu: float, J: int, k: int) -> np.ndarray:
@@ -188,7 +188,7 @@ def test_blocked_step_and_diagonal_assembly_match_the_correlation(
         np.abs(ext), np.abs(op.scheme.coeffs_float), mode="valid"
     )
     assert np.all(np.abs(op.step(u) - expected) <= bound)
-    A = op.matrix().entries
+    A = op.entries
     for e in np.eye(n):
         assert np.array_equal(A @ e, op.step(e))
     # away from the ghost fold every entry is a single coefficient, exactly
@@ -198,7 +198,13 @@ def test_blocked_step_and_diagonal_assembly_match_the_correlation(
 def test_headline_matrices_match_the_unit_vector_assembly() -> None:
     for name, k, J in (("coeff1", 1, 994), ("coeff2", 2, 1000)):
         op = IntervalOperator(stencil.builtin(name), k, J)
-        assert np.array_equal(op.matrix().entries, _unit_vector_matrix(op))
+        u = np.ones(op.n)
+        for _ in range(10):
+            u = op.step(u)
+        assert "entries" not in vars(op)  # stepping never builds the dense matrix
+        assert np.array_equal(op.entries, _unit_vector_matrix(op))
+        assert op.entries is op.entries
+        assert not op.entries.flags.writeable
 
 
 def test_assemble_matrix_guards_dimension() -> None:
@@ -320,13 +326,11 @@ def test_matrix_save_load_round_trip(tmp_path) -> None:
     A = operators.assemble_matrix(s, 2, 12)
     path = str(tmp_path / "A.bin")
     written = operators.save_matrix(A, path)
-    back = operators.load_matrix(path)
-    assert np.array_equal(back.entries, A.entries)
-    assert back.scheme_name == A.scheme_name
-    assert (back.k, back.J, back.n) == (A.k, A.J, A.n)
+    back = np.fromfile(path).reshape((A.n, A.n), order="F")
+    assert np.array_equal(back, A.entries)
     assert path in written and path + ".json" in written
     sidecar = json.loads(open(path + ".json").read())
-    assert sidecar["n"] == 13 and sidecar["k"] == 2 and sidecar["J"] == 12
+    assert sidecar == {"n": 13, "scheme": s.name, "k": 2, "J": 12}
 
 
 def test_matrix_csv_only_below_limit(tmp_path) -> None:
@@ -351,8 +355,3 @@ def test_matrix_writes_leave_no_temp_files(tmp_path) -> None:
     operators.save_matrix(A, str(tmp_path / "A.bin"))
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == ["A.bin", "A.bin.csv", "A.bin.json"]
-
-
-def test_iteration_matrix_validation() -> None:
-    with pytest.raises(ValueError):
-        IterationMatrix(entries=np.zeros((3, 4)), scheme_name="x", k=1, J=2)

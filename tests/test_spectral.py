@@ -12,11 +12,6 @@ from hypothesis import strategies as st
 from advstab import operators, spectral, stencil
 
 
-def _wrap(entries: np.ndarray) -> operators.IterationMatrix:
-    n = entries.shape[0]
-    return operators.IterationMatrix(entries=entries, scheme_name="raw", k=1, J=n - 1)
-
-
 # ---------------------------------------------------------------------------
 # spectral radius
 
