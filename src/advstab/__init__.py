@@ -27,19 +27,16 @@ _EXPORTS = {
     "unimodular_modes": "stencil",
     "builtin": "stencil",
     "builtin_names": "stencil",
-    "save_scheme": "stencil",
     "load_scheme": "stencil",
     # boundary: ghost-value closures
-    "backward_difference": "boundary",
     "fill_right_ghosts": "boundary",
     "MAX_EXTRAPOLATION_ORDER": "boundary",
-    # operators: interval / lattice / half-line steppers and matrices
+    # operators: interval / half-line steppers and matrices
     "Grid": "operators",
     "IntervalOperator": "operators",
     "SupportedSequence": "operators",
     "step_interval": "operators",
     "assemble_matrix": "operators",
-    "step_lattice": "operators",
     "step_halfline_inflow": "operators",
     "step_halfline_outflow": "operators",
     "save_matrix": "operators",
@@ -66,7 +63,6 @@ _EXPORTS = {
     "growth_slope": "simulate",
     "exact_solution": "simulate",
     "lemma1_identity_residual": "simulate",
-    "convergence_check": "simulate",
     "save_record_csv": "simulate",
     "save_snapshots_csv": "simulate",
     "save_sidecar_json": "simulate",

@@ -1,8 +1,8 @@
-"""Outflow ghost-cell closure: backward-difference extrapolation of order k.
+"""Outflow ghost-cell closure: polynomial extrapolation of order k.
 
-The outflow closure of order k asks that the k-th backward difference of the
-solution vanish at every ghost index, which resolves the ghost values one at
-a time, left to right, each from the k values before it.
+The outflow closure of order k puts each ghost value on the polynomial of
+degree k - 1 through the k values before it, which resolves the ghost values
+one at a time, left to right.
 """
 
 from __future__ import annotations
@@ -12,32 +12,12 @@ from typing import Sequence
 
 __all__ = [
     "MAX_EXTRAPOLATION_ORDER",
-    "backward_difference",
     "fill_right_ghosts",
 ]
 
 # binomials stay exact in int64-free Python integers; extrapolation orders
 # beyond this are rejected as unrealistic rather than risked
 MAX_EXTRAPOLATION_ORDER = 30
-
-
-def backward_difference(values: Sequence[float], k: int) -> float:
-    """k-th backward difference at the last entry of values.
-
-    values[-1] is position j, values[-1-i] is position j-i. Requires at
-    least k+1 entries.
-    """
-    if k < 0:
-        raise ValueError("difference order must be nonnegative")
-    if k > MAX_EXTRAPOLATION_ORDER:
-        raise ValueError(f"difference order {k} exceeds {MAX_EXTRAPOLATION_ORDER}")
-    if len(values) < k + 1:
-        raise ValueError(f"need at least {k + 1} values for order {k}, got {len(values)}")
-    total = values[-1] * 0  # zero of the element type (works for Fraction too)
-    for i in range(k + 1):
-        term = math.comb(k, i) * values[-1 - i]
-        total = total + term if i % 2 == 0 else total - term
-    return total
 
 
 def fill_right_ghosts(interior_tail: Sequence[float], p: int, k: int) -> list[float]:

@@ -75,14 +75,14 @@ def _resolve_scheme(args: argparse.Namespace):
     if looks_like_path or os.path.exists(choice):
         if not os.path.exists(choice):
             raise UsageError(f"scheme file not found: {choice}")
+        if args.lam_a is not None or args.nu is not None:
+            raise UsageError(f"--lam-a and --nu apply to builtin schemes, not {choice}")
         try:
             return stencil.load_scheme(choice)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise UsageError(f"bad scheme file {choice}: {exc}") from exc
     try:
-        return stencil.builtin(
-            choice, lam_a=getattr(args, "lam_a", None), nu=getattr(args, "nu", None)
-        )
+        return stencil.builtin(choice, lam_a=args.lam_a, nu=args.nu)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -176,11 +176,13 @@ def cmd_scheme_check(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     from .operators import Grid, assemble_matrix, save_matrix
-    from .spectral import save_spectrum_csv, spectral_radius
+    from .spectral import DENSE_EIGEN_LIMIT, save_spectrum_csv, spectral_radius
 
     scheme = _resolve_scheme(args)
     try:
         grid = Grid(J=args.J, L=args.L, lam=scheme.lam_float)
+        if args.full and args.J + 1 > DENSE_EIGEN_LIMIT:
+            raise ValueError(f"--full needs J + 1 <= {DENSE_EIGEN_LIMIT} (dense eigen limit)")
         A = assemble_matrix(scheme, args.k, args.J)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -189,7 +191,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         # one dense eigensolve serves rho and the full list, largest modulus first
         result = spectral_radius(A, method="dense", n_leading=A.n)
     else:
-        result = spectral_radius(A, method=args.method)
+        result = spectral_radius(A)
     rate = (result.rho - 1.0) / grid.dx
     report: dict = {
         "command": "spectrum",
@@ -231,8 +233,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     from .operators import Grid
 
     scheme = _resolve_scheme(args)
-    ic = _parse_ic(args.ic, args.center, args.width, args.cell_average)
     try:
+        ic = _parse_ic(args.ic, args.center, args.width, args.cell_average)
         grid = Grid(J=args.J, L=args.L, lam=scheme.lam_float)
         if args.steps < 1:
             raise ValueError("--steps must be >= 1")
@@ -332,12 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--J", type=int, required=True, help="last interior index")
     spectrum.add_argument("--L", type=float, default=1.0, help="interval length")
     spectrum.add_argument(
-        "--method", choices=("auto", "dense", "iterative"), default="auto",
-        help="eigensolver path (default auto)",
-    )
-    spectrum.add_argument(
         "--full", action="store_true",
-        help="force the dense path and include every eigenvalue in the report",
+        help="include every eigenvalue, from one dense eigensolve (needs J + 1 <= 2500)",
     )
     spectrum.add_argument(
         "--out", help="write the JSON report here; with --full also a full-spectrum CSV"

@@ -1,4 +1,4 @@
-"""Interval, lattice and half-line one-step operators plus matrix assembly.
+"""Interval and half-line one-step operators plus matrix assembly.
 
 The interval operator folds the Dirichlet inflow and extrapolation outflow
 closures into one object, the interval iteration matrix. Its step runs the
@@ -7,14 +7,15 @@ overlapping rows of a block Toeplitz product with a small fixed block of
 the coefficients. Its dense (J+1) x (J+1) entries are built on first read:
 the Toeplitz diagonals straight from the coefficients, then steps of only
 the last k unit vectors, the columns the outflow ghost fold touches. The
-lattice and half-line steppers act on exact finite-support sequences,
-growing their windows with the finite propagation speed of the stencil so
-no artificial second boundary ever contaminates a half-line experiment.
+half-line steppers act on exact finite-support sequences, growing their
+windows with the finite propagation speed of the stencil so no artificial
+second boundary ever contaminates a half-line experiment.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from collections.abc import Iterable
@@ -36,7 +37,6 @@ __all__ = [
     "step_halfline_inflow",
     "step_halfline_outflow",
     "step_interval",
-    "step_lattice",
 ]
 
 # dense storage guard; the spectral study needs dense eigensolves anyway
@@ -64,6 +64,8 @@ class Grid:
     def __post_init__(self) -> None:
         if self.J < 1:
             raise ValueError("J must be >= 1")
+        if not (math.isfinite(self.L) and math.isfinite(self.lam)):
+            raise ValueError("L and lam must be finite")
         if self.L <= 0 or self.lam <= 0:
             raise ValueError("L and lam must be positive")
 
@@ -237,15 +239,6 @@ class SupportedSequence:
         if 0 <= i < self.values.size:
             return float(self.values[i])
         return 0.0
-
-
-def step_lattice(scheme: Scheme, u: SupportedSequence) -> SupportedSequence:
-    """Whole-lattice convolution step; support widens to [m - p, M + r]."""
-    w, size = scheme.r + scheme.p, u.values.size
-    ext = np.zeros(size + 2 * w)
-    ext[w:w + size] = u.values
-    out = np.correlate(ext, scheme.coeffs_float, mode="valid")
-    return SupportedSequence(values=out, offset=u.offset - scheme.p)
 
 
 def step_halfline_inflow(scheme: Scheme, u: SupportedSequence) -> SupportedSequence:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -24,7 +24,6 @@ __all__ = [
     "RegressionResult",
     "SimulationRecord",
     "build_initial",
-    "convergence_check",
     "default_window",
     "exact_solution",
     "growth_slope",
@@ -62,6 +61,9 @@ class InitialCondition:
             raise ValueError("wavepacket initial condition requires packet_theta")
         if self.sampling not in ("point", "cell_average"):
             raise ValueError(f"unknown sampling {self.sampling!r}")
+        theta = 0.0 if self.packet_theta is None else self.packet_theta
+        if not all(map(math.isfinite, (self.center, self.width_param, theta))):
+            raise ValueError("center, width_param and packet_theta must be finite")
 
     def describe(self) -> dict:
         d = {
@@ -282,33 +284,6 @@ def lemma1_identity_residual(u: np.ndarray, lam_a: float, nu: float) -> float:
         - nu * (1.0 - la) / 2.0 * float(u[0] ** 2)
     )
     return abs(lhs - rhs)
-
-
-def convergence_check(
-    scheme: Scheme,
-    k: int,
-    f: Callable[[float], float],
-    t_final: float,
-    J_list: Sequence[int],
-) -> list[tuple[int, float]]:
-    """Weighted l2 error on [0, 1] against the exact shifted profile at ~t_final.
-
-    Each grid runs to the step count nearest t_final and is compared with
-    exact_solution at the time actually reached.
-    """
-    rows: list[tuple[int, float]] = []
-    a = scheme.velocity_float
-    for J in J_list:
-        grid = Grid(J=J, lam=scheme.lam_float)
-        op = IntervalOperator(scheme, k, J)
-        n = max(1, round(t_final / grid.dt))
-        u = np.array([float(f(x)) for x in grid.xs])
-        for _ in range(n):
-            u = op.step(u)
-        ref = exact_solution(f, a, n * grid.dt, grid)
-        err = float(np.sqrt(grid.dx * np.sum((u - ref) ** 2)))
-        rows.append((J, err))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ __all__ = [
     "consistency_residuals",
     "group_velocity",
     "load_scheme",
-    "save_scheme",
     "unimodular_modes",
     "von_neumann_sup",
 ]
@@ -121,8 +120,6 @@ class WaveMode:
     """A unimodular plane-wave mode supported by the scheme."""
 
     theta: float
-    z: complex
-    kappa: complex
     group_velocity: float
     modulus_excess: float
 
@@ -233,8 +230,6 @@ def unimodular_modes(scheme: Scheme, tol: float = 1e-4) -> list[WaveMode]:
         modes.append(
             WaveMode(
                 theta=t,
-                z=amplification_factor(scheme, t),
-                kappa=complex(np.exp(1j * t)),
                 group_velocity=group_velocity(scheme, t),
                 modulus_excess=m - 1.0,
             )
@@ -309,12 +304,19 @@ def builtin(
 
     three-point requires lam_a and nu; lax-friedrichs, upwind and
     lax-wendroff require lam_a only; identity, coeff1 and coeff2 take no
-    parameters. coeff1 and coeff2 are wide (r = p = 7) design examples with
-    lam = 1 and velocity 1 whose rational coefficients only approximately
-    satisfy consistency; their measured residuals ship in the reference
-    manifest rather than being asserted to zero.
+    parameters. A parameter the scheme does not take is a ValueError rather
+    than silently dropped. coeff1 and coeff2 are wide (r = p = 7) design
+    examples with lam = 1 and velocity 1 whose rational coefficients only
+    approximately satisfy consistency; their measured residuals ship in the
+    reference manifest rather than being asserted to zero.
     """
     key = name.strip().lower()
+    if key not in builtin_names():
+        raise ValueError(f"unknown builtin scheme {name!r}; known: {builtin_names()}")
+    takes = {"three-point": ("lam_a", "nu"), **dict.fromkeys(_THREE_POINT_FAMILY, ("lam_a",))}
+    for param, value in (("lam_a", lam_a), ("nu", nu)):
+        if value is not None and param not in takes.get(key, ()):
+            raise ValueError(f"{key} takes no parameter {param}")
     if key == "three-point":
         if lam_a is None or nu is None:
             raise ValueError("three-point requires lam_a and nu")
@@ -333,37 +335,14 @@ def builtin(
             lam=Fraction(1),
             velocity=Fraction(0),
         )
-    if key in _WIDE:
-        return Scheme(
-            name=key, r=7, p=7, coefficients=_WIDE[key],
-            lam=Fraction(1), velocity=Fraction(1),
-        )
-    raise ValueError(f"unknown builtin scheme {name!r}; known: {builtin_names()}")
+    return Scheme(
+        name=key, r=7, p=7, coefficients=_WIDE[key],
+        lam=Fraction(1), velocity=Fraction(1),
+    )
 
 
 # ---------------------------------------------------------------------------
 # scheme files
-
-
-def _fraction_to_json(x: Fraction) -> str | int:
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def save_scheme(scheme: Scheme, path: str) -> None:
-    """Write a scheme as JSON with exact rationals in 'num/den' form."""
-    doc = {
-        "name": scheme.name,
-        "r": scheme.r,
-        "p": scheme.p,
-        "lambda": _fraction_to_json(scheme.lam),
-        "a": _fraction_to_json(scheme.velocity),
-        "coefficients": [_fraction_to_json(c) for c in scheme.coefficients],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
 
 
 def _as_extent(x: object) -> int:

@@ -10,38 +10,6 @@ import pytest
 from advstab import boundary
 
 
-def test_backward_difference_low_orders() -> None:
-    assert boundary.backward_difference([3.0, 5.0], 1) == 2.0
-    assert boundary.backward_difference([1.0, 4.0, 9.0], 2) == 2.0
-    assert boundary.backward_difference([7.0], 0) == 7.0
-
-
-def test_backward_difference_annihilates_low_degree_polynomials() -> None:
-    rng = np.random.default_rng(7)
-    for k in range(1, 7):
-        coeffs = rng.standard_normal(k)  # degree k-1
-        values = [float(np.polyval(coeffs, j)) for j in range(k + 1)]
-        assert abs(boundary.backward_difference(values, k)) < 1e-9
-
-
-def test_backward_difference_exact_on_fractions() -> None:
-    values = [Fraction(j * j, 3) for j in range(4)]
-    d3 = boundary.backward_difference(values, 3)
-    assert isinstance(d3, Fraction)
-    assert d3 == 0
-
-
-def test_backward_difference_input_validation() -> None:
-    with pytest.raises(ValueError):
-        boundary.backward_difference([1.0], 1)
-    with pytest.raises(ValueError):
-        boundary.backward_difference([1.0, 2.0], -1)
-    with pytest.raises(ValueError):
-        boundary.backward_difference(
-            [0.0] * 40, boundary.MAX_EXTRAPOLATION_ORDER + 1
-        )
-
-
 def test_first_order_ghosts_copy_last_value() -> None:
     ghosts = boundary.fill_right_ghosts([2.0, 5.0], p=4, k=1)
     assert ghosts == [5.0, 5.0, 5.0, 5.0]
@@ -72,8 +40,7 @@ def test_ghosts_have_vanishing_kth_backward_differences() -> None:
         ghosts = boundary.fill_right_ghosts(tail, p=6, k=k)
         seq = tail + ghosts
         for m in range(len(tail), len(seq)):
-            window = seq[: m + 1]
-            assert abs(boundary.backward_difference(window, k)) < 1e-9
+            assert abs(np.diff(seq[m - k:m + 1], n=k)[0]) < 1e-9
 
 
 def test_ghost_recursion_exact_on_fractions() -> None:

@@ -73,14 +73,35 @@ def test_check_unknown_scheme_is_usage_error(capsys) -> None:
     assert "nope" in err
 
 
-def test_check_accepts_scheme_file(capsys, tmp_path) -> None:
-    from advstab import stencil
+# upwind at lambda*a = 1/2: u_j^{n+1} = (u_{j-1} + u_j)/2
+UPWIND_FILE = {"name": "upwind-half", "r": 1, "p": 0, "lambda": "1", "a": "1/2",
+               "coefficients": ["1/2", "1/2"]}
 
+
+def test_check_accepts_scheme_file(capsys, tmp_path) -> None:
     p = tmp_path / "custom.json"
-    stencil.save_scheme(stencil.builtin("lax-friedrichs", lam_a=0.5), str(p))
+    # Lax-Friedrichs at lambda*a = 1/2
+    p.write_text(json.dumps({"name": "lf", "r": 1, "p": 1, "lambda": "1", "a": "1/2",
+                             "coefficients": ["3/4", "0", "1/4"]}))
     code, rep, _ = _run(capsys, ["scheme", "check", "--scheme", str(p)])
     assert code == 0
     assert rep["von_neumann_sup"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--scheme", "coeff1", "--lam-a", "0.5"],
+     ["--scheme", "upwind", "--lam-a", "0.5", "--nu", "0.9"],
+     ["--scheme", "FILE", "--lam-a", "0.5"],
+     ["--scheme", "FILE", "--nu", "0.5"]],
+)
+def test_check_rejects_parameters_the_scheme_does_not_take(capsys, tmp_path, argv) -> None:
+    p = tmp_path / "custom.json"
+    p.write_text(json.dumps(UPWIND_FILE))
+    argv = [str(p) if a == "FILE" else a for a in argv]
+    code, rep, err = _run(capsys, ["scheme", "check", *argv])
+    assert code == 2 and rep == {}
+    assert ("nu" if "--nu" in argv else "lam") in err
 
 
 @pytest.mark.parametrize(
@@ -89,11 +110,8 @@ def test_check_accepts_scheme_file(capsys, tmp_path) -> None:
      ("a", True), ("r", 1.0), ("r", "1")],
 )
 def test_check_rejects_booleans_and_non_integer_extents(capsys, tmp_path, field, value) -> None:
-    from advstab import stencil
-
     p = tmp_path / "custom.json"
-    stencil.save_scheme(stencil.builtin("upwind", lam_a=0.5), str(p))
-    doc = json.loads(p.read_text())
+    doc = dict(UPWIND_FILE)
     doc[field] = value
     p.write_text(json.dumps(doc))
     code, rep, err = _run(capsys, ["scheme", "check", "--scheme", str(p)])
@@ -148,6 +166,33 @@ def test_spectrum_beyond_the_dense_guard_is_usage_error(capsys) -> None:
     assert "dense guard" in err
 
 
+def test_spectrum_full_beyond_the_dense_eigen_limit_is_usage_error(capsys, monkeypatch) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("--full beyond the limit must be rejected before any eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    J = spectral.DENSE_EIGEN_LIMIT  # n = J + 1 is one past the limit
+    code, rep, err = _run(capsys, ["spectrum", "--scheme", "upwind", "--lam-a", "0.5",
+                                   "--k", "1", "--J", str(J), "--full"])
+    assert code == 2 and rep == {}
+    assert str(spectral.DENSE_EIGEN_LIMIT) in err
+
+
+def test_spectrum_has_no_method_switch() -> None:
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--scheme", "identity", "--k", "1", "--J", "10",
+                  "--method", "dense"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("length", ["nan", "inf"])
+def test_spectrum_non_finite_length_is_usage_error(capsys, length) -> None:
+    code, rep, err = _run(capsys, ["spectrum", "--scheme", "identity", "--k", "1",
+                                   "--J", "10", "--L", length])
+    assert code == 2 and rep == {}
+    assert "finite" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -187,7 +232,7 @@ def test_simulate_wavepacket_ic(capsys) -> None:
 
 
 def test_simulate_bad_ic_is_usage_error(capsys) -> None:
-    for ic in ("triangle", "wavepacket:abc", "wavepacket:"):
+    for ic in ("triangle", "wavepacket:abc", "wavepacket:", "wavepacket:nan"):
         code, _, err = _run(
             capsys,
             [
@@ -196,6 +241,17 @@ def test_simulate_bad_ic_is_usage_error(capsys) -> None:
             ],
         )
         assert code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--center", "nan"), ("--width", "inf")],
+)
+def test_simulate_non_finite_initial_condition_is_usage_error(capsys, flag, value) -> None:
+    code, rep, err = _run(capsys, ["simulate", "--scheme", "upwind", "--lam-a", "0.5", "--k",
+                                   "1", "--J", "20", "--ic", "gaussian", "--steps", "5",
+                                   flag, value])
+    assert code == 2 and rep == {}
+    assert "finite" in err
 
 
 # ---------------------------------------------------------------------------

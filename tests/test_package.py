@@ -1,9 +1,11 @@
-"""The package export table against the submodules' public names."""
+"""The package export table: the submodules' public names, each with a caller."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import advstab
 
@@ -27,3 +29,27 @@ def test_package_attributes_resolve_to_the_defining_module() -> None:
     for name, short in advstab._EXPORTS.items():
         module = importlib.import_module(f"advstab.{short}")
         assert getattr(advstab, name) is getattr(module, name)
+
+
+def _shipped_sources() -> list[Path]:
+    """The callers that ship: library modules, perfbench, demos, acceptance tests."""
+    root = Path(advstab.__file__).resolve().parents[2]
+    return [
+        *(p for p in (root / "src" / "advstab").glob("*.py") if p.name != "__init__.py"),
+        *(p for p in (root / "perfbench").glob("*.py") if p.name != "test_perfbench.py"),
+        *(root / "demos").glob("*.py"),
+        root / "tests" / "test_acceptance.py",
+    ]
+
+
+def test_every_export_has_a_shipped_caller() -> None:
+    used: set[str] = set()
+    for path in _shipped_sources():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert sorted(set(advstab._EXPORTS) - used) == []

@@ -86,6 +86,13 @@ def test_initial_condition_validation() -> None:
         InitialCondition(kind="custom")  # not a kind
     with pytest.raises(ValueError):
         InitialCondition(kind="gaussian", sampling="weird")
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            InitialCondition(kind="gaussian", center=bad)
+        with pytest.raises(ValueError):
+            InitialCondition(kind="gaussian", width_param=bad)
+        with pytest.raises(ValueError):
+            InitialCondition(kind="wavepacket", packet_theta=bad)
 
 
 # ---------------------------------------------------------------------------
@@ -227,16 +234,22 @@ def test_exact_transport_for_unit_cfl_upwind() -> None:
 
 def test_convergence_orders_upwind_first_lax_wendroff_second() -> None:
     f = lambda x: math.sin(2.0 * math.pi * x) ** 4
-    up = simulate.convergence_check(
-        stencil.builtin("upwind", lam_a=0.5), 1, f, 0.25, [40, 80]
-    )
-    lw = simulate.convergence_check(
-        stencil.builtin("lax-wendroff", lam_a=0.5), 1, f, 0.25, [40, 80]
-    )
-    up_ratio = up[0][1] / up[1][1]
-    lw_ratio = lw[0][1] / lw[1][1]
-    assert 1.5 < up_ratio < 2.5  # first order
-    assert 3.0 < lw_ratio < 5.0  # second order
+
+    def error(scheme: stencil.Scheme, J: int) -> float:
+        # weighted l2 error against the exact profile at the time reached
+        grid = Grid(J=J, lam=scheme.lam_float)
+        op = operators.IntervalOperator(scheme, 1, J)
+        n = round(0.25 / grid.dt)
+        u = np.array([f(x) for x in grid.xs])
+        for _ in range(n):
+            u = op.step(u)
+        ref = simulate.exact_solution(f, scheme.velocity_float, n * grid.dt, grid)
+        return float(np.sqrt(grid.dx * np.sum((u - ref) ** 2)))
+
+    up = stencil.builtin("upwind", lam_a=0.5)
+    lw = stencil.builtin("lax-wendroff", lam_a=0.5)
+    assert 1.5 < error(up, 40) / error(up, 80) < 2.5  # first order
+    assert 3.0 < error(lw, 40) / error(lw, 80) < 5.0  # second order
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,16 @@ def test_unknown_builtin_rejected() -> None:
         stencil.builtin("nosuch")
 
 
+@pytest.mark.parametrize(
+    "name, lam_a, nu, param",
+    [("coeff1", 0.5, None, "lam_a"), ("identity", None, 0.5, "nu"),
+     ("upwind", 0.5, 0.9, "nu"), ("lax-wendroff", 0.5, 0.25, "nu")],
+)
+def test_builtin_rejects_parameters_the_scheme_does_not_take(name, lam_a, nu, param) -> None:
+    with pytest.raises(ValueError, match=f"{name} takes no parameter {param}"):
+        stencil.builtin(name, lam_a=lam_a, nu=nu)
+
+
 def test_scheme_validation_rejects_bad_extents() -> None:
     with pytest.raises(ValueError):
         stencil.Scheme(
@@ -214,10 +224,11 @@ def test_lax_wendroff_single_mode_family() -> None:
     modes = stencil.unimodular_modes(s)
     assert len(modes) == 1
     # |C| is quartically flat at 0, so the maximizer wanders O(1e-4) while
-    # the modulus stays within an ulp of 1; z inherits the phase -lam*a*theta
+    # the modulus stays within an ulp of 1; C inherits the phase -lam*a*theta
     assert abs(modes[0].theta) < 1e-3
-    assert abs(abs(modes[0].z) - 1.0) < 1e-12
-    assert abs(modes[0].z - 1.0) < 1e-3
+    z = stencil.amplification_factor(s, modes[0].theta)
+    assert abs(abs(z) - 1.0) < 1e-12
+    assert abs(z - 1.0) < 1e-3
     assert abs(modes[0].group_velocity - 0.5) < 1e-6
 
 
@@ -231,7 +242,6 @@ def test_wide_builtin_mode_tables_match_recorded() -> None:
             assert abs(mode.theta / math.pi - row["theta_over_pi"]) <= 1e-6
             assert abs(mode.group_velocity - row["group_velocity"]) <= 1e-8
             assert abs(mode.modulus_excess - row["modulus_excess"]) <= 1e-10
-            assert abs(abs(mode.kappa) - 1.0) < 1e-12
 
 
 def test_unimodular_modes_reject_unstable_scheme() -> None:
@@ -241,28 +251,33 @@ def test_unimodular_modes_reject_unstable_scheme() -> None:
 
 
 # ---------------------------------------------------------------------------
-# file round trip
+# scheme files
 
 def test_scheme_json_round_trip_exact(tmp_path) -> None:
     for name in ("coeff1", "coeff2"):
         s = stencil.builtin(name)
-        path = str(tmp_path / f"{name}.json")
-        stencil.save_scheme(s, path)
-        back = stencil.load_scheme(path)
+        path = tmp_path / f"{name}.json"
+        # str of a Fraction is its 'num/den' form
+        path.write_text(json.dumps({
+            "name": name, "r": s.r, "p": s.p, "lambda": str(s.lam), "a": str(s.velocity),
+            "coefficients": [str(c) for c in s.coefficients],
+        }))
+        back = stencil.load_scheme(str(path))
+        assert all(isinstance(c, Fraction) for c in back.coefficients)
         assert back.coefficients == s.coefficients
         assert back.lam == s.lam and back.velocity == s.velocity
         assert (back.r, back.p) == (s.r, s.p)
 
 
 def test_scheme_json_fractions_stay_rational(tmp_path) -> None:
-    s = stencil.builtin("three-point", lam_a=0.5, nu=0.75)
-    path = str(tmp_path / "tp.json")
-    stencil.save_scheme(s, path)
-    raw = json.loads(open(path).read())
-    assert raw["coefficients"] == ["5/8", "1/4", "1/8"]
-    assert raw["a"] == "1/2"
-    back = stencil.load_scheme(path)
-    assert back.coefficients == s.coefficients
+    path = tmp_path / "tp.json"
+    path.write_text(json.dumps({"name": "tp", "r": 1, "p": 1, "lambda": "1", "a": "1/2",
+                                "coefficients": ["5/8", "1/4", "1/8"]}))
+    back = stencil.load_scheme(str(path))
+    assert back.coefficients == (Fraction(5, 8), Fraction(1, 4), Fraction(1, 8))
+    assert back.coefficients == stencil.builtin("three-point", lam_a=0.5, nu=0.75).coefficients
+    assert back.lam == 1 and back.velocity == Fraction(1, 2)
+    assert (back.r, back.p) == (1, 1)
 
 
 def test_load_scheme_accepts_float_lambda(tmp_path) -> None:
