@@ -45,14 +45,12 @@ _EXPORTS = {
     "SpectralReport": "spectral",
     "PowerBoundResult": "spectral",
     "ScanRow": "spectral",
-    "EigenConvergenceError": "spectral",
     "PowerBoundOverflow": "spectral",
     "spectral_radius": "spectral",
     "operator_norm": "spectral",
     "power_bound_probe": "spectral",
     "rho_vs_J_scan": "spectral",
     "save_spectrum_csv": "spectral",
-    "DENSE_EIGEN_LIMIT": "spectral",
     # simulate: time-stepping experiments and records
     "InitialCondition": "simulate",
     "SimulationRecord": "simulate",

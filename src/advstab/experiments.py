@@ -135,6 +135,7 @@ def _example(target: str, m: dict, steps: int | None, out: str | None):
     scheme = _input(f"{target}.scheme", stencil.builtin, m["scheme"])
     k, J = m["k"], m["J"]
     _input(f"{target}.J", operators._check_interval, k, J + 1, scheme.r + scheme.p)
+    _input(f"{target}.J", operators._check_dense, J + 1)
     icm, theta = m["ic"], None
     if icm["kind"] == "wavepacket":
         _check(f"{target}.ic", icm, {"theta_over_pi": _NUMBER})
@@ -189,6 +190,7 @@ def _lemma1(target: str, m: dict, steps: int | None, out: str | None):
     k, (j_lo, j_hi) = m["k"], m["J_range"]
     # three-point schemes: r + p = 2
     _input(f"{target}.J_range", operators._check_interval, k, j_lo + 1, 2)
+    _input(f"{target}.J_range", operators._check_dense, j_hi + 1)
 
     rng = np.random.default_rng(m["seed"])
     n_grid = m["grid_points"]  # per axis of the (lam*a, nu) stability box

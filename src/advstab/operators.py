@@ -39,8 +39,9 @@ __all__ = [
     "step_interval",
 ]
 
-# dense storage guard; the spectral study needs dense eigensolves anyway
-MAX_DENSE_DIMENSION = 20000
+# dense guard: every reader of the dense matrix is an O(n^3) LAPACK call or
+# a dump of it; the headline interval sizes fit with margin
+MAX_DENSE_DIMENSION = 2500
 
 # output points per row of the blocked Toeplitz step; the block is at most
 # (16 + r + p) x 16, small enough to build per operator
@@ -81,6 +82,12 @@ class Grid:
     def xs(self) -> np.ndarray:
         """Interior nodes x_0, ..., x_J."""
         return np.arange(self.J + 1) * self.dx
+
+
+def _check_dense(n: int) -> None:
+    """ValueError unless an n x n dense matrix is within MAX_DENSE_DIMENSION."""
+    if n > MAX_DENSE_DIMENSION:
+        raise ValueError(f"J + 1 = {n} exceeds dense guard {MAX_DENSE_DIMENSION}")
 
 
 def _check_interval(k: int, n: int, width: int) -> None:
@@ -171,8 +178,7 @@ class IntervalOperator:
         available as independent test oracles.
         """
         n = self.n
-        if n > MAX_DENSE_DIMENSION:
-            raise ValueError(f"J + 1 = {n} exceeds dense guard {MAX_DENSE_DIMENSION}")
+        _check_dense(n)
         A = np.zeros((n, n), dtype=np.float64)
         idx = np.arange(n)
         for ell, a in zip(self.scheme.ells.tolist(), self.scheme.coeffs_float):

@@ -1,12 +1,11 @@
 """Spectral radius, operator norms and power-boundedness probes.
 
-The dense eigensolver is the ground truth for spectral radii; the iterative
-path runs a small Krylov (implicitly restarted Arnoldi) eigensolve so that a
-dominant complex conjugate pair, the signature of an oscillatory boundary
-instability, is resolved correctly. Plain one-vector power iteration would
-stall on such pairs and is deliberately not offered for eigenvalues; the
-power-bound probe iterates only on the symmetric B^T B, and keeps a norm only
-under a Kato-Temple certificate.
+Spectral radii come from one dense LAPACK eigensolve, limited to matrices of
+dimension at most operators.MAX_DENSE_DIMENSION. Plain one-vector power
+iteration would stall on a dominant complex conjugate pair, the signature of
+an oscillatory boundary instability, and is deliberately not offered for
+eigenvalues; the power-bound probe iterates only on the symmetric B^T B, and
+keeps a norm only under a Kato-Temple certificate.
 """
 
 from __future__ import annotations
@@ -15,14 +14,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
-from .operators import IntervalOperator, _atomic_write_bytes
+from .operators import IntervalOperator, _atomic_write_bytes, _check_dense
 from .stencil import Scheme
 
 __all__ = [
-    "DENSE_EIGEN_LIMIT",
-    "EigenConvergenceError",
     "PowerBoundOverflow",
     "PowerBoundResult",
     "ScanRow",
@@ -34,24 +30,10 @@ __all__ = [
     "spectral_radius",
 ]
 
-# dense eigensolves cover the headline interval sizes with margin
-DENSE_EIGEN_LIMIT = 2500
-
-# Arnoldi convergence tolerance of the iterative spectral radius
-_ARNOLDI_TOL = 1e-10
 # power steps per scaled power before the probe falls back to the dense SVD
 _CERTIFY_ITERATIONS = 4
 _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
-
-
-class EigenConvergenceError(RuntimeError):
-    """Iterative eigensolve failed; carries the best estimate found."""
-
-    def __init__(self, message: str, best_estimate: float, residual: float):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.residual = residual
 
 
 class PowerBoundOverflow(RuntimeError):
@@ -110,50 +92,23 @@ def _eigen_residual(A: np.ndarray, z: complex, v: np.ndarray) -> float:
 
 def spectral_radius(
     A: IntervalOperator | np.ndarray,
-    method: str = "auto",
+    method: str = "dense",
     n_leading: int = 10,
 ) -> SpectralReport:
-    """Spectral radius with eigen-residual control.
+    """Spectral radius from the full dense eigensystem, with its eigen-residual.
 
-    method 'dense' computes the full eigensystem; 'iterative' runs Arnoldi
-    for the few largest-modulus eigenvalues (complex pairs included);
-    'auto' picks dense up to DENSE_EIGEN_LIMIT. The iterative path raises
-    EigenConvergenceError (with its best estimate) on nonconvergence.
+    'dense' is the only method; a matrix of dimension above
+    MAX_DENSE_DIMENSION raises ValueError.
     """
-    entries = _dense(A)
-    n = entries.shape[0]
-    if method == "auto":
-        method = "dense" if n <= DENSE_EIGEN_LIMIT else "iterative"
-    if method == "dense":
-        if n > DENSE_EIGEN_LIMIT:
-            raise ValueError(f"dense path limited to n <= {DENSE_EIGEN_LIMIT}")
-        w, V = np.linalg.eig(entries)
-    elif method == "iterative":
-        k = min(max(6, n_leading), n - 2)
-        try:
-            # a fixed start vector makes repeated calls return the same answer
-            w, V = spla.eigs(
-                entries, k=k, which="LM", tol=_ARNOLDI_TOL, v0=np.ones(n),
-                maxiter=5000, ncv=min(n, max(4 * k, 40)),
-            )
-        except spla.ArpackNoConvergence as exc:
-            w_part = np.asarray(exc.eigenvalues)
-            best = float(np.abs(w_part).max()) if w_part.size else float("nan")
-            raise EigenConvergenceError(
-                f"Arnoldi did not converge within budget (best rho estimate {best})",
-                best_estimate=best, residual=float("inf"),
-            ) from exc
-    else:
+    if method != "dense":
         raise ValueError(f"unknown method {method!r}")
+    entries = _dense(A)
+    _check_dense(entries.shape[0])
+    w, V = np.linalg.eig(entries)
     order = np.argsort(-np.abs(w))
     w = w[order]
     V = V[:, order]
     residual = _eigen_residual(entries, w[0], V[:, 0])
-    if method == "iterative" and residual > 1e-8 * max(1.0, float(np.abs(w[0]))):
-        raise EigenConvergenceError(
-            f"Arnoldi residual {residual:.3e} exceeds tolerance",
-            best_estimate=float(np.abs(w[0])), residual=residual,
-        )
     leading = tuple(complex(z) for z in w[:n_leading])
     return SpectralReport(
         rho=float(np.abs(w[0])), leading_eigenvalues=leading,

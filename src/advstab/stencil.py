@@ -13,6 +13,7 @@ happens exactly once, at construction.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
@@ -45,6 +46,8 @@ def _as_fraction(x: RationalLike) -> Fraction:
     """Convert int/float/Fraction/'num/den' string to an exact Fraction."""
     if isinstance(x, str):
         return Fraction(x.strip())
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"{x!r} is not a finite rational number")
     if isinstance(x, (Fraction, int, float)) and not isinstance(x, bool):
         # binary floats are dyadic rationals; this conversion is exact
         return Fraction(x)
@@ -104,10 +107,6 @@ class Scheme:
     @property
     def lam_float(self) -> float:
         return float(self.lam)
-
-    @property
-    def velocity_float(self) -> float:
-        return float(self.velocity)
 
     @property
     def lam_a(self) -> float:

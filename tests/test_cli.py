@@ -11,6 +11,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from advstab import cli, experiments, operators, spectral
 
@@ -107,7 +108,7 @@ def test_check_rejects_parameters_the_scheme_does_not_take(capsys, tmp_path, arg
 @pytest.mark.parametrize(
     "field, value",
     [("r", True), ("p", False), ("coefficients", [True, 0.5]), ("lambda", True),
-     ("a", True), ("r", 1.0), ("r", "1")],
+     ("a", True), ("r", 1.0), ("r", "1"), ("lambda", float("inf"))],
 )
 def test_check_rejects_booleans_and_non_integer_extents(capsys, tmp_path, field, value) -> None:
     p = tmp_path / "custom.json"
@@ -117,6 +118,22 @@ def test_check_rejects_booleans_and_non_integer_extents(capsys, tmp_path, field,
     code, rep, err = _run(capsys, ["scheme", "check", "--scheme", str(p)])
     assert code == 2 and rep == {}
     assert "bad scheme file" in err
+
+
+@pytest.mark.parametrize("lam_a", ["nan", "inf"])
+def test_check_non_finite_scheme_parameter_is_usage_error(capsys, lam_a) -> None:
+    code, rep, err = _run(capsys, ["scheme", "check", "--scheme", "upwind", "--lam-a", lam_a])
+    assert code == 2 and rep == {}
+    assert "numeric failure" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag", ["--tol", "--mode-tol"])
+def test_check_bad_tolerance_is_usage_error(capsys, flag, value) -> None:
+    code, rep, err = _run(capsys, ["scheme", "check", "--scheme", "lax-wendroff",
+                                   "--lam-a", "0.5", "--assert-stable", flag, value])
+    assert code == 2 and rep == {}
+    assert flag in err
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +183,20 @@ def test_spectrum_beyond_the_dense_guard_is_usage_error(capsys) -> None:
     assert "dense guard" in err
 
 
-def test_spectrum_full_beyond_the_dense_eigen_limit_is_usage_error(capsys, monkeypatch) -> None:
+@pytest.mark.parametrize("extra", [[], ["--full"]], ids=["default", "full"])
+def test_spectrum_full_beyond_the_dense_eigen_limit_is_usage_error(
+    capsys, monkeypatch, extra
+) -> None:
     def forbidden(*args, **kwargs):
-        raise AssertionError("--full beyond the limit must be rejected before any eigensolve")
+        raise AssertionError("a grid beyond the limit must be rejected before any eigensolve")
 
     monkeypatch.setattr(np.linalg, "eig", forbidden)
-    J = spectral.DENSE_EIGEN_LIMIT  # n = J + 1 is one past the limit
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", forbidden)
+    J = operators.MAX_DENSE_DIMENSION  # n = J + 1 is one past the limit
     code, rep, err = _run(capsys, ["spectrum", "--scheme", "upwind", "--lam-a", "0.5",
-                                   "--k", "1", "--J", str(J), "--full"])
+                                   "--k", "1", "--J", str(J), *extra])
     assert code == 2 and rep == {}
-    assert str(spectral.DENSE_EIGEN_LIMIT) in err
+    assert "dense guard" in err and str(operators.MAX_DENSE_DIMENSION) in err
 
 
 def test_spectrum_has_no_method_switch() -> None:
@@ -370,6 +391,12 @@ def _packaged_with(edit) -> dict:
         ("halfline",
          _packaged_with(lambda m: m["halfline"]["outflow"]["cases"].append(["nope", 1])),
          "halfline.outflow.cases[2]"),
+        ("example2",
+         _packaged_with(lambda m: m["example2"].update(J=operators.MAX_DENSE_DIMENSION)),
+         "example2.J"),
+        ("lemma1",
+         _packaged_with(lambda m: m["lemma1"].update(J_range=[5, operators.MAX_DENSE_DIMENSION])),
+         "lemma1.J_range"),
     ],
 )
 def test_reproduce_bad_manifest_is_usage_error(

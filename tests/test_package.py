@@ -53,3 +53,16 @@ def test_every_export_has_a_shipped_caller() -> None:
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     assert sorted(set(advstab._EXPORTS) - used) == []
+
+
+def test_library_imports_no_sparse_eigensolver() -> None:
+    # spectral radii come from the dense eigensolve until a certified solver exists
+    imported: list[str] = []
+    for path in Path(advstab.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.extend(f"{path.name}: {alias.name}" for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.extend(f"{path.name}: {node.module}.{alias.name}"
+                                for alias in node.names)
+    assert [line for line in imported if "scipy.sparse" in line] == []

@@ -243,7 +243,7 @@ def test_convergence_orders_upwind_first_lax_wendroff_second() -> None:
         u = np.array([f(x) for x in grid.xs])
         for _ in range(n):
             u = op.step(u)
-        ref = simulate.exact_solution(f, scheme.velocity_float, n * grid.dt, grid)
+        ref = simulate.exact_solution(f, float(scheme.velocity), n * grid.dt, grid)
         return float(np.sqrt(grid.dx * np.sum((u - ref) ** 2)))
 
     up = stencil.builtin("upwind", lam_a=0.5)

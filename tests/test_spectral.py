@@ -18,8 +18,14 @@ from advstab import operators, spectral, stencil
 def test_spectral_radius_dense_respects_limit() -> None:
     with pytest.raises(ValueError):
         spectral.spectral_radius(
-            np.zeros((spectral.DENSE_EIGEN_LIMIT + 1,) * 2), method="dense"
+            np.zeros((operators.MAX_DENSE_DIMENSION + 1,) * 2), method="dense"
         )
+
+
+def test_spectral_radius_has_only_the_dense_method() -> None:
+    for method in ("iterative", "auto"):
+        with pytest.raises(ValueError, match="unknown method"):
+            spectral.spectral_radius(np.eye(3), method=method)
 
 
 def test_spectral_radius_known_diagonal() -> None:
@@ -36,22 +42,6 @@ def test_spectral_radius_rotation_complex_pair() -> None:
     assert abs(rep.rho - 0.9) < 1e-13
     assert abs(abs(rep.leading_eigenvalues[0]) - 0.9) < 1e-13
     assert abs(rep.leading_eigenvalues[0].imag) > 0.1
-
-
-def test_dense_and_iterative_paths_agree() -> None:
-    A = operators.assemble_matrix(stencil.builtin("coeff2"), 2, 300)
-    dense = spectral.spectral_radius(A, method="dense")
-    iterative = spectral.spectral_radius(A, method="iterative")
-    assert abs(dense.rho - iterative.rho) < 1e-9
-    assert iterative.method == "iterative"
-    assert iterative.residual < 1e-8
-
-
-def test_iterative_path_is_deterministic() -> None:
-    A = operators.assemble_matrix(stencil.builtin("coeff2"), 2, 300)
-    first = spectral.spectral_radius(A, method="iterative")
-    second = spectral.spectral_radius(A, method="iterative")
-    assert first.rho == second.rho
 
 
 def test_spectral_radius_auto_picks_dense_below_limit() -> None:
