@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .operators import Grid, IntervalOperator, _atomic_write_bytes
 from .stencil import Scheme
@@ -121,6 +120,7 @@ def _continuum_function(ic: InitialCondition, grid: Grid) -> Callable[[float], f
 def build_initial(ic: InitialCondition, grid: Grid) -> np.ndarray:
     """Sample the initial condition on x_0..x_J (point or cell average)."""
     if ic.sampling == "cell_average":
+        from scipy.integrate import quad  # the library's only scipy use
         f = _continuum_function(ic, grid)
         dx = grid.dx
         out = np.empty(grid.J + 1)

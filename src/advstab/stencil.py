@@ -19,12 +19,13 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 RationalLike = Fraction | int | float | str
 
 # samples of |C| per period: 4 per oscillation for stencils up to 4096 wide
 _N_SAMPLES = 2**14
+# Newton steps per sampled maximum; four converge from one sample away
+_NEWTON_STEPS = 6
 # refined maxima this close to the supremum are all reported as argmax
 _ARGMAX_TOL = 1e-12
 
@@ -137,24 +138,29 @@ def consistency_residuals(scheme: Scheme) -> tuple[float, float]:
     return float(s0), float(s1)
 
 
-def amplification_factor(scheme: Scheme, theta: float) -> complex:
-    """The Fourier symbol C(theta) = sum a_l e^(i l theta), from float coefficients."""
-    return complex(np.sum(scheme.coeffs_float * np.exp(1j * scheme.ells * theta)))
+def _symbol(scheme: Scheme, theta: float | np.ndarray, order: int = 0) -> np.ndarray:
+    """The stack of C^(d)(theta) = sum a_l (i l)^d e^(i l theta), d = 0..order."""
+    phase = np.exp(1j * np.multiply.outer(theta, scheme.ells))
+    weights = [scheme.coeffs_float * (1j * scheme.ells) ** d for d in range(order + 1)]
+    return np.moveaxis(phase @ np.transpose(weights), -1, 0)
 
 
-def _refine_local_max(scheme: Scheme, lo: float, hi: float) -> tuple[float, float]:
-    """Maximize |C| on [lo, hi] by bounded scalar minimization of -|C|."""
-    res = minimize_scalar(
-        lambda t: -abs(amplification_factor(scheme, t)),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-14},
-    )
-    return float(res.x), float(-res.fun)
+def amplification_factor(scheme: Scheme, theta: float | np.ndarray) -> complex | np.ndarray:
+    """The Fourier symbol C(theta) = sum a_l e^(i l theta); an array for an array."""
+    c = _symbol(scheme, theta)[0]
+    return complex(c) if np.ndim(c) == 0 else c
 
 
-def _local_maxima(scheme: Scheme) -> list[tuple[float, float]]:
-    """Refined local maxima of |C| over one period, sampled circularly.
+def _local_maxima(scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
+    """Refined local maxima of |C| over one period, as arrays of theta and |C|.
+
+    Sampled maxima are where f = Re(conj(C) C') = (|C|^2)'/2 turns from + to -,
+    a sign that is not rounding noise where |C| is nearly flat, unlike a
+    comparison of moduli. Newton steps on f = 0, f' = |C'|^2 + Re(conj(C) C''),
+    refine them at once, moving only where f' < 0 (|C|^2 concave) and at most
+    one sample spacing per step. Between two sampled maxima f turns from - to
+    +, so each refines to a maximum of its own. A table flat to rounding (a
+    pure shift) is one maximum at theta = 0.
 
     Raises ValueError, before sampling, for a stencil too wide to resolve.
     """
@@ -164,31 +170,28 @@ def _local_maxima(scheme: Scheme) -> list[tuple[float, float]]:
             f"stencil width r + p = {width} exceeds {_N_SAMPLES // 4}, the widest "
             f"whose symbol {_N_SAMPLES} samples per period resolve"
         )
-    thetas = np.linspace(-np.pi, np.pi, _N_SAMPLES, endpoint=False)
-    mods = np.abs(np.exp(1j * np.outer(thetas, scheme.ells)) @ scheme.coeffs_float)
-    is_max = (mods > np.roll(mods, 1)) & (mods >= np.roll(mods, -1))
-    step = thetas[1] - thetas[0]
-    out = []
-    for i in np.where(is_max)[0]:
-        t, m = _refine_local_max(scheme, thetas[i] - step, thetas[i] + step)
-        out.append((t, m))
-    if not out:
-        # constant modulus (e.g. pure shift); report theta = 0
-        out.append((0.0, float(mods[0])))
-    return out
+    thetas, step = np.linspace(-np.pi, np.pi, _N_SAMPLES, endpoint=False, retstep=True)
+    c, dc = _symbol(scheme, thetas, order=1)
+    mods, f = np.abs(c), np.real(np.conj(c) * dc)
+    t = thetas[(np.roll(f, 1) > 0) & (f <= 0)]
+    scale = float(np.sum(np.abs(scheme.coeffs_float)))
+    if t.size == 0 or np.ptp(mods) <= 4 * np.finfo(float).eps * scale:
+        return np.zeros(1), mods[_N_SAMPLES // 2:][:1]  # the sample at theta = 0
+    for _ in range(_NEWTON_STEPS):
+        c, dc, ddc = _symbol(scheme, t, order=2)
+        f = np.real(np.conj(c) * dc)
+        df = np.abs(dc) ** 2 + np.real(np.conj(c) * ddc)
+        # a flat maximum (f = f' = 0, e.g. Lax-Wendroff at 0) stays put
+        newton = np.divide(f, df, out=np.zeros_like(f), where=df < 0)
+        t = t - np.clip(newton, -step, step)
+    return t, np.abs(amplification_factor(scheme, t))
 
 
 def von_neumann_sup(scheme: Scheme) -> tuple[float, list[float]]:
-    """Global maximum of |C(theta)| over one period plus its locations.
-
-    Dense sampling locates candidate maxima; each is refined by bounded
-    golden-section search. All refined local maximizers whose modulus comes
-    within _ARGMAX_TOL of the supremum are reported.
-    """
-    maxima = _local_maxima(scheme)
-    sup = max(m for _, m in maxima)
-    argmax = sorted(t for t, m in maxima if m >= sup - _ARGMAX_TOL)
-    return sup, argmax
+    """sup |C(theta)| over one period, and every refined maximizer within _ARGMAX_TOL."""
+    thetas, mods = _local_maxima(scheme)
+    sup = float(mods.max())
+    return sup, sorted(thetas[mods >= sup - _ARGMAX_TOL].tolist())
 
 
 def group_velocity(scheme: Scheme, theta: float) -> float:
@@ -196,12 +199,10 @@ def group_velocity(scheme: Scheme, theta: float) -> float:
 
     Raises ValueError where C(theta) = 0 since the quantity is undefined.
     """
-    phase = np.exp(1j * scheme.ells * theta)
-    c = np.sum(scheme.coeffs_float * phase)
+    c, dc = _symbol(scheme, theta, order=1)
     # relative cutoff: a true zero of C evaluates to coefficient-scale noise
     if abs(c) <= 1e-13 * float(np.sum(np.abs(scheme.coeffs_float))):
         raise ValueError(f"group velocity undefined: C({theta}) = 0")
-    dc = np.sum(scheme.coeffs_float * 1j * scheme.ells * phase)
     return float(-np.imag(dc / c) / scheme.lam_float)
 
 
@@ -213,19 +214,16 @@ def unimodular_modes(scheme: Scheme, tol: float = 1e-4) -> list[WaveMode]:
     Raises ValueError when sup|C| exceeds 1 + tol: such a scheme is
     l2-unstable on the whole lattice and has no meaningful mode list.
     """
-    maxima = _local_maxima(scheme)
-    sup = max(m for _, m in maxima)
+    thetas, mods = _local_maxima(scheme)
+    sup = float(mods.max())
     if sup > 1.0 + tol:
         raise ValueError(
             f"scheme violates the von Neumann condition: sup|C| = {sup:.6e} "
             f"exceeds 1 + tol = {1 + tol:.6e}; the scheme is unstable on the lattice"
         )
     modes: list[WaveMode] = []
-    for t, m in maxima:
-        if m < 1.0 - tol:
-            continue
-        if any(abs(t - prev.theta) < 1e-8 for prev in modes):
-            continue
+    near = mods >= 1.0 - tol
+    for t, m in zip(thetas[near].tolist(), mods[near].tolist()):
         modes.append(
             WaveMode(
                 theta=t,
@@ -316,6 +314,8 @@ def builtin(
     for param, value in (("lam_a", lam_a), ("nu", nu)):
         if value is not None and param not in takes.get(key, ()):
             raise ValueError(f"{key} takes no parameter {param}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{param} = {value} is not a finite rational number")
     if key == "three-point":
         if lam_a is None or nu is None:
             raise ValueError("three-point requires lam_a and nu")

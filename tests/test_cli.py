@@ -120,11 +120,21 @@ def test_check_rejects_booleans_and_non_integer_extents(capsys, tmp_path, field,
     assert "bad scheme file" in err
 
 
-@pytest.mark.parametrize("lam_a", ["nan", "inf"])
-def test_check_non_finite_scheme_parameter_is_usage_error(capsys, lam_a) -> None:
-    code, rep, err = _run(capsys, ["scheme", "check", "--scheme", "upwind", "--lam-a", lam_a])
+@pytest.mark.parametrize(
+    "argv, param",
+    [
+        pytest.param(["--scheme", "upwind", "--lam-a", "nan"], "lam_a", id="nan"),
+        pytest.param(["--scheme", "upwind", "--lam-a", "inf"], "lam_a", id="inf"),
+        pytest.param(["--scheme", "three-point", "--lam-a", "0.5", "--nu", "nan"], "nu",
+                     id="nu-nan"),
+    ],
+)
+def test_check_non_finite_scheme_parameter_is_usage_error(capsys, argv, param) -> None:
+    code, rep, err = _run(capsys, ["scheme", "check", *argv])
     assert code == 2 and rep == {}
     assert "numeric failure" not in err
+    # the message names the bad parameter, not just its value
+    assert f"error: {param} = " in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1"])

@@ -5,6 +5,9 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import advstab
@@ -66,3 +69,18 @@ def test_library_imports_no_sparse_eigensolver() -> None:
                 imported.extend(f"{path.name}: {node.module}.{alias.name}"
                                 for alias in node.names)
     assert [line for line in imported if "scipy.sparse" in line] == []
+
+
+def test_layer_imports_load_no_scipy() -> None:
+    # scipy is imported only where --cell-average needs it, at call time
+    probe = (
+        "import sys\n"
+        "import advstab.boundary, advstab.cli, advstab.operators\n"
+        "import advstab.simulate, advstab.spectral, advstab.stencil\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    src = Path(advstab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

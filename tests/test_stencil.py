@@ -9,8 +9,12 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from advstab import stencil
+
+EPS = np.finfo(float).eps
 
 
 def _manifest() -> dict:
@@ -223,8 +227,8 @@ def test_lax_wendroff_single_mode_family() -> None:
     s = stencil.builtin("lax-wendroff", lam_a=0.5)
     modes = stencil.unimodular_modes(s)
     assert len(modes) == 1
-    # |C| is quartically flat at 0, so the maximizer wanders O(1e-4) while
-    # the modulus stays within an ulp of 1; C inherits the phase -lam*a*theta
+    # |C| is quartically flat at 0, where f = f' = 0: Newton leaves the
+    # sample at theta = 0 in place; C inherits the phase -lam*a*theta
     assert abs(modes[0].theta) < 1e-3
     z = stencil.amplification_factor(s, modes[0].theta)
     assert abs(abs(z) - 1.0) < 1e-12
@@ -242,6 +246,48 @@ def test_wide_builtin_mode_tables_match_recorded() -> None:
             assert abs(mode.theta / math.pi - row["theta_over_pi"]) <= 1e-6
             assert abs(mode.group_velocity - row["group_velocity"]) <= 1e-8
             assert abs(mode.modulus_excess - row["modulus_excess"]) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["upwind", "lax-wendroff", "lax-friedrichs"])
+def test_pure_shift_reports_one_mode_at_zero(name: str) -> None:
+    # at lam*a = 1 each is u_j <- u_{j-1}: |C| = 1 up to rounding, and that
+    # noise must not be read as thousands of local maxima
+    s = stencil.builtin(name, lam_a=1.0)
+    assert s.coefficients == (Fraction(1), Fraction(0))
+    assert stencil.von_neumann_sup(s) == (1.0, [0.0])
+    modes = stencil.unimodular_modes(s)
+    assert [(m.theta, m.modulus_excess, m.group_velocity) for m in modes] == [(0.0, 0.0, 1.0)]
+
+
+_endpoint = hst.floats(-2.0, 2.0).filter(lambda x: x != 0.0)
+
+
+@hst.composite
+def _random_schemes(draw) -> stencil.Scheme:
+    r, p = draw(hst.integers(0, 3)), draw(hst.integers(0, 3))
+    inner = draw(hst.lists(hst.floats(-2.0, 2.0), min_size=max(r + p - 1, 0),
+                           max_size=max(r + p - 1, 0)))
+    coeffs = [draw(_endpoint)] if r + p == 0 else [draw(_endpoint), *inner, draw(_endpoint)]
+    return stencil.Scheme(
+        name="random", r=r, p=p, coefficients=tuple(Fraction(c) for c in coeffs),
+        lam=Fraction(1), velocity=Fraction(1),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(s=_random_schemes())
+def test_refined_maxima_bound_the_grid_and_are_stationary(s: stencil.Scheme) -> None:
+    a = s.coeffs_float
+    # eps is relative to the rounding unit of the symbol sum, sum |a_l|
+    scale, slope = np.sum(np.abs(a)), np.sum(np.abs(s.ells * a))
+    sup, argmax = stencil.von_neumann_sup(s)
+    grid = np.linspace(-math.pi, math.pi, 2**16, endpoint=False)
+    assert sup >= np.max(np.abs(stencil.amplification_factor(s, grid))) - 4 * EPS * scale
+    assert argmax
+    for theta in argmax:
+        c = stencil.amplification_factor(s, theta)
+        dc = complex(np.sum(1j * s.ells * a * np.exp(1j * s.ells * theta)))
+        assert abs((c.conjugate() * dc).real) <= 8 * EPS * slope * scale
 
 
 def test_unimodular_modes_reject_unstable_scheme() -> None:
