@@ -1,15 +1,23 @@
 """Interval and half-line one-step operators plus matrix assembly.
 
 The interval operator folds the Dirichlet inflow and extrapolation outflow
-closures into one object, the interval iteration matrix. Its step runs the
-stencil as one matrix product per step: the zero-padded state is viewed as
-overlapping rows of a block Toeplitz product with a small fixed block of
-the coefficients. Its dense (J+1) x (J+1) entries are built on first read:
-the Toeplitz diagonals straight from the coefficients, then steps of only
-the last k unit vectors, the columns the outflow ghost fold touches. The
-half-line steppers act on exact finite-support sequences, growing their
-windows with the finite propagation speed of the stencil so no artificial
-second boundary ever contaminates a half-line experiment.
+closures into one object, the interval iteration matrix. Its one stepping
+kernel, advance, runs the stencil over a ring of padded states that lives
+for one call. Each ring row holds r Dirichlet zeros, the state, the p
+outflow ghosts and zero padding up to whole blocks. A step views a row as
+overlapping windows of a block Toeplitz product with a small fixed block
+of the coefficients and writes the next state straight into the next row,
+then writes that row's ghosts with the p x k ghost fold and clears what
+the product wrote past them. The fold product keeps exactly p rows in
+Fortran order: OpenBLAS picks its gemv kernel, and so its rounding, from
+the shape and the order, so a fold padded to clear the spill in the same
+call, or a C-ordered copy, would move the ghosts. Its dense (J+1) x (J+1)
+entries are built on first read: the Toeplitz diagonals straight from the
+coefficients, then steps of only the last k unit vectors, the columns the
+outflow ghost fold touches. The half-line steppers act on exact
+finite-support sequences, growing their windows with the finite
+propagation speed of the stencil so no artificial second boundary ever
+contaminates a half-line experiment.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ import json
 import math
 import os
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,6 +54,11 @@ MAX_DENSE_DIMENSION = 2500
 # output points per row of the blocked Toeplitz step; the block is at most
 # (16 + r + p) x 16, small enough to build per operator
 _BLOCK = 16
+
+# states per ring of advance: enough to batch the run loop's norms, few
+# enough to stay cache-resident; _RING_BYTES caps the ring at very large J
+_RING_STATES = 64
+_RING_BYTES = 512 * 1024
 
 # save_matrix adds a CSV copy for matrices of at most this dimension
 _CSV_LIMIT = 64
@@ -112,13 +125,16 @@ class IntervalOperator:
     The Dirichlet inflow contributes r zero ghosts. The order-k outflow
     ghosts are linear in the last k interior values, so the recursion of
     fill_right_ghosts is run once on the k unit tails and kept as the p x k
-    matrix ghost_fold. The stencil itself is kept as toeplitz_block, the
+    matrix ghost_fold, in Fortran order (the transpose of the recursion's
+    rows). The stencil itself is kept as toeplitz_block, the
     (b + r + p) x b block with column q holding a_{-r}, ..., a_p from row q
     on, so that one window of b + r + p padded values times the block gives
     b consecutive outputs. All size and order checks happen here, at
-    construction, and never per step. The dense matrix is the entries
-    attribute, built on first read; stepping never builds it. All three
-    arrays are read-only, so the operator holds no mutable state.
+    construction, and never per step. advance is the one stepping kernel;
+    its ring of padded states belongs to the call, never to the operator.
+    The dense matrix is the entries attribute, built on first read; stepping
+    never builds it. All three arrays are read-only, so the operator holds
+    no mutable state.
     """
 
     scheme: Scheme
@@ -145,26 +161,73 @@ class IntervalOperator:
     def n(self) -> int:
         return self.J + 1
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        """One interval step of the state u_0..u_J.
+    def advance(self, u: np.ndarray, n_steps: int) -> Iterator[np.ndarray]:
+        """Yield the states after steps 1..n_steps of u in read-only (m, n) blocks.
 
-        The padded state ext (r Dirichlet zeros, u, the p outflow ghosts,
-        then zeros up to whole blocks) is read as ceil(n/b) overlapping rows
-        of b + r + p values at stride b; row i times toeplitz_block gives
-        out[i*b:(i+1)*b], with out[j] = sum_l a_l ext[r+j+l].
+        A block holds up to _RING_STATES consecutive states (fewer under the
+        _RING_BYTES cap and at the end) and stays valid until the next
+        iteration. The call makes a ring of m + 1 padded rows and every view
+        into it once; row i + 1 is the step of row i, and the last row is
+        copied to row 0 before the next block. A step is three numpy calls:
+
+        - the window view reads row i as ceil(n/b) overlapping rows of
+          b + r + p values at stride b; window row q times toeplitz_block
+          gives out[q*b:(q+1)*b] with out[j] = sum_l a_l ext[r+j+l],
+          written straight into row i + 1 after its r Dirichlet zeros;
+        - ghost_fold times the last k values of the new state writes its p
+          ghosts over the first p outputs past the state;
+        - the rest of those outputs, up to the next whole block, are set
+          back to zero, so no value past the ghosts can grow from step to
+          step and reach the state through a zero of the block as 0 * inf.
+
+        The ghost product keeps ghost_fold's p rows and Fortran order. The
+        OpenBLAS gemv kernel sums rows in groups of four plus a remainder
+        with different rounding, so padding the fold with zero rows to
+        clear the spill in the same call, or a C-ordered copy of it, moves
+        the ghosts by an ulp for most p when k >= 2.
         """
-        r, n = self.scheme.r, self.n
+        if n_steps < 0:
+            raise ValueError("n_steps must be >= 0")
+        r, p, k, n = self.scheme.r, self.scheme.p, self.k, self.n
         rows, width = -(-n // _BLOCK), self.toeplitz_block.shape[0]
-        ext = np.zeros((rows - 1) * _BLOCK + width, dtype=np.float64)
-        ext[r:r + n] = u
-        ext[r + n:r + n + self.scheme.p] = self.ghost_fold @ u[-self.k:]
-        # a strided view over ext (numpy checks it stays inside the buffer);
-        # cheaper to build per step than stride_tricks.as_strided
-        windows = np.ndarray(
-            (rows, width), dtype=np.float64, buffer=ext,
-            strides=(_BLOCK * ext.itemsize, ext.itemsize),
-        )
-        return (windows @ self.toeplitz_block).ravel()[:n]
+        length = (rows - 1) * _BLOCK + width
+        m = max(1, min(_RING_STATES, n_steps, _RING_BYTES // (8 * length)))
+        ring = np.zeros((m + 1, length), dtype=np.float64)
+        # per-row views, built once: the windows are a strided view over the
+        # ring (numpy checks it stays inside), cheaper than stride_tricks
+        windows = list(np.ndarray(
+            (m + 1, rows, width), dtype=np.float64, buffer=ring,
+            strides=(ring.strides[0], _BLOCK * ring.itemsize, ring.itemsize),
+        ))
+        core = list(ring[:, r:r + rows * _BLOCK].reshape(m + 1, rows, _BLOCK))
+        tail = list(ring[:, r + n - k:r + n])
+        ghosts = list(ring[:, r + n:r + n + p])
+        spill = list(ring[:, r + n + p:r + rows * _BLOCK])
+        states = ring[1:, r:r + n]
+        states.flags.writeable = False
+        ring[0, r:r + n] = u
+        matmul, block, fold = np.matmul, self.toeplitz_block, self.ghost_fold
+        matmul(fold, tail[0], out=ghosts[0])
+        done = 0
+        while done < n_steps:
+            if done:
+                ring[0] = ring[m]
+            size = min(m, n_steps - done)
+            for i in range(1, size + 1):
+                matmul(windows[i - 1], block, out=core[i])
+                matmul(fold, tail[i], out=ghosts[i])
+                spill[i].fill(0.0)
+            done += size
+            yield states[:size]
+
+    def step(self, u: np.ndarray) -> np.ndarray:
+        """One interval step of the state u_0..u_J, copied out of a two-row ring.
+
+        This is advance for one step, so a single step and a long run round
+        alike; the ring setup makes it costlier than a step inside a run.
+        """
+        (states,) = self.advance(u, 1)
+        return states[0].copy()
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -196,7 +259,7 @@ class IntervalOperator:
 def step_interval(scheme: Scheme, k: int, u: np.ndarray) -> np.ndarray:
     """One interval step of u; builds the IntervalOperator for u.size points.
 
-    Loops should build the operator once and call its step instead.
+    Loops should build the operator once and call its advance instead.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:

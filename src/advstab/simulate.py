@@ -169,16 +169,22 @@ def run(
     guard = OVERFLOW_RATIO * max(math.sqrt(sqnorms[0]), np.finfo(float).tiny)
     truncated = False
     n_done = 0
-    # an overflowing norm is caught by the guard below, not reported by numpy
-    with np.errstate(over="ignore"):
-        for n in range(1, n_steps + 1):
-            u = op.step(u)
-            s = float(np.dot(u, u))
-            sqnorms[n] = s
-            n_done = n
-            if snapshot_stride and n % snapshot_stride == 0:
-                snapshots.append((n, u.copy()))
-            if not math.isfinite(s) or math.sqrt(s) > guard:
+    # a block runs on past an overflow (inf - inf is NaN there); the guard
+    # below catches it, so numpy must not report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for states in op.advance(u, n_steps):
+            m = states.shape[0]
+            sq = sqnorms[n_done + 1:n_done + 1 + m]
+            # one batched row-by-row dot: the same ddot, bit for bit, as np.dot
+            np.matmul(states[:, None, :], states[:, :, None], out=sq[:, None, None])
+            bad = np.flatnonzero(~(np.sqrt(sq) <= guard))
+            kept = int(bad[0]) + 1 if bad.size else m
+            if snapshot_stride:
+                first = n_done + snapshot_stride - n_done % snapshot_stride
+                for n in range(first, n_done + kept + 1, snapshot_stride):
+                    snapshots.append((n, states[n - n_done - 1].copy()))
+            n_done += kept
+            if bad.size:
                 truncated = True
                 break
     l2 = np.sqrt(dx * sqnorms[:n_done + 1])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable
 
@@ -138,10 +139,13 @@ def consistency_residuals(scheme: Scheme) -> tuple[float, float]:
     return float(s0), float(s1)
 
 
-def _symbol(scheme: Scheme, theta: float | np.ndarray, order: int = 0) -> np.ndarray:
-    """The stack of C^(d)(theta) = sum a_l (i l)^d e^(i l theta), d = 0..order."""
+def _symbol(
+    scheme: Scheme, theta: float | np.ndarray, order: int = 0, exponent: int = 0
+) -> np.ndarray:
+    """The stack of 2^-exponent C^(d)(theta) = sum a_l (i l)^d e^(i l theta), d = 0..order."""
     phase = np.exp(1j * np.multiply.outer(theta, scheme.ells))
-    weights = [scheme.coeffs_float * (1j * scheme.ells) ** d for d in range(order + 1)]
+    a = np.ldexp(scheme.coeffs_float, -exponent)
+    weights = [a * (1j * scheme.ells) ** d for d in range(order + 1)]
     return np.moveaxis(phase @ np.transpose(weights), -1, 0)
 
 
@@ -151,8 +155,9 @@ def amplification_factor(scheme: Scheme, theta: float | np.ndarray) -> complex |
     return complex(c) if np.ndim(c) == 0 else c
 
 
+@lru_cache(maxsize=1)
 def _local_maxima(scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
-    """Refined local maxima of |C| over one period, as arrays of theta and |C|.
+    """Refined local maxima of |C| over one period, as read-only arrays of theta and |C|.
 
     Sampled maxima are where f = Re(conj(C) C') = (|C|^2)'/2 turns from + to -,
     a sign that is not rounding noise where |C| is nearly flat, unlike a
@@ -162,7 +167,9 @@ def _local_maxima(scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
     +, so each refines to a maximum of its own. A table flat to rounding (a
     pure shift) is one maximum at theta = 0.
 
-    Raises ValueError, before sampling, for a stencil too wide to resolve.
+    Kept for the last scheme: scheme check asks for the supremum and then
+    the modes of the same table. Raises ValueError, before sampling, for a
+    stencil too wide to resolve.
     """
     width = scheme.r + scheme.p
     if 4 * width > _N_SAMPLES:
@@ -171,20 +178,29 @@ def _local_maxima(scheme: Scheme) -> tuple[np.ndarray, np.ndarray]:
             f"whose symbol {_N_SAMPLES} samples per period resolve"
         )
     thetas, step = np.linspace(-np.pi, np.pi, _N_SAMPLES, endpoint=False, retstep=True)
-    c, dc = _symbol(scheme, thetas, order=1)
+    # f and f' multiply two symbol values: on coefficients scaled by the
+    # power of two that brings the largest into [1/2, 1), an exact change,
+    # they neither underflow nor overflow at either end of the float range
+    e = int(np.frexp(np.max(np.abs(scheme.coeffs_float)))[1])
+    c, dc = _symbol(scheme, thetas, order=1, exponent=e)
     mods, f = np.abs(c), np.real(np.conj(c) * dc)
     t = thetas[(np.roll(f, 1) > 0) & (f <= 0)]
-    scale = float(np.sum(np.abs(scheme.coeffs_float)))
+    scale = float(np.sum(np.abs(np.ldexp(scheme.coeffs_float, -e))))
     if t.size == 0 or np.ptp(mods) <= 4 * np.finfo(float).eps * scale:
-        return np.zeros(1), mods[_N_SAMPLES // 2:][:1]  # the sample at theta = 0
-    for _ in range(_NEWTON_STEPS):
-        c, dc, ddc = _symbol(scheme, t, order=2)
-        f = np.real(np.conj(c) * dc)
-        df = np.abs(dc) ** 2 + np.real(np.conj(c) * ddc)
-        # a flat maximum (f = f' = 0, e.g. Lax-Wendroff at 0) stays put
-        newton = np.divide(f, df, out=np.zeros_like(f), where=df < 0)
-        t = t - np.clip(newton, -step, step)
-    return t, np.abs(amplification_factor(scheme, t))
+        # the sample at theta = 0
+        t, mods = np.zeros(1), np.ldexp(mods[_N_SAMPLES // 2:][:1], e)
+    else:
+        for _ in range(_NEWTON_STEPS):
+            c, dc, ddc = _symbol(scheme, t, order=2, exponent=e)
+            f = np.real(np.conj(c) * dc)
+            df = np.abs(dc) ** 2 + np.real(np.conj(c) * ddc)
+            # a flat maximum (f = f' = 0, e.g. Lax-Wendroff at 0) stays put
+            newton = np.divide(f, df, out=np.zeros_like(f), where=df < 0)
+            t = t - np.clip(newton, -step, step)
+        mods = np.abs(amplification_factor(scheme, t))
+    t.setflags(write=False)
+    mods.setflags(write=False)
+    return t, mods
 
 
 def von_neumann_sup(scheme: Scheme) -> tuple[float, list[float]]:
@@ -203,7 +219,8 @@ def group_velocity(scheme: Scheme, theta: float) -> float:
     # relative cutoff: a true zero of C evaluates to coefficient-scale noise
     if abs(c) <= 1e-13 * float(np.sum(np.abs(scheme.coeffs_float))):
         raise ValueError(f"group velocity undefined: C({theta}) = 0")
-    return float(-np.imag(dc / c) / scheme.lam_float)
+    # + 0.0 turns the -0.0 of a flat phase (C' = 0) into 0.0
+    return float(-np.imag(dc / c) / scheme.lam_float) + 0.0
 
 
 def unimodular_modes(scheme: Scheme, tol: float = 1e-4) -> list[WaveMode]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from advstab import cli, experiments, operators, spectral
+from advstab import cli, experiments, operators, spectral, stencil
 
 THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -46,6 +46,15 @@ def test_check_stable_scheme(capsys) -> None:
     (mode,) = rep["modes"]
     assert abs(mode["theta"]) < 1e-3
     assert mode["group_velocity"] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_check_samples_the_symbol_table_once(capsys) -> None:
+    stencil._local_maxima.cache_clear()
+    code, rep, _ = _run(capsys, ["scheme", "check", "--scheme", "coeff1"])
+    assert code == 0 and rep["modes"]
+    # the supremum computes the refined maxima; the modes reuse them
+    info = stencil._local_maxima.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_check_assert_stable_fails_on_amplifying_scheme(capsys) -> None:

@@ -200,6 +200,60 @@ def test_blocked_step_and_diagonal_assembly_match_the_correlation(
     assert np.array_equal(A[:, :n - k], _unit_vector_matrix(op)[:, :n - k])
 
 
+@settings(max_examples=40, deadline=None)
+@given(op=_random_operators(), seed=hst.integers(0, 2**32 - 1),
+       rings=hst.floats(0.0, 3.0), extra=hst.integers(0, 2))
+def test_advance_yields_the_repeated_step_states_bitwise(
+    op: IntervalOperator, seed: int, rings: float, extra: int
+) -> None:
+    # 1 to 3 ring lengths, whole multiples and off-by-a-few counts alike
+    n_steps = min(max(1, int(rings * operators._RING_STATES) + extra - 1),
+                  3 * operators._RING_STATES)
+    u = np.random.default_rng(seed).standard_normal(op.n)
+    # a random stencil may overflow within n_steps; both sides then agree on inf and NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = []
+        for block in op.advance(u, n_steps):
+            assert not block.flags.writeable
+            assert block.shape[0] <= operators._RING_STATES and block.shape[1] == op.n
+            states.extend(block.copy())
+        assert len(states) == n_steps
+        v = u
+        for state in states:
+            v = op.step(v)
+            assert np.array_equal(state, v, equal_nan=True)
+    # the dense matrix is still the step of each unit vector, column by column
+    assert np.array_equal(op.entries, np.column_stack([op.step(e) for e in np.eye(op.n)]))
+
+
+def test_advance_clears_the_block_product_past_the_ghosts() -> None:
+    # the last window row also computes outputs past the ghosts; next to the
+    # zero padding Lax-Wendroff's a_-1 + a_0 = 1.08 grows them each step, so
+    # unless they are cleared they overflow within a block and reach the
+    # state as 0 * inf through the zeros of the Toeplitz block
+    op = IntervalOperator(stencil.builtin("lax-wendroff", lam_a=0.2), 1, 40)
+    prev = np.full(op.n, 1e308)
+    for block in op.advance(prev, 100):
+        for state in block:
+            expected, ext = _reference_step(op, prev)
+            bound = 4 * np.finfo(float).eps * np.correlate(
+                np.abs(ext), np.abs(op.scheme.coeffs_float), mode="valid"
+            )
+            assert np.all(np.abs(state - expected) <= bound)
+            prev = state.copy()
+
+
+def test_advance_ring_is_capped_at_large_grids() -> None:
+    op = IntervalOperator(stencil.builtin("coeff2"), 2, 20000)
+    sizes = [block.shape[0] for block in op.advance(np.ones(op.n), 100)]
+    assert 1 <= sizes[0] < operators._RING_STATES
+    assert sizes[0] * 8 * op.n <= operators._RING_BYTES
+    assert sum(sizes) == 100
+    assert list(op.advance(np.ones(op.n), 0)) == []
+    with pytest.raises(ValueError):
+        next(op.advance(np.ones(op.n), -1))
+
+
 def test_headline_matrices_match_the_unit_vector_assembly() -> None:
     for name, k, J in (("coeff1", 1, 994), ("coeff2", 2, 1000)):
         op = IntervalOperator(stencil.builtin(name), k, J)

@@ -164,6 +164,74 @@ def test_run_truncates_on_overflow() -> None:
     assert rec.l2_norms[-2] > 1e100
 
 
+def _reference_run(scheme, k, grid, ic, n_steps, snapshot_stride):
+    """run's contract as a plain per-step loop: op.step, np.dot, then the guard."""
+    op = operators.IntervalOperator(scheme, k, grid.J)
+    u = simulate.build_initial(ic, grid)
+    sqnorms = [np.dot(u, u)]
+    snapshots = [(0, u.copy())] if snapshot_stride else []
+    guard = simulate.OVERFLOW_RATIO * max(math.sqrt(sqnorms[0]), np.finfo(float).tiny)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_steps + 1):
+            u = op.step(u)
+            sqnorms.append(np.dot(u, u))
+            if snapshot_stride and n % snapshot_stride == 0:
+                snapshots.append((n, u.copy()))
+            if not math.sqrt(sqnorms[-1]) <= guard:
+                return np.sqrt(grid.dx * np.array(sqnorms)), snapshots, True
+    return np.sqrt(grid.dx * np.array(sqnorms)), snapshots, False
+
+
+@pytest.mark.parametrize(
+    "name, params, k, J, n_steps, stride",
+    [
+        ("coeff2", {}, 2, 1000, 2000, 0),  # the example2 configuration
+        ("coeff1", {}, 1, 200, 700, 45),  # snapshots on both sides of block ends
+        ("three-point", {"lam_a": 0.9, "nu": 0.1}, 1, 40, 100000, 7),  # truncates
+        # |u| grows 2e8 per step: the block steps on from the norm's overflow
+        # until the state overflows too, and inf - inf gives NaN
+        ("upwind", {"lam_a": 1e8}, 1, 40, 1000, 4),
+    ],
+)
+def test_run_matches_a_per_step_reference_loop_bitwise(
+    name: str, params: dict, k: int, J: int, n_steps: int, stride: int
+) -> None:
+    s = stencil.builtin(name, **params)
+    grid = Grid(J=J, lam=s.lam_float)
+    ic = InitialCondition(kind="gaussian")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = simulate.run(s, k, grid, ic, n_steps=n_steps, snapshot_stride=stride)
+    l2, snapshots, truncated = _reference_run(s, k, grid, ic, n_steps, stride)
+    assert rec.truncated == truncated
+    assert np.array_equal(rec.l2_norms, l2)
+    assert [n for n, _ in rec.snapshots] == [n for n, _ in snapshots]
+    for (_, got), (_, want) in zip(rec.snapshots, snapshots):
+        assert got.tobytes() == want.tobytes()
+    if truncated:
+        # the overflow lands inside a block, not on its last state
+        assert (l2.size - 1) % operators._RING_STATES != 0
+        assert not np.isfinite(l2[-1]) or l2[-1] > 1e300 * l2[0]
+
+
+def test_run_steps_only_through_the_block_kernel(monkeypatch) -> None:
+    s = stencil.builtin("coeff2")
+    grid = Grid(J=300, lam=s.lam_float)
+    ic = InitialCondition(kind="wavepacket", packet_theta=0.5 * math.pi)
+    want = simulate.run(s, 2, grid, ic, n_steps=500, snapshot_stride=64)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run must step through IntervalOperator.advance")
+
+    monkeypatch.setattr(operators.IntervalOperator, "step", forbidden)
+    monkeypatch.setattr(operators, "step_interval", forbidden)
+    got = simulate.run(s, 2, grid, ic, n_steps=500, snapshot_stride=64)
+    assert np.array_equal(got.l2_norms, want.l2_norms)
+    assert [n for n, _ in got.snapshots] == [n for n, _ in want.snapshots]
+    for (_, a), (_, b) in zip(got.snapshots, want.snapshots):
+        assert np.array_equal(a, b)
+
+
 def test_run_rejects_bad_arguments() -> None:
     s = stencil.builtin("upwind", lam_a=0.5)
     grid = Grid(J=10, lam=s.lam_float)

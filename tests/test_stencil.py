@@ -67,6 +67,14 @@ def test_identity_scheme() -> None:
     assert s.velocity == 0
 
 
+def test_identity_group_velocity_is_positive_zero() -> None:
+    # C' = 0, so -Im(C'/C)/lam is a negative zero unless it is normalised
+    (mode,) = stencil.unimodular_modes(stencil.builtin("identity"))
+    assert mode.theta == 0.0
+    assert mode.group_velocity == 0.0
+    assert math.copysign(1.0, mode.group_velocity) == 1.0
+
+
 def test_builtin_names_cover_all_constructors() -> None:
     for name in stencil.builtin_names():
         if name == "three-point":
@@ -288,6 +296,22 @@ def test_refined_maxima_bound_the_grid_and_are_stationary(s: stencil.Scheme) -> 
         c = stencil.amplification_factor(s, theta)
         dc = complex(np.sum(1j * s.ells * a * np.exp(1j * s.ells * theta)))
         assert abs((c.conjugate() * dc).real) <= 8 * EPS * slope * scale
+
+
+@pytest.mark.parametrize("exponent", [-560, 520])
+def test_symbol_maxima_scale_exactly_with_the_coefficients(exponent: int) -> None:
+    # |C|^2 is near 2^(2 exponent): it underflows (or overflows) in float64
+    # unless the maxima search rescales; a power of two scales exactly
+    def scheme(scale: float) -> stencil.Scheme:
+        return stencil.Scheme(
+            name="scaled", r=1, p=1, lam=Fraction(1), velocity=Fraction(1),
+            coefficients=tuple(Fraction(c * scale) for c in (0.7, 0.5, -0.6)),
+        )
+
+    sup, argmax = stencil.von_neumann_sup(scheme(1.0))
+    assert stencil.von_neumann_sup(scheme(2.0**exponent)) == (
+        math.ldexp(sup, exponent), argmax
+    )
 
 
 def test_unimodular_modes_reject_unstable_scheme() -> None:
