@@ -29,7 +29,7 @@ _EXPORTS = {
     "builtin_names": "stencil",
     "load_scheme": "stencil",
     # boundary: ghost-value closures
-    "fill_right_ghosts": "boundary",
+    "ghost_weights": "boundary",
     "MAX_EXTRAPOLATION_ORDER": "boundary",
     # operators: interval / half-line steppers and matrices
     "Grid": "operators",

@@ -7,17 +7,19 @@ for one call. Each ring row holds r Dirichlet zeros, the state, the p
 outflow ghosts and zero padding up to whole blocks. A step views a row as
 overlapping windows of a block Toeplitz product with a small fixed block
 of the coefficients and writes the next state straight into the next row,
-then writes that row's ghosts with the p x k ghost fold and clears what
-the product wrote past them. The fold product keeps exactly p rows in
-Fortran order: OpenBLAS picks its gemv kernel, and so its rounding, from
-the shape and the order, so a fold padded to clear the spill in the same
-call, or a C-ordered copy, would move the ghosts. Its dense (J+1) x (J+1)
+then writes that row's ghosts with the p x k ghost fold (the exact
+boundary.ghost_weights as floats) and clears what the product wrote past
+them. The fold product keeps exactly p rows in Fortran order: OpenBLAS
+picks its gemv kernel, and so its rounding, from the shape and the order,
+so a fold padded to clear the spill in the same call, or a C-ordered copy,
+would move the ghosts. Its dense (J+1) x (J+1)
 entries are built on first read: the Toeplitz diagonals straight from the
 coefficients, then steps of only the last k unit vectors, the columns the
 outflow ghost fold touches. The half-line steppers act on exact
 finite-support sequences, growing their windows with the finite
 propagation speed of the stencil so no artificial second boundary ever
-contaminates a half-line experiment.
+contaminates a half-line experiment; the outflow one applies the same
+ghost weights.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .boundary import MAX_EXTRAPOLATION_ORDER, fill_right_ghosts
+from .boundary import ghost_weights
 from .stencil import Scheme
 
 __all__ = [
@@ -104,12 +106,10 @@ def _check_dense(n: int) -> None:
 
 
 def _check_interval(k: int, n: int, width: int) -> None:
-    """ValueError unless n points carry order-k ghosts and a stencil of r + p = width."""
-    if not 1 <= k <= MAX_EXTRAPOLATION_ORDER:
-        raise ValueError(
-            f"extrapolation order k = {k} must lie in [1, {MAX_EXTRAPOLATION_ORDER}]"
-        )
-    # the ghost recursion reads k interior values, so the grid must hold them
+    """ValueError unless n points hold the k ghost sources and a stencil of r + p = width.
+
+    ghost_weights checks the range of k.
+    """
     if n < k:
         raise ValueError(f"grid with {n} points cannot support extrapolation order k = {k}")
     if n < width:
@@ -123,10 +123,9 @@ class IntervalOperator:
     """The interval one-step operator for (scheme, k, J), closures folded once.
 
     The Dirichlet inflow contributes r zero ghosts. The order-k outflow
-    ghosts are linear in the last k interior values, so the recursion of
-    fill_right_ghosts is run once on the k unit tails and kept as the p x k
-    matrix ghost_fold, in Fortran order (the transpose of the recursion's
-    rows). The stencil itself is kept as toeplitz_block, the
+    ghosts are linear in the last k interior values: ghost_fold is the exact
+    p x k ghost_weights as float64, in Fortran order (see advance for why
+    the order matters). The stencil itself is kept as toeplitz_block, the
     (b + r + p) x b block with column q holding a_{-r}, ..., a_p from row q
     on, so that one window of b + r + p padded values times the block gives
     b consecutive outputs. All size and order checks happen here, at
@@ -146,9 +145,9 @@ class IntervalOperator:
     def __post_init__(self) -> None:
         r, p = self.scheme.r, self.scheme.p
         _check_interval(self.k, self.n, r + p)
-        fold = np.array(
-            [fill_right_ghosts(e, p, self.k) for e in np.eye(self.k)], dtype=np.float64
-        ).T
+        # a Fortran-ordered p x k array, laid out as the transpose of a k x p one
+        fold = np.empty((self.k, p), dtype=np.float64).T
+        fold[...] = np.array(ghost_weights(p, self.k), dtype=np.float64).reshape(p, self.k)
         fold.setflags(write=False)
         object.__setattr__(self, "ghost_fold", fold)
         block = np.zeros((_BLOCK + r + p, _BLOCK), dtype=np.float64)
@@ -334,19 +333,22 @@ def step_halfline_outflow(
 
     The stored window always reaches J (zeros are kept there since the
     extrapolation tail is anchored at the boundary) and grows on the left by
-    p each step.
+    p each step. The ghosts are ghost_weights applied to the last k values
+    at or below J, zeros included where the window is narrower than k.
     """
     m, M = u.support
     if M > J:
         raise ValueError("outflow half-line state must be supported on j <= J")
     w, p = scheme.r + scheme.p, scheme.p
-    # one window from j = m - w: zeros, the values extended by zeros up to
-    # the boundary index J, then the p ghosts
+    weights = np.array(ghost_weights(p, k), dtype=np.float64).reshape(p, k)
+    # one window from j = m - lead: zeros, the values extended by zeros up
+    # to the boundary index J, then the p ghosts; at least k values end at J
     n = u.values.size + J - M
-    ext = np.zeros(w + n + p)
-    ext[w:w + u.values.size] = u.values
-    ext[w + n:] = fill_right_ghosts(ext[w:w + n], p, k)
-    out = np.correlate(ext, scheme.coeffs_float, mode="valid")
+    lead = max(w, k - n)
+    ext = np.zeros(lead + n + p)
+    ext[lead:lead + u.values.size] = u.values
+    ext[lead + n:] = weights @ ext[lead + n - k:lead + n]
+    out = np.correlate(ext[lead - w:], scheme.coeffs_float, mode="valid")
     return SupportedSequence(values=out, offset=m - p)
 
 

@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .operators import Grid, IntervalOperator, _atomic_write_bytes
-from .stencil import Scheme
+from .operators import Grid, IntervalOperator, _atomic_write_bytes, step_interval
+from .stencil import Scheme, builtin
 
 __all__ = [
     "InitialCondition",
@@ -263,22 +263,21 @@ def exact_solution(
 def lemma1_identity_residual(u: np.ndarray, lam_a: float, nu: float) -> float:
     """Residual of the summed energy balance for one three-point step.
 
-    With ghost values u_{-1} = 0 and u_{J+1} = u_J and one step v of the
-    three-point scheme, the decrease sum(v^2) - sum(u^2) equals a weighted
-    combination of first and second difference energies plus two boundary
-    terms. The balance is algebraic, holding for every real (lam_a, nu),
-    not only in the stable parameter box; the returned value is |lhs - rhs|.
+    v is one interval step of the three-point scheme with k = 1, the shipped
+    step_interval, so its ghost values are u_{-1} = 0 and u_{J+1} = u_J.
+    The decrease sum(v^2) - sum(u^2) equals a weighted combination of first
+    and second difference energies of u extended by those ghosts, plus two
+    boundary terms. The balance is algebraic, holding for every real
+    (lam_a, nu), not only in the stable parameter box; the returned value
+    is |lhs - rhs|.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1 or u.size < 2:
         raise ValueError("state must be one-dimensional with at least 2 entries")
     la = float(lam_a)
     nu = float(nu)
-    a_m1 = (la + nu) / 2.0
-    a_0 = 1.0 - nu
-    a_1 = (nu - la) / 2.0
+    v = step_interval(builtin("three-point", lam_a=la, nu=nu), 1, u)
     ue = np.concatenate([[0.0], u, [u[-1]]])
-    v = a_m1 * ue[:-2] + a_0 * ue[1:-1] + a_1 * ue[2:]
     d_minus = ue[1:-1] - ue[:-2]
     d_plus = ue[2:] - ue[1:-1]
     d2 = ue[2:] - 2.0 * ue[1:-1] + ue[:-2]

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,19 +135,18 @@ def test_interval_operator_validation() -> None:
         IntervalOperator(upwind, 4, 2)  # n = 3 < k
 
 
-def test_ghost_fold_matches_the_ghost_recursion() -> None:
-    # integer tails keep both sides exact, so the fold must agree to the bit
-    rng = np.random.default_rng(37)
-    for k in range(1, 7):
+def test_ghost_fold_is_the_exact_ghost_weights() -> None:
+    # the fold is the weights as float64, p x k, Fortran-ordered, read-only
+    for k in range(1, boundary.MAX_EXTRAPOLATION_ORDER + 1):
         for p in range(0, 9):
             s = stencil.Scheme(
                 name="right-sided", r=0, p=p, coefficients=(Fraction(1),) * (p + 1),
                 lam=Fraction(1), velocity=Fraction(1),
             )
             fold = IntervalOperator(s, k, max(k, p)).ghost_fold
-            assert fold.shape == (p, k)
-            tail = rng.integers(-9, 10, size=k).astype(np.float64)
-            assert (fold @ tail).tolist() == boundary.fill_right_ghosts(tail, p, k)
+            assert fold.shape == (p, k) and fold.dtype == np.float64
+            assert fold.flags.f_contiguous and not fold.flags.writeable
+            assert fold.tolist() == [list(map(float, row)) for row in boundary.ghost_weights(p, k)]
 
 
 def _reference_step(op: IntervalOperator, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,6 +348,26 @@ def test_halfline_outflow_matches_lattice_away_from_boundary() -> None:
             assert np.max(np.abs(_on_interval(seq, J) - u)) <= 1e-14 * np.linalg.norm(u)
 
 
+def test_halfline_outflow_windows_narrower_than_k_match_the_interval() -> None:
+    # the half-line is zero left of its window, so a window of fewer than k
+    # values (or one that grows by p = 0) still has k values ending at J
+    rng = np.random.default_rng(29)
+    for s in _halfline_schemes():
+        J = 20 * s.p + 60
+        for k in range(1, 5):
+            op = IntervalOperator(s, k, J)
+            # the two ghost products round differently, by up to the weights' size
+            tol = 1e-15 * (1.0 + np.abs(op.ghost_fold).sum(axis=1).max(initial=0.0))
+            for width in range(1, max(k, 2)):
+                for gap in (0, 1):
+                    seq = SupportedSequence(rng.standard_normal(width), J - gap - width + 1)
+                    u = _on_interval(seq, J)
+                    for _ in range(20):
+                        seq, u = operators.step_halfline_outflow(s, k, seq, J), op.step(u)
+                        err = np.max(np.abs(_on_interval(seq, J) - u))
+                        assert err <= tol * np.linalg.norm(u)
+
+
 def test_halfline_outflow_first_order_ghosts() -> None:
     s = stencil.builtin("three-point", lam_a=0.5, nu=0.7)
     u = SupportedSequence(values=np.array([2.0]), offset=0)
@@ -391,7 +411,7 @@ def test_matrix_save_load_round_trip(tmp_path) -> None:
     back = np.fromfile(path).reshape((A.n, A.n), order="F")
     assert np.array_equal(back, A.entries)
     assert path in written and path + ".json" in written
-    sidecar = json.loads(open(path + ".json").read())
+    sidecar = json.loads(Path(path + ".json").read_text())
     assert sidecar == {"n": 13, "scheme": s.name, "k": 2, "J": 12}
 
 
@@ -405,7 +425,7 @@ def test_matrix_csv_only_below_limit(tmp_path) -> None:
     w2 = operators.save_matrix(big, p2)
     assert p1 + ".csv" in w1 and os.path.exists(p1 + ".csv")
     assert p2 + ".csv" not in w2 and not os.path.exists(p2 + ".csv")
-    rows = open(p1 + ".csv").read().strip().splitlines()
+    rows = Path(p1 + ".csv").read_text().strip().splitlines()
     assert len(rows) == 11
     first = [float(x) for x in rows[0].split(",")]
     assert first == list(small.entries[0])

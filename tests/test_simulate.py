@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,16 +334,22 @@ def test_energy_identity_residual_tiny_for_random_parameters() -> None:
         assert res <= 1e-12 * float(np.dot(u, u))
 
 
-def test_energy_identity_uses_the_interval_step() -> None:
-    # the identity's internal one-step update must be the k = 1 interval step
+def test_energy_identity_uses_the_interval_step(monkeypatch) -> None:
+    # the identity must check the shipped k = 1 interval step: a perturbed
+    # step in its place has to break the balance
     rng = np.random.default_rng(43)
-    lam_a, nu = 0.5, 0.7
-    s = stencil.builtin("three-point", lam_a=lam_a, nu=nu)
     u = rng.standard_normal(30)
-    v = operators.step_interval(s, 1, u)
-    ue = np.concatenate([[0.0], u, [u[-1]]])
-    v_manual = 0.6 * ue[:-2] + 0.3 * ue[1:-1] + 0.1 * ue[2:]
-    assert np.allclose(v, v_manual, rtol=1e-13, atol=1e-15)
+    bound = 1e-12 * float(np.dot(u, u))
+    assert simulate.lemma1_identity_residual(u, 0.5, 0.7) <= bound
+    shipped, calls = simulate.step_interval, []
+
+    def perturbed(scheme: stencil.Scheme, k: int, v: np.ndarray) -> np.ndarray:
+        calls.append((scheme.coefficients, k))
+        return shipped(scheme, k, v) + 1e-6
+
+    monkeypatch.setattr(simulate, "step_interval", perturbed)
+    assert simulate.lemma1_identity_residual(u, 0.5, 0.7) > bound
+    assert calls == [(stencil.builtin("three-point", lam_a=0.5, nu=0.7).coefficients, 1)]
 
 
 def test_energy_identity_input_validation() -> None:
@@ -367,7 +374,7 @@ def test_record_csv_round_trip(tmp_path) -> None:
     simulate.save_snapshots_csv(rec, spath)
     simulate.save_sidecar_json(rec, jpath, extra={"tag": "unit"})
 
-    rows = open(rpath).read().strip().splitlines()
+    rows = Path(rpath).read_text().strip().splitlines()
     assert rows[0] == "n,t,l2norm,ln_l2norm"
     assert len(rows) == 14
     # after J + 1 = 10 shift steps the domain is empty: norm 0, ln blank
@@ -377,11 +384,11 @@ def test_record_csv_round_trip(tmp_path) -> None:
     assert float(mid[1]) == pytest.approx(4 * grid.dt, rel=1e-15)
     assert float(mid[3]) == pytest.approx(math.log(float(mid[2])), rel=1e-12)
 
-    srows = open(spath).read().strip().splitlines()
+    srows = Path(spath).read_text().strip().splitlines()
     assert srows[0] == "n,j,u"
     assert len(srows) == 1 + 3 * 10  # snapshots at n = 0, 6, 12
 
-    side = json.loads(open(jpath).read())
+    side = json.loads(Path(jpath).read_text())
     assert side["scheme"] == s.name
     assert side["n_recorded"] == 13
     assert side["truncated"] is False

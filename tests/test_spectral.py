@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,7 +204,7 @@ def test_save_spectrum_csv_round_trip(tmp_path) -> None:
     w = np.array([1.0 + 2.0j, -0.5 - 0.25j])
     path = str(tmp_path / "spec.csv")
     spectral.save_spectrum_csv(w, path)
-    lines = open(path).read().strip().splitlines()
+    lines = Path(path).read_text().strip().splitlines()
     assert lines[0] == "re,im"
     parsed = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
     assert parsed == [(1.0, 2.0), (-0.5, -0.25)]
