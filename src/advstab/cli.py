@@ -3,7 +3,8 @@
 Subcommands: scheme check, spectrum, simulate, reproduce. Every command
 prints a JSON report to standard output; --out persists artifacts to disk
 (written atomically). Exit codes: 0 success, 1 a check ran and failed,
-2 usage error, 3 numeric failure (eigensolver nonconvergence, overflow).
+2 usage error or a path that cannot be read or written, 3 numeric failure
+(eigensolver nonconvergence, overflow).
 
 The commands only parse arguments and print reports: the pinned reproduce
 bundles and their manifest live in the experiments module, the numerics in
@@ -112,12 +113,13 @@ def _parse_ic(text: str, center: float, width: float, cell_average: bool):
 
 
 def _emit_report(report: dict, out_path: str | None) -> None:
+    # the file first, so a failed write prints no report
     text = json.dumps(report, indent=2)
-    print(text)
     if out_path:
         from .operators import _atomic_write_bytes
 
         _atomic_write_bytes(out_path, [(text + "\n").encode("utf-8")])
+    print(text)
 
 
 def _report_json_path(out: str) -> str:
@@ -408,7 +410,11 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
-    except (ValueError, ArithmeticError, RuntimeError, OSError) as exc:
+    except OSError as exc:
+        # an unwritable or unreadable path the user gave; the library names it
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -163,11 +163,13 @@ class IntervalOperator:
     def advance(self, u: np.ndarray, n_steps: int) -> Iterator[np.ndarray]:
         """Yield the states after steps 1..n_steps of u in read-only (m, n) blocks.
 
-        A block holds up to _RING_STATES consecutive states (fewer under the
-        _RING_BYTES cap and at the end) and stays valid until the next
-        iteration. The call makes a ring of m + 1 padded rows and every view
-        into it once; row i + 1 is the step of row i, and the last row is
-        copied to row 0 before the next block. A step is three numpy calls:
+        u must have shape (n,), checked once per call; any other shape is a
+        ValueError, not a broadcast. A block holds up to _RING_STATES
+        consecutive states (fewer under the _RING_BYTES cap and at the end)
+        and stays valid until the next iteration. The call makes a ring of
+        m + 1 padded rows and every view into it once; row i + 1 is the step
+        of row i, and the last row is copied to row 0 before the next block.
+        A step is three numpy calls:
 
         - the window view reads row i as ceil(n/b) overlapping rows of
           b + r + p values at stride b; window row q times toeplitz_block
@@ -188,6 +190,8 @@ class IntervalOperator:
         if n_steps < 0:
             raise ValueError("n_steps must be >= 0")
         r, p, k, n = self.scheme.r, self.scheme.p, self.k, self.n
+        if np.shape(u) != (n,):
+            raise ValueError(f"state has shape {np.shape(u)}, expected ({n},)")
         rows, width = -(-n // _BLOCK), self.toeplitz_block.shape[0]
         length = (rows - 1) * _BLOCK + width
         m = max(1, min(_RING_STATES, n_steps, _RING_BYTES // (8 * length)))
@@ -357,16 +361,22 @@ def step_halfline_outflow(
 
 
 def _atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
-    """Write the chunks to a temporary file beside path, then rename it over path."""
+    """Write the chunks to a temporary file beside path, then rename it over path.
+
+    An OSError names path, not the temporary file.
+    """
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -151,10 +151,13 @@ def run(
 
     Deterministic: identical inputs produce bit-identical records. On norm
     overflow (ratio beyond OVERFLOW_RATIO or non-finite values) the run stops
-    early and the record is marked truncated.
+    early and the record is marked truncated. The grid's lam must be the
+    scheme's, so that dt is the scheme's time step.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
+    if grid.lam != scheme.lam_float:
+        raise ValueError(f"grid lam = {grid.lam} is not the scheme's lambda = {scheme.lam}")
     if snapshot_stride < 0:
         raise ValueError("snapshot_stride must be >= 0")
     op = IntervalOperator(scheme, k, grid.J)

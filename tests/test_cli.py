@@ -470,6 +470,27 @@ def test_parser_leaves_numpy_unloaded() -> None:
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["scheme", "check", "--scheme", "identity"], "--out"),
+        (["spectrum", "--scheme", "identity", "--k", "1", "--J", "10", "--full"], "--out"),
+        (["spectrum", "--scheme", "identity", "--k", "1", "--J", "10"], "--dump-matrix"),
+        (["simulate", "--scheme", "upwind", "--lam-a", "0.5", "--k", "1", "--J", "20",
+          "--ic", "gaussian", "--steps", "5"], "--out"),
+        (["reproduce", "--target", "lemma1"], "--out"),
+    ],
+    ids=["check", "spectrum-out", "spectrum-dump-matrix", "simulate", "reproduce"],
+)
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv, flag) -> None:
+    # the error names the path given, not a temporary file, and no report is printed
+    target = str(tmp_path / "missing" / "x")
+    code, rep, err = _run(capsys, [*argv, flag, target])
+    assert code == 2 and rep == {}
+    assert err.startswith("error: ") and target in err
+    assert ".part" not in err
+
+
 # ---------------------------------------------------------------------------
 # environment knob
 

@@ -254,6 +254,17 @@ def test_advance_ring_is_capped_at_large_grids() -> None:
         next(op.advance(np.ones(op.n), -1))
 
 
+def test_advance_refuses_a_state_of_the_wrong_shape() -> None:
+    # a scalar, a one-point or an (n, 1) state must not broadcast over J + 1 points
+    op = IntervalOperator(stencil.builtin("upwind", lam_a=0.5), 1, 9)
+    for u in (np.float64(1.0), np.array([2.0]), np.ones(op.n + 1), np.ones((op.n, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            op.step(u)
+        with pytest.raises(ValueError, match="shape"):
+            next(op.advance(u, 5))
+    assert np.array_equal(op.step(np.ones(op.n)), op.step(list(np.ones(op.n))))
+
+
 def test_headline_matrices_match_the_unit_vector_assembly() -> None:
     for name, k, J in (("coeff1", 1, 994), ("coeff2", 2, 1000)):
         op = IntervalOperator(stencil.builtin(name), k, J)
@@ -437,3 +448,13 @@ def test_matrix_writes_leave_no_temp_files(tmp_path) -> None:
     operators.save_matrix(A, str(tmp_path / "A.bin"))
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == ["A.bin", "A.bin.csv", "A.bin.json"]
+
+
+def test_a_failed_write_names_the_path_and_leaves_no_temp_file(tmp_path) -> None:
+    # mkstemp fails in a missing directory; os.replace fails onto a directory
+    (tmp_path / "dir").mkdir()
+    for path in (tmp_path / "missing" / "A.bin", tmp_path / "dir"):
+        with pytest.raises(OSError) as exc:
+            operators._atomic_write_bytes(str(path), [b"x"])
+        assert exc.value.filename == str(path) and exc.value.filename2 is None
+    assert [f.name for f in tmp_path.iterdir()] == ["dir"]

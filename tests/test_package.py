@@ -1,10 +1,11 @@
-"""The package export table: the submodules' public names, each with a caller."""
+"""The public API is the submodules' __all__: each name public once, each with a caller."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -15,23 +16,31 @@ import advstab
 SUBMODULES = ("stencil", "boundary", "operators", "spectral", "simulate", "experiments")
 
 
-def test_exports_are_exactly_the_submodules_public_names() -> None:
+def _python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on the package source, without an install."""
+    src = Path(advstab.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+def _public_names() -> dict[str, str]:
+    """Each submodule's __all__ names, mapped to the one submodule that declares them."""
     owners: dict[str, str] = {}
     for short in SUBMODULES:
         module = importlib.import_module(f"advstab.{short}")
         for name in module.__all__:
             assert name not in owners, f"{name} is public in {owners[name]} and {short}"
             owners[name] = short
-            value = getattr(module, name)
-            if inspect.isclass(value) or inspect.isfunction(value):
-                assert value.__module__ == module.__name__, f"{short}.{name} is a re-export"
-    assert advstab._EXPORTS == owners
+    return owners
 
 
-def test_package_attributes_resolve_to_the_defining_module() -> None:
-    for name, short in advstab._EXPORTS.items():
+def test_exports_are_exactly_the_submodules_public_names() -> None:
+    for name, short in _public_names().items():
         module = importlib.import_module(f"advstab.{short}")
-        assert getattr(advstab, name) is getattr(module, name)
+        value = getattr(module, name)
+        if inspect.isclass(value) or inspect.isfunction(value):
+            assert value.__module__ == module.__name__, f"{short}.{name} is a re-export"
 
 
 def _shipped_sources() -> list[Path]:
@@ -55,7 +64,7 @@ def test_every_export_has_a_shipped_caller() -> None:
                 used.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
-    assert sorted(set(advstab._EXPORTS) - used) == []
+    assert sorted(set(_public_names()) - used) == []
 
 
 def test_library_imports_no_sparse_eigensolver() -> None:
@@ -79,8 +88,23 @@ def test_layer_imports_load_no_scipy() -> None:
         "import advstab.simulate, advstab.spectral, advstab.stencil\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
-    src = Path(advstab.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _python("-c", probe).stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_submodule_and_no_numpy() -> None:
+    probe = (
+        "import sys, advstab\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.startswith('advstab.') or m.partition('.')[0] == 'numpy'))"
+    )
+    assert _python("-c", probe).stdout.strip() == "[]"
+
+
+def test_experiments_import_loads_no_numpy() -> None:
+    probe = "import sys\nfrom advstab import experiments\nprint('numpy' in sys.modules)"
+    assert _python("-c", probe).stdout.strip() == "False"
+
+
+def test_module_entry_point_runs_the_cli() -> None:
+    out = _python("-m", "advstab", "scheme", "check", "--scheme", "identity")
+    assert json.loads(out.stdout)["command"] == "scheme check"

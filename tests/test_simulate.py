@@ -241,6 +241,9 @@ def test_run_rejects_bad_arguments() -> None:
         simulate.run(s, 1, grid, ic, n_steps=0)
     with pytest.raises(ValueError):
         simulate.run(s, 1, grid, ic, n_steps=5, snapshot_stride=-1)
+    # dt = lam dx must be the scheme's time step (here lam = 1), or times and slopes rescale
+    with pytest.raises(ValueError, match="lam"):
+        simulate.run(s, 1, Grid(J=10, lam=0.5), ic, n_steps=5)
 
 
 # ---------------------------------------------------------------------------
