@@ -2,7 +2,8 @@
 
 Subcommands: scheme check, spectrum, simulate, reproduce. Every command
 prints a JSON report to standard output; --out persists artifacts to disk
-(written atomically). Exit codes: 0 success, 1 a check ran and failed,
+(written atomically), and the directory of every --out and --dump-matrix
+path is checked before any computation. Exit codes: 0 success, 1 a check ran and failed,
 2 usage error or a path that cannot be read or written, 3 numeric failure
 (eigensolver nonconvergence, overflow).
 
@@ -120,6 +121,18 @@ def _emit_report(report: dict, out_path: str | None) -> None:
 
         _atomic_write_bytes(out_path, [(text + "\n").encode("utf-8")])
     print(text)
+
+
+def _check_output_dirs(args: argparse.Namespace) -> None:
+    """UsageError unless every --out and --dump-matrix path is in an existing directory.
+
+    Run before any numeric work, so a mistyped path costs no computation.
+    """
+    for flag, path in (("--out", getattr(args, "out", None)),
+                       ("--dump-matrix", getattr(args, "dump_matrix", None))):
+        folder = os.path.dirname(path or "") or os.curdir
+        if path and not os.path.isdir(folder):
+            raise UsageError(f"{flag} {path}: {folder} is not an existing directory")
 
 
 def _report_json_path(out: str) -> str:
@@ -404,6 +417,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _cap_threads()
         args = build_parser().parse_args(argv)
+        _check_output_dirs(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,10 @@ outflow ghost fold touches. The half-line steppers act on exact
 finite-support sequences, growing their windows with the finite
 propagation speed of the stencil so no artificial second boundary ever
 contaminates a half-line experiment; the outflow one applies the same
-ghost weights.
+ghost weights. The inflow one also steps a batch: rows that share one
+window, laid end to end so that one correlation steps them all, each row
+bit for bit as alone. The halfline bundle caps its groups of rows so that
+a step's arrays fit in _RING_BYTES, the interval ring's cache budget.
 """
 
 from __future__ import annotations
@@ -58,7 +61,8 @@ MAX_DENSE_DIMENSION = 2500
 _BLOCK = 16
 
 # states per ring of advance: enough to batch the run loop's norms, few
-# enough to stay cache-resident; _RING_BYTES caps the ring at very large J
+# enough to stay cache-resident; _RING_BYTES caps the ring at very large J,
+# and the rows of a half-line inflow batch (_inflow_batch_rows)
 _RING_STATES = 64
 _RING_BYTES = 512 * 1024
 
@@ -287,30 +291,45 @@ def assemble_matrix(scheme: Scheme, k: int, J: int) -> IntervalOperator:
 
 @dataclass(frozen=True)
 class SupportedSequence:
-    """A finitely supported sequence: values[i] sits at index offset + i."""
+    """A finitely supported sequence, or a batch of them on one shared window.
+
+    values[..., i] sits at index offset + i. values is 1-D for one sequence
+    or (rows, width) for a batch: each row is one sequence, and every row
+    has the same window offset..offset + width - 1, zero where a row's own
+    support is narrower.
+    """
 
     values: np.ndarray
     offset: int
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("values must be one-dimensional")
+        if v.ndim not in (1, 2):
+            raise ValueError("values must be one-dimensional, or (rows, width) for a batch")
         object.__setattr__(self, "values", v)
 
     @property
     def support(self) -> tuple[int, int]:
         """Smallest and largest index of the stored window (inclusive)."""
-        return self.offset, self.offset + self.values.size - 1
+        return self.offset, self.offset + self.values.shape[-1] - 1
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.values))
+    def norm(self) -> float | np.ndarray:
+        """The l2 norm; for a batch, the row norms over the shared window.
 
-    def value_at(self, j: int) -> float:
+        A row norm is the same ddot over the same values as the norm of that
+        row alone, so it is bit for bit the 1-D norm of the row.
+        """
+        v = self.values
+        if v.ndim == 1:
+            return float(np.linalg.norm(v))
+        return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+    def value_at(self, j: int) -> float | np.ndarray:
+        """The value at index j, 0 off the window; for a batch, one per row."""
         i = j - self.offset
-        if 0 <= i < self.values.size:
-            return float(self.values[i])
-        return 0.0
+        v = self.values
+        x = v[..., i] if 0 <= i < v.shape[-1] else np.zeros(v.shape[:-1])
+        return float(x) if v.ndim == 1 else x
 
 
 def step_halfline_inflow(scheme: Scheme, u: SupportedSequence) -> SupportedSequence:
@@ -318,16 +337,35 @@ def step_halfline_inflow(scheme: Scheme, u: SupportedSequence) -> SupportedSeque
 
     The stored window is grown on the right by r each step (finite
     propagation speed), so the update is exact: no second boundary exists.
+    One np.correlate call steps a whole batch. The rows' padded windows lie
+    end to end in one flat array, each output is the same dot over the same
+    values as in a one-row step, so every row steps bit for bit as it would
+    alone, and the outputs that straddle two rows are dropped.
+    _inflow_batch_rows sizes a batch to the cache budget.
     """
     if u.offset < 0:
         raise ValueError("inflow half-line state must be supported on j >= 0")
-    r, size = scheme.r, u.values.size
-    # one window from j = -r: the Dirichlet ghosts, the zeros below the
-    # support, the values, and p + r zeros for the window's growth
-    ext = np.zeros(2 * r + u.offset + size + scheme.p)
-    ext[r + u.offset:r + u.offset + size] = u.values
-    out = np.correlate(ext, scheme.coeffs_float, mode="valid")
-    return SupportedSequence(values=out, offset=0)
+    r, p, v = scheme.r, scheme.p, u.values
+    size = v.shape[-1]
+    n = r + u.offset + size
+    shape = (*v.shape[:-1], n + r + p)
+    # a row's window from j = -r: the Dirichlet ghosts, the zeros below the
+    # support, the values and r + p zeros for the window's growth; r + p
+    # more zeros after the last row let the outputs fill whole rows
+    flat = np.zeros(math.prod(shape) + r + p)
+    flat[:flat.size - r - p].reshape(shape)[..., r + u.offset:n] = v
+    out = np.correlate(flat, scheme.coeffs_float, mode="valid").reshape(shape)
+    return SupportedSequence(values=out[..., :n], offset=0)
+
+
+def _inflow_batch_rows(window: int) -> int:
+    """Rows of an inflow batch whose step fits in _RING_BYTES.
+
+    A step holds three arrays of the rows times their padded window: the
+    state, the padded windows and the outputs. window is the widest padded
+    window (the last output plus r + p) the batch will reach.
+    """
+    return max(1, _RING_BYTES // (3 * 8 * window))
 
 
 def step_halfline_outflow(

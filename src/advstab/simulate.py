@@ -36,6 +36,9 @@ __all__ = [
 # a run is truncated once the norm exceeds this multiple of the initial norm
 OVERFLOW_RATIO = 1e300
 
+# growth_slope fits no window with fewer finite samples
+_MIN_FIT_SAMPLES = 10
+
 
 @dataclass(frozen=True)
 class InitialCondition:
@@ -232,10 +235,9 @@ def growth_slope(
     t = record.times
     y = record.ln_l2_norms
     mask = (t >= t0) & (t <= t1) & np.isfinite(y)
-    if int(mask.sum()) < 10:
-        raise ValueError(
-            f"window [{t0}, {t1}] holds {int(mask.sum())} finite samples; need >= 10"
-        )
+    if int(mask.sum()) < _MIN_FIT_SAMPLES:
+        raise ValueError(f"window [{t0}, {t1}] holds {int(mask.sum())} finite samples; "
+                         f"need >= {_MIN_FIT_SAMPLES}")
     tt, yy = t[mask], y[mask]
     slope, intercept = np.polyfit(tt, yy, 1)
     fitted = slope * tt + intercept

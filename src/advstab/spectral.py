@@ -130,23 +130,30 @@ def _certified_norm2(B: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, b
     ||B||_F^2 - theta. When the gap 2 theta - ||B||_F^2 (less a rounding
     allowance) is positive, Kato-Temple bounds sigma_1^2 within
     [theta, theta + ||r||^2 / gap]; sqrt(theta) is accepted only when that
-    bracket is within 4 eps relative. Returns the norm, the last iterate (the
-    next power's start vector) and whether the dense SVD supplied the norm.
+    bracket is within 4 eps relative. The steps stop early once the gap is
+    not positive and theta grew by at most 4 eps theta over the last step:
+    from there power steps cannot raise theta past rounding, so no later
+    step can certify. Returns the norm, the last iterate (the next power's
+    start vector) and whether the dense SVD supplied the norm.
     """
     frob2 = float(np.vdot(B, B))
     allowance = 4.0 * B.shape[0] * _EPS * frob2
+    last = -math.inf
     for _ in range(_CERTIFY_ITERATIONS):
         w = B @ v
         theta = float(w @ w)
+        gap = 2.0 * theta - frob2 - allowance
+        if gap <= 0.0 and theta - last <= 4.0 * _EPS * theta:
+            break  # stalled below the gap
         g = B.T @ w
         r = g - theta * v
-        gap = 2.0 * theta - frob2 - allowance
         if gap > 0.0 and float(r @ r) <= 4.0 * _EPS * theta * gap:
             return math.sqrt(theta), v, False
         g_norm = math.sqrt(float(g @ g))
         if not g_norm > 0.0:
             break  # Bv = 0 (or not finite): no direction to iterate on
         v = g / g_norm
+        last = theta
     return float(np.linalg.norm(B, 2)), v, True
 
 

@@ -6,6 +6,7 @@ import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from advstab import cli, experiments, operators, spectral, stencil
+from advstab import cli, experiments, operators, simulate, spectral, stencil
 
 THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -310,6 +311,65 @@ def test_reproduce_halfline_passes(capsys) -> None:
     assert rep["overall"] == "PASS"
 
 
+def test_halfline_contraction_matches_a_loop_per_initial_condition() -> None:
+    # the bundle steps its initial conditions in groups of rows on a shared
+    # window; this reference steps each one alone, its norm over its own window
+    def shorten(m):
+        m["halfline"]["contraction"]["steps"] = 20
+        m["halfline"]["outflow"].update(n_small=1, n_large=2)
+
+    manifest = _packaged_with(shorten)
+    c = manifest["halfline"]["contraction"]
+    assert c["seed"] == 11
+    report = experiments.reproduce("halfline", manifest)
+    rng = np.random.default_rng(c["seed"])
+    for name, lam_a, nu in c["schemes"]:
+        scheme = stencil.builtin(name, lam_a, nu)
+        worst = 0.0
+        for _ in range(c["n_ics"]):
+            width = int(rng.integers(1, c["max_support"] + 1))
+            start = int(rng.integers(0, 5))
+            u = operators.SupportedSequence(rng.standard_normal(width), start)
+            prev = u.norm()
+            for _ in range(c["steps"]):
+                u = operators.step_halfline_inflow(scheme, u)
+                cur = u.norm()
+                if prev > 1e-280:
+                    worst = max(worst, cur / prev)
+                prev = cur
+        computed = report["info"]["inflow_worst_ratios"][scheme.name]
+        assert computed == pytest.approx(worst, rel=1e-15, abs=0)
+
+
+def test_halfline_steps_each_group_of_rows_once_per_step(monkeypatch) -> None:
+    calls: dict[str, list[tuple[int, int]]] = {}
+    step = operators.step_halfline_inflow
+
+    def counted(scheme, u):
+        out = step(scheme, u)
+        calls.setdefault(scheme.name, []).append((len(np.atleast_2d(u.values)),
+                                                  out.values.shape[-1]))
+        return out
+
+    monkeypatch.setattr(operators, "step_halfline_inflow", counted)
+    manifest = experiments.load_manifest()
+    c = manifest["halfline"]["contraction"]
+    report = experiments.reproduce("halfline", manifest)
+    assert report["overall"] == "PASS"
+    schemes = [stencil.builtin(*row) for row in c["schemes"]]
+    assert sorted(calls) == sorted(scheme.name for scheme in schemes)
+    for scheme in schemes:
+        seen = calls[scheme.name]
+        # every initial condition is stepped every step
+        assert sum(rows for rows, _ in seen) == c["n_ics"] * c["steps"]
+        # a group's three arrays (state, padded windows, outputs) fit the
+        # byte budget, and no more groups are made than that budget needs
+        padded = max(width for _, width in seen) + scheme.r + scheme.p
+        assert all(3 * 8 * rows * padded <= operators._RING_BYTES for rows, _ in seen)
+        least = -(-c["n_ics"] // operators._inflow_batch_rows(padded))
+        assert len(seen) == c["steps"] * least
+
+
 def test_reproduce_example1_reports_rate_mismatch(capsys) -> None:
     # the rate clause compares the certified eigenvalue against the pinned
     # target and fails regardless of step count, so a smoke run suffices
@@ -449,12 +509,44 @@ def test_reproduce_steps_on_a_bundle_without_steps_is_usage_error(
     assert "Traceback" not in err
 
 
+def test_reproduce_too_few_steps_is_usage_error_before_any_work(
+    capsys, monkeypatch
+) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bad step count must be rejected before any computation")
+
+    monkeypatch.setattr(spectral, "spectral_radius", forbidden)
+    monkeypatch.setattr(simulate, "run", forbidden)
+    code, rep, err = _run(capsys, ["reproduce", "--target", "example2", "--steps", "10"])
+    assert code == 2 and rep == {}
+    assert "example2" in err and "--steps 10" in err
+    least = int(re.search(r">= (\d+)", err).group(1))
+    code, _, err = _run(capsys, ["reproduce", "--target", "example2",
+                                 "--steps", str(least - 1)])
+    assert code == 2
+    with pytest.raises(AssertionError, match="before any computation"):
+        cli.main(["reproduce", "--target", "example2", "--steps", str(least)])
+    # the named count is the least whose late-half window holds enough samples
+    monkeypatch.undo()
+    scheme = stencil.builtin("upwind", lam_a=0.5)
+    grid = operators.Grid(J=20, lam=scheme.lam_float)
+
+    def fit_late_half(n_steps: int) -> simulate.RegressionResult:
+        record = simulate.run(scheme, 1, grid, simulate.InitialCondition("gaussian"), n_steps)
+        t_end = float(record.times[-1])
+        return simulate.growth_slope(record, window=(t_end / 2.0, t_end))
+
+    with pytest.raises(ValueError, match="finite samples"):
+        fit_late_half(least - 1)
+    assert fit_late_half(least).window[1] > 0.0
+
+
 def test_reproduce_numeric_value_error_still_exits_3(capsys, monkeypatch) -> None:
     def failing(*args, **kwargs):
         raise ValueError("eigensolve went wrong")
 
     monkeypatch.setattr(spectral, "spectral_radius", failing)
-    code, _, err = _run(capsys, ["reproduce", "--target", "example2", "--steps", "10"])
+    code, _, err = _run(capsys, ["reproduce", "--target", "example2", "--steps", "20"])
     assert code == 3
     assert "numeric failure" in err
 
@@ -482,13 +574,22 @@ def test_parser_leaves_numpy_unloaded() -> None:
     ],
     ids=["check", "spectrum-out", "spectrum-dump-matrix", "simulate", "reproduce"],
 )
-def test_unwritable_output_is_usage_error(capsys, tmp_path, argv, flag) -> None:
-    # the error names the path given, not a temporary file, and no report is printed
-    target = str(tmp_path / "missing" / "x")
-    code, rep, err = _run(capsys, [*argv, flag, target])
-    assert code == 2 and rep == {}
-    assert err.startswith("error: ") and target in err
-    assert ".part" not in err
+def test_unwritable_output_is_usage_error(
+    capsys, monkeypatch, tmp_path, no_numerics, argv, flag
+) -> None:
+    # refused before any work; the error names the path given, not a
+    # temporary file, and no report is printed
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bad output path must be rejected before any computation")
+
+    for module, name in ((stencil, "von_neumann_sup"), (simulate, "run")):
+        monkeypatch.setattr(module, name, forbidden)
+    (tmp_path / "file").write_text("")
+    for target in (str(tmp_path / "missing" / "x"), str(tmp_path / "file" / "x")):
+        code, rep, err = _run(capsys, [*argv, flag, target])
+        assert code == 2 and rep == {}
+        assert err.startswith("error: ") and target in err
+        assert ".part" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,14 @@ def test_supported_sequence_basics() -> None:
     assert u.value_at(-1) == 1.0
     assert u.value_at(5) == 0.0
     assert u.norm() == np.sqrt(14.0)
+    # a batch: rows on one shared window
+    u = SupportedSequence(values=np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]]), offset=1)
+    assert u.support == (1, 3)
+    assert np.array_equal(u.norm(), [5.0, 2.0])
+    assert np.array_equal(u.value_at(3), [0.0, 2.0])
+    assert np.array_equal(u.value_at(0), [0.0, 0.0])
+    with pytest.raises(ValueError):
+        SupportedSequence(values=np.zeros((2, 2, 2)), offset=0)
 
 
 def _halfline_schemes() -> list[stencil.Scheme]:
@@ -339,10 +347,39 @@ def test_halfline_inflow_zero_ghosts_at_boundary() -> None:
 
 def test_halfline_inflow_rejects_negative_support() -> None:
     s = stencil.builtin("upwind", lam_a=0.5)
-    with pytest.raises(ValueError):
-        operators.step_halfline_inflow(
-            s, SupportedSequence(values=np.ones(3), offset=-1)
-        )
+    for values in (np.ones(3), np.ones((2, 3))):
+        u = SupportedSequence(values=values, offset=-1)
+        with pytest.raises(ValueError):
+            operators.step_halfline_inflow(s, u)
+
+
+def test_halfline_inflow_batch_steps_each_row_as_alone() -> None:
+    # rows of different supports share one window from offset 2; every row
+    # is the same np.correlate dot as its own 1-D step, so bit for bit
+    rng = np.random.default_rng(31)
+    for name, lam_a, nu in [("upwind", 0.7, None), ("lax-friedrichs", 0.7, None),
+                            ("lax-wendroff", 0.7, None), ("three-point", 0.5, 0.7),
+                            ("identity", None, None), ("coeff1", None, None),
+                            ("coeff2", None, None)]:
+        s = stencil.builtin(name, lam_a, nu)
+        rows = [(int(rng.integers(0, 6)), rng.standard_normal(int(rng.integers(1, 20))))
+                for _ in range(6)]
+        block = np.zeros((len(rows), 26))
+        for row, (start, x) in zip(block, rows):
+            row[start:start + x.size] = x
+        batch = SupportedSequence(values=block, offset=2)
+        singles = [SupportedSequence(values=x, offset=2 + start) for start, x in rows]
+        for _ in range(15):
+            batch = operators.step_halfline_inflow(s, batch)
+            singles = [operators.step_halfline_inflow(s, u) for u in singles]
+            for i, u in enumerate(singles):
+                width = u.values.size
+                assert u.offset == batch.offset == 0
+                assert np.array_equal(batch.values[i, :width], u.values)
+                assert not batch.values[i, width:].any()
+                assert batch.value_at(3)[i] == u.value_at(3)
+            # a row norm is the 1-D norm of the row over the shared window
+            assert np.array_equal(batch.norm(), [np.linalg.norm(row) for row in batch.values])
 
 
 def test_halfline_outflow_matches_lattice_away_from_boundary() -> None:

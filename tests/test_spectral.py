@@ -129,6 +129,37 @@ def test_power_bound_probe_falls_back_to_svd_without_a_gap() -> None:
     assert max(abs(x - 1.0) for x in probe.series) < 1e-12
 
 
+def test_certification_stops_once_theta_stalls_below_the_gap(monkeypatch) -> None:
+    # an orthogonal B has B^T B = I: theta = 1 from the first power step on
+    # and the gap 2 - 81 is never positive, so the second step sees the stall
+    products: list[int] = []
+
+    class Counting(np.ndarray):
+        def __matmul__(self, other):
+            products[-1] += 1
+            return np.asarray(self) @ other
+
+    certified = spectral._certified_norm2
+
+    def counted(B, v):
+        products.append(0)
+        return certified(B.view(Counting), v)
+
+    monkeypatch.setattr(spectral, "_certified_norm2", counted)
+    shift = np.eye(81)[np.roll(np.arange(81), 1)]
+    rotation = np.eye(81)
+    for i, t in enumerate(np.linspace(0.1, 3.0, 40)):
+        rotation[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[np.cos(t), -np.sin(t)],
+                                                      [np.sin(t), np.cos(t)]]
+    for A in (shift, rotation):
+        products.clear()
+        probe = spectral.power_bound_probe(A, n_max=20)
+        assert probe.n_svd == 20
+        assert max(abs(x - 1.0) for x in probe.series) < 1e-12
+        # a power step is two products, B v and B^T (B v): at most two steps
+        assert len(products) == 20 and max(products) <= 2 * 2
+
+
 def test_power_bound_probe_start_vector_in_null_space() -> None:
     # A @ ones = 0: the power step has no direction, so the SVD must answer
     A = np.array([[1.0, -1.0], [1.0, -1.0]])
