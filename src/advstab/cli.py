@@ -114,8 +114,8 @@ def _parse_ic(text: str, center: float, width: float, cell_average: bool):
 
 
 def _emit_report(report: dict, out_path: str | None) -> None:
-    # the file first, so a failed write prints no report
-    text = json.dumps(report, indent=2)
+    # the file first, so a failed write prints no report; strict JSON raises on inf or NaN
+    text = json.dumps(report, indent=2, allow_nan=False)
     if out_path:
         from .operators import _atomic_write_bytes
 
@@ -257,13 +257,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
+    final = float(record.l2_norms[-1])  # null past an overflow: JSON has no inf or NaN
     report: dict = {
         "command": "simulate",
         "params": record.params,
         "truncated": record.truncated,
         "steps_recorded": int(record.times.size - 1),
         "final_time": float(record.times[-1]),
-        "final_l2_norm": float(record.l2_norms[-1]),
+        "final_l2_norm": final if math.isfinite(final) else None,
     }
     try:
         fit = sim.growth_slope(record)

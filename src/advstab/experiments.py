@@ -51,7 +51,7 @@ _ORDER = (lambda v: _is_int(v) and v <= MAX_EXTRAPOLATION_ORDER,
           f"an integer in [1, {MAX_EXTRAPOLATION_ORDER}]")
 _NUMBER = (_is_num, "a finite number")
 _OPTIONAL = (lambda v: v is None or _is_num(v), "a finite number or null")
-_TOL = (lambda v: _is_num(v) and v >= 0, "a finite number >= 0")
+_NONNEG = (lambda v: _is_num(v) and v >= 0, "a finite number >= 0")
 _NAME = (lambda v: isinstance(v, str), "a builtin scheme name")
 _IC_KIND = (lambda v: v in ("gaussian", "wavepacket"), "'gaussian' or 'wavepacket'")
 
@@ -74,25 +74,25 @@ def _rows(*kinds: tuple) -> tuple:
 
 _EXAMPLE = {
     "scheme": _NAME, "k": _ORDER, "J": _COUNT, "steps": _COUNT,
-    "reference_rate": _NUMBER, "rate_tol_abs": _TOL, "reference_slope": _NUMBER,
-    "slope_reference_rel_tol": _TOL, "slope_eigen_rel_tol": _TOL,
-    "ic": {"kind": _IC_KIND, "center": _NUMBER, "width_param": _NUMBER},
+    "reference_rate": _NUMBER, "rate_tol_abs": _NONNEG, "reference_slope": _NUMBER,
+    "slope_reference_rel_tol": _NONNEG, "slope_eigen_rel_tol": _NONNEG,
+    "ic": {"kind": _IC_KIND, "center": _NUMBER, "width_param": _NONNEG},
 }
 _LEMMA1 = {
     "grid_points": _COUNT, "J_draws_per_cell": _COUNT, "J_range": _pair(_COUNT),
-    "k": _ORDER, "seed": _NATURAL, "norm_tol": _TOL,
-    "residual_draws": _COUNT, "residual_seed": _NATURAL, "residual_tol": _TOL,
+    "k": _ORDER, "seed": _NATURAL, "norm_tol": _NONNEG,
+    "residual_draws": _COUNT, "residual_seed": _NATURAL, "residual_tol": _NONNEG,
     "residual_lam_a_range": _pair(_NUMBER), "residual_nu_range": _pair(_NUMBER),
     "residual_J_range": _pair(_COUNT),
 }
 _HALFLINE = {
     "contraction": {
         "schemes": _rows(_NAME, _OPTIONAL, _OPTIONAL), "n_ics": _COUNT, "steps": _COUNT,
-        "max_support": _COUNT, "seed": _NATURAL, "tol": _TOL,
+        "max_support": _COUNT, "seed": _NATURAL, "tol": _NONNEG,
     },
     "outflow": {
         "cases": _rows(_NAME, _ORDER), "n_small": _COUNT, "n_large": _COUNT,
-        "support": _NATURAL, "seed": _NATURAL, "rel_change_tol": _TOL,
+        "support": _NATURAL, "seed": _NATURAL, "rel_change_tol": _NONNEG,
     },
 }
 
@@ -267,27 +267,20 @@ def _halfline(target: str, m: dict, steps: int | None, out: str | None):
             width = int(rng.integers(1, c["max_support"] + 1))
             start = int(rng.integers(0, 5))
             ics.append((start, rng.standard_normal(width)))
-        # groups of rows as even as the cache budget of the last step allows
-        last = max(start + x.size for start, x in ics) + (n_steps + 1) * scheme.r + scheme.p
-        n_groups = -(-n_ics // operators._inflow_batch_rows(last))
-        worst = 0.0
-        for g in range(n_groups):
-            group = ics[g * n_ics // n_groups:(g + 1) * n_ics // n_groups]
-            block = np.zeros((len(group), max(start + x.size for start, x in group)))
-            for row, (start, x) in zip(block, group):
-                row[start:start + x.size] = x
-            u = operators.SupportedSequence(values=block, offset=0)
-            prev, worst_rows = u.norm(), np.zeros(len(group))
-            # a row's ratio counts only while its norm is above 1e-280, below
-            # which ratios are rounding noise; fmax skips a NaN as max() does
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for _ in range(n_steps):
-                    u = operators.step_halfline_inflow(scheme, u)
-                    cur = u.norm()
-                    np.fmax(worst_rows, cur / prev, out=worst_rows, where=prev > 1e-280)
-                    prev = cur
-            worst = max(worst, float(worst_rows.max()))
-        inflow_worst[scheme.name] = worst
+        block = np.zeros((n_ics, max(start + x.size for start, x in ics)))
+        for row, (start, x) in zip(block, ics):
+            row[start:start + x.size] = x
+        u = operators.SupportedSequence(values=block, offset=0)
+        prev, worst_rows = u.norm(), np.zeros(n_ics)
+        # a row's ratio counts only while its norm is above 1e-280, below
+        # which ratios are rounding noise; fmax skips a NaN as max() does
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for _ in range(n_steps):
+                u = operators.step_halfline_inflow(scheme, u)
+                cur = u.norm()
+                np.fmax(worst_rows, cur / prev, out=worst_rows, where=prev > 1e-280)
+                prev = cur
+        inflow_worst[scheme.name] = worst = float(worst_rows.max())
         clauses.append(_clause(f"inflow step-norm ratio, {scheme.name}", worst, 1.0, "abs",
                                c["tol"], worst <= 1.0 + c["tol"]))
 

@@ -8,21 +8,17 @@ outflow ghosts and zero padding up to whole blocks. A step views a row as
 overlapping windows of a block Toeplitz product with a small fixed block
 of the coefficients and writes the next state straight into the next row,
 then writes that row's ghosts with the p x k ghost fold (the exact
-boundary.ghost_weights as floats) and clears what the product wrote past
-them. The fold product keeps exactly p rows in Fortran order: OpenBLAS
-picks its gemv kernel, and so its rounding, from the shape and the order,
-so a fold padded to clear the spill in the same call, or a C-ordered copy,
-would move the ghosts. Its dense (J+1) x (J+1)
+boundary.ghost_weights as floats, in the shape and order advance explains)
+and clears what the product wrote past them. Its dense (J+1) x (J+1)
 entries are built on first read: the Toeplitz diagonals straight from the
 coefficients, then steps of only the last k unit vectors, the columns the
 outflow ghost fold touches. The half-line steppers act on exact
 finite-support sequences, growing their windows with the finite
 propagation speed of the stencil so no artificial second boundary ever
 contaminates a half-line experiment; the outflow one applies the same
-ghost weights. The inflow one also steps a batch: rows that share one
-window, laid end to end so that one correlation steps them all, each row
-bit for bit as alone. The halfline bundle caps its groups of rows so that
-a step's arrays fit in _RING_BYTES, the interval ring's cache budget.
+ghost weights. Both step a batch, rows on one shared window: each stepper
+fills the rows' padded windows, and one kernel lays them end to end so
+that one correlation steps them all, each row bit for bit as alone.
 """
 
 from __future__ import annotations
@@ -31,9 +27,9 @@ import json
 import math
 import os
 import tempfile
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -61,8 +57,7 @@ MAX_DENSE_DIMENSION = 2500
 _BLOCK = 16
 
 # states per ring of advance: enough to batch the run loop's norms, few
-# enough to stay cache-resident; _RING_BYTES caps the ring at very large J,
-# and the rows of a half-line inflow batch (_inflow_batch_rows)
+# enough to stay cache-resident; _RING_BYTES caps the ring at very large J
 _RING_STATES = 64
 _RING_BYTES = 512 * 1024
 
@@ -122,6 +117,14 @@ def _check_interval(k: int, n: int, width: int) -> None:
         )
 
 
+@lru_cache(maxsize=None)
+def _float_ghost_weights(p: int, k: int) -> np.ndarray:
+    """boundary.ghost_weights(p, k) as a read-only C-ordered float64 array."""
+    rows = np.array(ghost_weights(p, k), dtype=np.float64).reshape(p, k)
+    rows.setflags(write=False)
+    return rows
+
+
 @dataclass(frozen=True)
 class IntervalOperator:
     """The interval one-step operator for (scheme, k, J), closures folded once.
@@ -151,7 +154,7 @@ class IntervalOperator:
         _check_interval(self.k, self.n, r + p)
         # a Fortran-ordered p x k array, laid out as the transpose of a k x p one
         fold = np.empty((self.k, p), dtype=np.float64).T
-        fold[...] = np.array(ghost_weights(p, self.k), dtype=np.float64).reshape(p, self.k)
+        fold[...] = _float_ghost_weights(p, self.k)
         fold.setflags(write=False)
         object.__setattr__(self, "ghost_fold", fold)
         block = np.zeros((_BLOCK + r + p, _BLOCK), dtype=np.float64)
@@ -332,40 +335,39 @@ class SupportedSequence:
         return float(x) if v.ndim == 1 else x
 
 
+def _step_windows(scheme: Scheme, shape: tuple[int, ...],
+                  fill: Callable[[np.ndarray], None]) -> np.ndarray:
+    """Step zeroed padded windows of the given shape, filled by fill, in one correlation.
+
+    A window of width values gives the width - r - p outputs
+    out[i] = sum_l a_l window[i + r + l]. The windows lie end to end in one
+    flat array with r + p zeros after the last; each output is the same dot
+    over the same values as in a one-row step, so every row steps bit for
+    bit as alone, and the r + p outputs that straddle two rows are dropped.
+    """
+    w, size = scheme.r + scheme.p, math.prod(shape)
+    flat = np.zeros(size + w)
+    fill(flat[:size].reshape(shape))
+    return np.correlate(flat, scheme.coeffs_float, "valid").reshape(shape)[..., :shape[-1] - w]
+
+
 def step_halfline_inflow(scheme: Scheme, u: SupportedSequence) -> SupportedSequence:
     """Half-line step on j >= 0 with zero Dirichlet ghosts at j < 0.
 
     The stored window is grown on the right by r each step (finite
     propagation speed), so the update is exact: no second boundary exists.
-    One np.correlate call steps a whole batch. The rows' padded windows lie
-    end to end in one flat array, each output is the same dot over the same
-    values as in a one-row step, so every row steps bit for bit as it would
-    alone, and the outputs that straddle two rows are dropped.
-    _inflow_batch_rows sizes a batch to the cache budget.
+    A row's window from j = -r holds the Dirichlet ghosts, the zeros below
+    the support, the values and r + p zeros for the window's growth.
     """
     if u.offset < 0:
         raise ValueError("inflow half-line state must be supported on j >= 0")
-    r, p, v = scheme.r, scheme.p, u.values
-    size = v.shape[-1]
-    n = r + u.offset + size
-    shape = (*v.shape[:-1], n + r + p)
-    # a row's window from j = -r: the Dirichlet ghosts, the zeros below the
-    # support, the values and r + p zeros for the window's growth; r + p
-    # more zeros after the last row let the outputs fill whole rows
-    flat = np.zeros(math.prod(shape) + r + p)
-    flat[:flat.size - r - p].reshape(shape)[..., r + u.offset:n] = v
-    out = np.correlate(flat, scheme.coeffs_float, mode="valid").reshape(shape)
-    return SupportedSequence(values=out[..., :n], offset=0)
+    r, v, start = scheme.r, u.values, scheme.r + u.offset
+    n = start + v.shape[-1]
 
+    def fill(windows: np.ndarray) -> None:
+        windows[..., start:n] = v
 
-def _inflow_batch_rows(window: int) -> int:
-    """Rows of an inflow batch whose step fits in _RING_BYTES.
-
-    A step holds three arrays of the rows times their padded window: the
-    state, the padded windows and the outputs. window is the widest padded
-    window (the last output plus r + p) the batch will reach.
-    """
-    return max(1, _RING_BYTES // (3 * 8 * window))
+    return SupportedSequence(_step_windows(scheme, (*v.shape[:-1], n + r + scheme.p), fill), 0)
 
 
 def step_halfline_outflow(
@@ -375,23 +377,24 @@ def step_halfline_outflow(
 
     The stored window always reaches J (zeros are kept there since the
     extrapolation tail is anchored at the boundary) and grows on the left by
-    p each step. The ghosts are ghost_weights applied to the last k values
-    at or below J, zeros included where the window is narrower than k.
+    p each step. A row's window holds lead >= r + p zeros, the values
+    extended by zeros up to J and the p ghosts: ghost_weights times the last
+    k values, zeros included, one gemv per row as in a 1-D step.
     """
     m, M = u.support
     if M > J:
         raise ValueError("outflow half-line state must be supported on j <= J")
-    w, p = scheme.r + scheme.p, scheme.p
-    weights = np.array(ghost_weights(p, k), dtype=np.float64).reshape(p, k)
-    # one window from j = m - lead: zeros, the values extended by zeros up
-    # to the boundary index J, then the p ghosts; at least k values end at J
-    n = u.values.size + J - M
-    lead = max(w, k - n)
-    ext = np.zeros(lead + n + p)
-    ext[lead:lead + u.values.size] = u.values
-    ext[lead + n:] = weights @ ext[lead + n - k:lead + n]
-    out = np.correlate(ext[lead - w:], scheme.coeffs_float, mode="valid")
-    return SupportedSequence(values=out, offset=m - p)
+    w, p, v = scheme.r + scheme.p, scheme.p, u.values
+    weights = _float_ghost_weights(p, k)
+    lead = max(w, k + m - J - 1)
+    end = lead + J + 1 - m
+
+    def fill(windows: np.ndarray) -> None:
+        windows[..., lead:lead + v.shape[-1]] = v
+        np.matmul(weights, windows[..., end - k:end, None], out=windows[..., end:, None])
+
+    out = _step_windows(scheme, (*v.shape[:-1], end + p), fill)
+    return SupportedSequence(out[..., lead - w:], m - p)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,8 @@ class InitialCondition:
         theta = 0.0 if self.packet_theta is None else self.packet_theta
         if not all(map(math.isfinite, (self.center, self.width_param, theta))):
             raise ValueError("center, width_param and packet_theta must be finite")
+        if self.width_param < 0:
+            raise ValueError("width_param must be a finite number >= 0")
 
     def describe(self) -> dict:
         d = {

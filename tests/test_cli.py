@@ -25,11 +25,16 @@ THREAD_VARS = (
 )
 
 
+def _not_json(token: str):
+    raise ValueError(f"{token} is not strict JSON")
+
+
 def _run(capsys, argv: list[str]) -> tuple[int, dict, str]:
+    # every report must be strict JSON: NaN and Infinity tokens fail the parse
     code = cli.main(argv)
     captured = capsys.readouterr()
     raw = captured.out
-    return code, (json.loads(raw) if raw.strip() else {}), captured.err
+    return code, (json.loads(raw, parse_constant=_not_json) if raw.strip() else {}), captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +277,16 @@ def test_simulate_wavepacket_ic(capsys) -> None:
     assert rep["final_l2_norm"] > 0.0
 
 
+def test_simulate_overflow_reports_a_null_final_norm(capsys) -> None:
+    # nu = 3 leaves the stability box; the norm overflows within 600 steps
+    code, rep, _ = _run(capsys, ["simulate", "--scheme", "three-point", "--lam-a", "0.5",
+                                 "--nu", "3", "--k", "1", "--J", "50", "--ic", "gaussian",
+                                 "--steps", "600"])
+    assert code == 0
+    assert rep["truncated"] is True and rep["steps_recorded"] < 600
+    assert rep["final_l2_norm"] is None
+
+
 def test_simulate_bad_ic_is_usage_error(capsys) -> None:
     for ic in ("triangle", "wavepacket:abc", "wavepacket:", "wavepacket:nan"):
         code, _, err = _run(
@@ -285,7 +300,7 @@ def test_simulate_bad_ic_is_usage_error(capsys) -> None:
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--center", "nan"), ("--width", "inf")],
+    "flag, value", [("--center", "nan"), ("--width", "inf"), ("--width", "-2000")],
 )
 def test_simulate_non_finite_initial_condition_is_usage_error(capsys, flag, value) -> None:
     code, rep, err = _run(capsys, ["simulate", "--scheme", "upwind", "--lam-a", "0.5", "--k",
@@ -312,7 +327,7 @@ def test_reproduce_halfline_passes(capsys) -> None:
 
 
 def test_halfline_contraction_matches_a_loop_per_initial_condition() -> None:
-    # the bundle steps its initial conditions in groups of rows on a shared
+    # the bundle steps its initial conditions as rows of one batch on a shared
     # window; this reference steps each one alone, its norm over its own window
     def shorten(m):
         m["halfline"]["contraction"]["steps"] = 20
@@ -341,33 +356,24 @@ def test_halfline_contraction_matches_a_loop_per_initial_condition() -> None:
         assert computed == pytest.approx(worst, rel=1e-15, abs=0)
 
 
-def test_halfline_steps_each_group_of_rows_once_per_step(monkeypatch) -> None:
-    calls: dict[str, list[tuple[int, int]]] = {}
+def test_halfline_steps_each_scheme_as_one_batch(monkeypatch) -> None:
+    shapes: dict[str, list[tuple[int, ...]]] = {}
     step = operators.step_halfline_inflow
 
     def counted(scheme, u):
-        out = step(scheme, u)
-        calls.setdefault(scheme.name, []).append((len(np.atleast_2d(u.values)),
-                                                  out.values.shape[-1]))
-        return out
+        shapes.setdefault(scheme.name, []).append(u.values.shape)
+        return step(scheme, u)
 
     monkeypatch.setattr(operators, "step_halfline_inflow", counted)
     manifest = experiments.load_manifest()
     c = manifest["halfline"]["contraction"]
-    report = experiments.reproduce("halfline", manifest)
-    assert report["overall"] == "PASS"
-    schemes = [stencil.builtin(*row) for row in c["schemes"]]
-    assert sorted(calls) == sorted(scheme.name for scheme in schemes)
-    for scheme in schemes:
-        seen = calls[scheme.name]
-        # every initial condition is stepped every step
-        assert sum(rows for rows, _ in seen) == c["n_ics"] * c["steps"]
-        # a group's three arrays (state, padded windows, outputs) fit the
-        # byte budget, and no more groups are made than that budget needs
-        padded = max(width for _, width in seen) + scheme.r + scheme.p
-        assert all(3 * 8 * rows * padded <= operators._RING_BYTES for rows, _ in seen)
-        least = -(-c["n_ics"] // operators._inflow_batch_rows(padded))
-        assert len(seen) == c["steps"] * least
+    assert experiments.reproduce("halfline", manifest)["overall"] == "PASS"
+    names = [stencil.builtin(*row).name for row in c["schemes"]]
+    assert sorted(shapes) == sorted(names)
+    for name in names:
+        # one call per step, each carrying every initial condition as a row
+        assert len(shapes[name]) == c["steps"]
+        assert all(len(shape) == 2 and shape[0] == c["n_ics"] for shape in shapes[name])
 
 
 def test_reproduce_example1_reports_rate_mismatch(capsys) -> None:
@@ -476,6 +482,8 @@ def _packaged_with(edit) -> dict:
         ("lemma1",
          _packaged_with(lambda m: m["lemma1"].update(J_range=[5, operators.MAX_DENSE_DIMENSION])),
          "lemma1.J_range"),
+        ("example2", _packaged_with(lambda m: m["example2"]["ic"].update(width_param=-1.0)),
+         "example2.ic.width_param"),
     ],
 )
 def test_reproduce_bad_manifest_is_usage_error(

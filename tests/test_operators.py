@@ -353,14 +353,16 @@ def test_halfline_inflow_rejects_negative_support() -> None:
             operators.step_halfline_inflow(s, u)
 
 
+_BATCH_SCHEMES = [("upwind", 0.7, None), ("lax-friedrichs", 0.7, None),
+                  ("lax-wendroff", 0.7, None), ("three-point", 0.5, 0.7),
+                  ("identity", None, None), ("coeff1", None, None), ("coeff2", None, None)]
+
+
 def test_halfline_inflow_batch_steps_each_row_as_alone() -> None:
     # rows of different supports share one window from offset 2; every row
     # is the same np.correlate dot as its own 1-D step, so bit for bit
     rng = np.random.default_rng(31)
-    for name, lam_a, nu in [("upwind", 0.7, None), ("lax-friedrichs", 0.7, None),
-                            ("lax-wendroff", 0.7, None), ("three-point", 0.5, 0.7),
-                            ("identity", None, None), ("coeff1", None, None),
-                            ("coeff2", None, None)]:
+    for name, lam_a, nu in _BATCH_SCHEMES:
         s = stencil.builtin(name, lam_a, nu)
         rows = [(int(rng.integers(0, 6)), rng.standard_normal(int(rng.integers(1, 20))))
                 for _ in range(6)]
@@ -380,6 +382,35 @@ def test_halfline_inflow_batch_steps_each_row_as_alone() -> None:
                 assert batch.value_at(3)[i] == u.value_at(3)
             # a row norm is the 1-D norm of the row over the shared window
             assert np.array_equal(batch.norm(), [np.linalg.norm(row) for row in batch.values])
+
+
+def test_halfline_outflow_batch_steps_each_row_as_alone() -> None:
+    # rows of different supports, each ending at most 2 below J, share one
+    # window ending at J; every row is the same correlation dots and the
+    # same ghost gemv as its own 1-D step, so bit for bit
+    rng = np.random.default_rng(37)
+    J = 3
+    for name, lam_a, nu in _BATCH_SCHEMES:
+        s = stencil.builtin(name, lam_a, nu)
+        for k in range(1, 4):
+            rows = [(int(rng.integers(0, 3)), rng.standard_normal(int(rng.integers(1, 8))))
+                    for _ in range(6)]
+            block = np.zeros((len(rows), 10))
+            for row, (gap, x) in zip(block, rows):
+                row[10 - gap - x.size:10 - gap] = x
+            batch = SupportedSequence(values=block, offset=J - 9)
+            singles = [SupportedSequence(values=x, offset=J - gap - x.size + 1)
+                       for gap, x in rows]
+            for _ in range(15):
+                batch = operators.step_halfline_outflow(s, k, batch, J)
+                singles = [operators.step_halfline_outflow(s, k, u, J) for u in singles]
+                for i, u in enumerate(singles):
+                    width = u.values.size
+                    assert u.support[1] == batch.support[1] == J
+                    assert np.array_equal(batch.values[i, -width:], u.values)
+                    assert not batch.values[i, :-width].any()
+                    assert batch.value_at(J)[i] == u.value_at(J)
+                assert np.array_equal(batch.norm(), [np.linalg.norm(row) for row in batch.values])
 
 
 def test_halfline_outflow_matches_lattice_away_from_boundary() -> None:

@@ -80,6 +80,35 @@ def test_library_imports_no_sparse_eigensolver() -> None:
     assert [line for line in imported if "scipy.sparse" in line] == []
 
 
+# the private names one library module may read from another: shared
+# argument checks, the atomic file write and the slope fit's sample floor
+SHARED_PRIVATE_NAMES = {"_atomic_write_bytes", "_check_interval", "_check_dense",
+                        "_MIN_FIT_SAMPLES"}
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_library_modules_read_only_listed_private_names_of_siblings() -> None:
+    read: list[tuple[str, str, str]] = []  # (file, what it reads, the name)
+    for path in Path(advstab.__file__).resolve().parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        siblings: set[str] = set()  # local names of sibling modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module is None:
+                siblings.update(alias.asname or alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                read.extend((path.name, f"{node.module}.{alias.name}", alias.name)
+                            for alias in node.names)
+        read.extend((path.name, f"{node.value.id}.{node.attr}", node.attr)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings)
+    assert [f"{where}: {what}" for where, what, name in read
+            if _is_private(name) and name not in SHARED_PRIVATE_NAMES] == []
+
+
 def test_layer_imports_load_no_scipy() -> None:
     # scipy is imported only where --cell-average needs it, at call time
     probe = (

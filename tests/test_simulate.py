@@ -94,6 +94,10 @@ def test_initial_condition_validation() -> None:
             InitialCondition(kind="gaussian", width_param=bad)
         with pytest.raises(ValueError):
             InitialCondition(kind="wavepacket", packet_theta=bad)
+    # a negative width makes the gaussian grow away from its center
+    for bad in (-1e-300, -2000.0):
+        with pytest.raises(ValueError, match="width_param"):
+            InitialCondition(kind="gaussian", width_param=bad)
 
 
 # ---------------------------------------------------------------------------
