@@ -7,9 +7,9 @@ path is checked before any computation. Exit codes: 0 success, 1 a check ran and
 2 usage error or a path that cannot be read or written, 3 numeric failure
 (eigensolver nonconvergence, overflow).
 
-The commands only parse arguments and print reports: the pinned reproduce
-bundles and their manifest live in the experiments module, the numerics in
-the library modules.
+A command checks its own flags, resolves the scheme, calls one report
+function of experiments (check_report, spectrum_report, simulate_report,
+reproduce), which writes the artifacts, and prints the report it returns.
 
 ADVSTAB_THREADS caps the BLAS/OpenMP thread count. It is honored by seeding
 the standard thread-count environment variables before numpy is loaded, so
@@ -24,6 +24,8 @@ import json
 import math
 import os
 import sys
+
+from . import experiments
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -70,32 +72,30 @@ def _add_scheme_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_scheme(args: argparse.Namespace):
+    """A builtin name means the builtin, whatever the directory holds; else a file path."""
     from . import stencil
 
     choice = args.scheme
-    looks_like_path = choice.endswith(".json") or os.sep in choice
-    if looks_like_path or os.path.exists(choice):
-        if not os.path.exists(choice):
-            raise UsageError(f"scheme file not found: {choice}")
-        if args.lam_a is not None or args.nu is not None:
-            raise UsageError(f"--lam-a and --nu apply to builtin schemes, not {choice}")
-        try:
-            return stencil.load_scheme(choice)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-            raise UsageError(f"bad scheme file {choice}: {exc}") from exc
+    is_file = choice.strip().lower() not in stencil.builtin_names() and (
+        choice.endswith(".json") or os.sep in choice or os.path.exists(choice))
+    if is_file and not os.path.exists(choice):
+        raise UsageError(f"scheme file not found: {choice}")
+    if is_file and (args.lam_a is not None or args.nu is not None):
+        raise UsageError(f"--lam-a and --nu apply to builtin schemes, not {choice}")
     try:
+        if is_file:
+            return stencil.load_scheme(choice)
         return stencil.builtin(choice, lam_a=args.lam_a, nu=args.nu)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        raise UsageError(f"bad scheme file {choice}: {exc}" if is_file else str(exc)) from exc
 
 
-def _parse_ic(text: str, center: float, width: float, cell_average: bool):
-    from .simulate import InitialCondition
-
-    if text == "gaussian":
+def _parse_ic(args: argparse.Namespace) -> dict:
+    """--ic and its envelope flags as InitialCondition's fields."""
+    if args.ic == "gaussian":
         theta = None
-    elif text.startswith("wavepacket:"):
-        tail = text.split(":", 1)[1]
+    elif args.ic.startswith("wavepacket:"):
+        tail = args.ic.split(":", 1)[1]
         try:
             theta = float(tail) * math.pi
         except ValueError as exc:
@@ -104,13 +104,11 @@ def _parse_ic(text: str, center: float, width: float, cell_average: bool):
             ) from exc
     else:
         raise UsageError(
-            f"unknown initial condition {text!r}; use gaussian or wavepacket:<theta-over-pi>"
+            f"unknown initial condition {args.ic!r}; use gaussian or wavepacket:<theta-over-pi>"
         )
-    return InitialCondition(
-        kind="gaussian" if theta is None else "wavepacket", center=center,
-        width_param=width, packet_theta=theta,
-        sampling="cell_average" if cell_average else "point",
-    )
+    return {"kind": "gaussian" if theta is None else "wavepacket", "center": args.center,
+            "width_param": args.width, "packet_theta": theta,
+            "sampling": "cell_average" if args.cell_average else "point"}
 
 
 def _emit_report(report: dict, out_path: str | None) -> None:
@@ -135,175 +133,47 @@ def _check_output_dirs(args: argparse.Namespace) -> None:
             raise UsageError(f"{flag} {path}: {folder} is not an existing directory")
 
 
-def _report_json_path(out: str) -> str:
-    return out if out.endswith(".json") else out + ".json"
+def _report_json_path(out: str | None) -> str | None:
+    return out if not out or out.endswith(".json") else out + ".json"
 
 
 # ---------------------------------------------------------------------------
-# scheme check
+# commands: check the command's own flags, call one report function, print
 
 def cmd_scheme_check(args: argparse.Namespace) -> int:
-    from . import stencil
-
     for flag, tol in (("--tol", args.tol), ("--mode-tol", args.mode_tol)):
         if not 0.0 <= tol < math.inf:
             raise UsageError(f"{flag} must be a finite number >= 0, got {tol}")
-    scheme = _resolve_scheme(args)
-    r0, r1 = stencil.consistency_residuals(scheme)
-    sup, argmax = stencil.von_neumann_sup(scheme)
-    report: dict = {
-        "command": "scheme check",
-        "scheme": scheme.name,
-        "r": scheme.r,
-        "p": scheme.p,
-        "coefficients": [str(c) for c in scheme.coefficients],
-        "lambda": str(scheme.lam),
-        "velocity": str(scheme.velocity),
-        "lam_a": scheme.lam_a,
-        "consistency_residuals": {"order0": r0, "order1": r1},
-        "von_neumann_sup": sup,
-        "sup_argmax_theta": argmax,
-    }
-    try:
-        modes = stencil.unimodular_modes(scheme, tol=args.mode_tol)
-        report["modes"] = [
-            {
-                "theta": m.theta,
-                "theta_over_pi": m.theta / math.pi,
-                "modulus_excess": m.modulus_excess,
-                "group_velocity": m.group_velocity,
-            }
-            for m in modes
-        ]
-    except ValueError as exc:
-        report["modes"] = None
-        report["modes_note"] = str(exc)
-    code = EXIT_OK
-    if args.assert_stable:
-        stable = sup <= 1.0 + args.tol
-        report["stability_tol"] = args.tol
-        report["stable"] = bool(stable)
-        if not stable:
-            code = EXIT_CHECK_FAILED
-    _emit_report(report, _report_json_path(args.out) if args.out else None)
-    return code
+    report = experiments.check_report(_resolve_scheme(args), args.mode_tol,
+                                      args.tol if args.assert_stable else None)
+    _emit_report(report, _report_json_path(args.out))
+    return EXIT_CHECK_FAILED if report.get("stable") is False else EXIT_OK
 
-
-# ---------------------------------------------------------------------------
-# spectrum
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    from .operators import Grid, assemble_matrix, save_matrix
-    from .spectral import save_spectrum_csv, spectral_radius
-
-    scheme = _resolve_scheme(args)
-    try:
-        grid = Grid(J=args.J, L=args.L, lam=scheme.lam_float)
-        A = assemble_matrix(scheme, args.k, args.J)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    # with --full one eigensolve serves rho and the full list, largest modulus first
-    result = spectral_radius(A, n_leading=A.n if args.full else 10)
-    rate = (result.rho - 1.0) / grid.dx
-    report: dict = {
-        "command": "spectrum",
-        "scheme": scheme.name,
-        "k": args.k,
-        "J": args.J,
-        "L": args.L,
-        "dx": grid.dx,
-        "n": A.n,
-        "method": result.method,
-        "rho": result.rho,
-        "rho_minus_one": result.rho - 1.0,
-        "normalized_excess": rate,
-        "eigen_residual": result.residual,
-        "leading_eigenvalues": [[z.real, z.imag] for z in result.leading_eigenvalues[:10]],
-    }
-    written: list[str] = []
-    if args.dump_matrix:
-        written.extend(save_matrix(A, args.dump_matrix))
-    if args.full:
-        report["eigenvalues"] = [[z.real, z.imag] for z in result.leading_eigenvalues]
-    json_path = _report_json_path(args.out) if args.out else None
-    if json_path and args.full:
-        csv_path = json_path[: -len(".json")] + ".csv"
-        save_spectrum_csv(result.leading_eigenvalues, csv_path)
-        written.append(csv_path)
-    if json_path:
-        written.append(json_path)
-    report["written"] = written
+    json_path = _report_json_path(args.out)
+    report = experiments.spectrum_report(_resolve_scheme(args), args.k, args.J, args.L,
+                                         args.full, json_path, args.dump_matrix)
     _emit_report(report, json_path)
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# simulate
-
 def cmd_simulate(args: argparse.Namespace) -> int:
-    from . import simulate as sim
-    from .operators import Grid
-
     scheme = _resolve_scheme(args)
-    try:
-        ic = _parse_ic(args.ic, args.center, args.width, args.cell_average)
-        grid = Grid(J=args.J, L=args.L, lam=scheme.lam_float)
-        if args.steps < 1:
-            raise ValueError("--steps must be >= 1")
-        record = sim.run(
-            scheme, args.k, grid, ic, args.steps, snapshot_stride=args.snapshot_stride
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-    final = float(record.l2_norms[-1])  # null past an overflow: JSON has no inf or NaN
-    report: dict = {
-        "command": "simulate",
-        "params": record.params,
-        "truncated": record.truncated,
-        "steps_recorded": int(record.times.size - 1),
-        "final_time": float(record.times[-1]),
-        "final_l2_norm": final if math.isfinite(final) else None,
-    }
-    try:
-        fit = sim.growth_slope(record)
-        report["slope"] = fit.slope
-        report["slope_window"] = list(fit.window)
-        report["slope_r_squared"] = fit.r_squared
-    except ValueError as exc:
-        report["slope"] = None
-        report["slope_note"] = str(exc)
-
-    if args.out:
-        record_path = args.out + "_record.csv"
-        snapshot_path = args.out + "_snapshots.csv"
-        sidecar_path = args.out + ".json"
-        sim.save_record_csv(record, record_path)
-        sim.save_snapshots_csv(record, snapshot_path)
-        extra = {"slope": report.get("slope"), "slope_window": report.get("slope_window")}
-        sim.save_sidecar_json(record, sidecar_path, extra=extra)
-        report["written"] = [record_path, snapshot_path, sidecar_path]
+    report = experiments.simulate_report(scheme, args.k, args.J, args.L, _parse_ic(args),
+                                         args.steps, args.snapshot_stride, args.out)
     _emit_report(report, None)
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# reproduce
-
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    from . import experiments
-
     try:
         manifest = experiments.load_manifest(args.manifest)
     except (OSError, json.JSONDecodeError) as exc:
         raise UsageError(f"cannot read manifest {args.manifest}: {exc}") from exc
-    try:
-        # --steps 0, the default, keeps the pinned step count
-        report = experiments.reproduce(args.target, manifest, args.steps or None, args.out)
-    except experiments.BundleInputError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit_report(report, _report_json_path(args.out) if args.out else None)
+    # --steps 0, the default, keeps the pinned step count
+    report = experiments.reproduce(args.target, manifest, args.steps or None, args.out)
+    _emit_report(report, _report_json_path(args.out))
     return EXIT_OK if report["overall"] == "PASS" else EXIT_CHECK_FAILED
 
 
@@ -386,18 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="record a solution snapshot every this many steps (0 disables)",
     )
     simulate.add_argument(
-        "--out", help="prefix for artifacts: <out>_record.csv, <out>_snapshots.csv, <out>.json"
+        "--out", help="prefix for artifacts: <out>_{record,snapshots}.csv and <out>.json"
     )
     simulate.set_defaults(handler=cmd_simulate)
-
-    # experiments imports nothing numeric at module scope (see _cap_threads)
-    from .experiments import TARGETS
 
     reproduce = sub.add_parser(
         "reproduce", help="run a pinned experiment bundle and compare to its targets"
     )
     reproduce.add_argument(
-        "--target", required=True, choices=TARGETS, help="which bundle to run"
+        "--target", required=True, choices=experiments.TARGETS, help="which bundle to run"
     )
     reproduce.add_argument(
         "--manifest", help="override the packaged reference-target manifest with this JSON file"
@@ -420,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _check_output_dirs(args)
         return args.handler(args)
-    except UsageError as exc:
+    except (UsageError, experiments.BundleInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

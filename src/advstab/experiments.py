@@ -1,12 +1,14 @@
-"""Pinned experiment bundles: the paper's evidence as pass/fail clauses.
+"""Every command's report: the three routes for one scheme and the pinned bundles.
 
-lemma1 checks the energy identity behind the three-point norm bound,
-halfline the bounded half-line semigroups, example1 and example2 the two
-interval examples that grow exponentially. reproduce(target, manifest)
-checks every field of manifest[target] before any computation, raising
-BundleInputError that names the field, then runs the bundle. Nothing
+check_report, spectrum_report and simulate_report answer through the
+symbol, the spectrum and time stepping; reproduce runs a pinned bundle, the
+paper's evidence as pass/fail clauses: lemma1 the energy identity behind
+the three-point norm bound, halfline the bounded half-line semigroups,
+example1 and example2 the two growing interval examples. Each writes its
+artifacts and returns the report the command prints. An unusable input
+raises BundleInputError, naming the manifest field it came from. Nothing
 numeric loads at module scope, so the parser can read TARGETS before the
-BLAS thread caps are set; bundles call the library via module attributes.
+BLAS thread caps are set; reports call the library via module attributes.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from typing import Callable
 
 from .boundary import MAX_EXTRAPOLATION_ORDER
 
-__all__ = ["TARGETS", "BundleInputError", "load_manifest", "reproduce"]
+__all__ = ["TARGETS", "BundleInputError", "check_report", "load_manifest", "reproduce",
+           "simulate_report", "spectrum_report"]
 
 
 class BundleInputError(ValueError):
-    """A manifest field or step count that a bundle cannot use."""
+    """An input a report cannot use: a manifest field, a step count or an argument."""
 
 
 def load_manifest(path: str | None = None) -> dict:
@@ -110,12 +113,12 @@ def _check(where: str, value, schema) -> None:
         raise BundleInputError(f"manifest {where}: expected {schema[1]}, got {value!r}")
 
 
-def _input(where: str, build: Callable, *args, **kwargs):
-    """build(*args, **kwargs), its ValueError reported against the manifest field."""
+def _input(where: str | None, build: Callable, *args, **kwargs):
+    """build(*args, **kwargs); a ValueError is a BundleInputError naming field where, if any."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        raise BundleInputError(f"manifest {where}: {exc}") from exc
+        raise BundleInputError(f"manifest {where}: {exc}" if where else str(exc)) from exc
 
 
 def _clause(
@@ -126,11 +129,49 @@ def _clause(
 
 
 # ---------------------------------------------------------------------------
+# the spectrum and stepping answers, shared by the reports and the examples
+
+def _grid(scheme, J: int, L: float):
+    from . import operators
+
+    return _input(None, operators.Grid, J=J, L=L, lam=scheme.lam_float)
+
+
+def _spectrum(scheme, k: int, grid, full: bool):
+    """(operator, eigensolve, rate (rho - 1)/dx); full keeps every eigenvalue."""
+    from . import operators, spectral
+
+    A = _input(None, operators.assemble_matrix, scheme, k, grid.J)
+    # one eigensolve serves rho and the full list, largest modulus first
+    result = spectral.spectral_radius(A, n_leading=A.n if full else 10)
+    return A, result, (result.rho - 1.0) / grid.dx
+
+
+def _stepping(scheme, k: int, grid, ic, steps: int, snapshot_stride: int = 0):
+    """The run and its default-window fit: (record, fit, None), or (record, None, why)."""
+    from . import simulate
+
+    record = _input(None, simulate.run, scheme, k, grid, ic, steps, snapshot_stride)
+    try:
+        return record, simulate.growth_slope(record), None
+    except ValueError as exc:
+        return record, None, str(exc)
+
+
+def _write_record(record, out: str) -> str:
+    from . import simulate
+
+    path = out + "_record.csv"
+    simulate.save_record_csv(record, path)
+    return path
+
+
+# ---------------------------------------------------------------------------
 # bundles: (target, checked section m, step override, artifact prefix) ->
 # (clauses, info); only the examples use the last two
 
 def _example(target: str, m: dict, steps: int | None, out: str | None):
-    from . import operators, simulate, spectral, stencil
+    from . import operators, simulate, stencil
 
     scheme = _input(f"{target}.scheme", stencil.builtin, m["scheme"])
     k, J = m["k"], m["J"]
@@ -150,14 +191,11 @@ def _example(target: str, m: dict, steps: int | None, out: str | None):
         where = f"{target}: --steps" if steps is not None else f"manifest {target}.steps:"
         raise BundleInputError(f"{where} {n_steps} is too few for the late-half slope "
                                f"window; it needs >= {min_steps}")
-    grid = operators.Grid(J=J, L=1.0, lam=scheme.lam_float)
+    grid = _grid(scheme, J, 1.0)
 
-    result = spectral.spectral_radius(operators.assemble_matrix(scheme, k, J))
-    rate = (result.rho - 1.0) / grid.dx
-    record = simulate.run(scheme, k, grid, ic, n_steps)
-    try:
-        fit = simulate.growth_slope(record)
-    except ValueError:
+    _, result, rate = _spectrum(scheme, k, grid, False)
+    record, fit, _ = _stepping(scheme, k, grid, ic, n_steps)
+    if fit is None:
         # shortened override run: the pinned window is infeasible
         late_half = (float(record.times[-1]) / 2.0, float(record.times[-1]))
         fit = simulate.growth_slope(record, window=late_half)
@@ -183,9 +221,7 @@ def _example(target: str, m: dict, steps: int | None, out: str | None):
             f"steps overridden to {n_steps}; the pinned experiment uses {m['steps']}"
         )
     if out:
-        record_path = out + "_record.csv"
-        simulate.save_record_csv(record, record_path)
-        info["written"] = [record_path]
+        info["written"] = [_write_record(record, out)]
     return clauses, info
 
 
@@ -341,3 +377,96 @@ def reproduce(
     overall = all(cl["pass"] for cl in clauses)
     return {"command": "reproduce", "target": target, "clauses": clauses, "info": info,
             "overall": "PASS" if overall else "FAIL"}
+
+
+# ---------------------------------------------------------------------------
+# the three routes for one scheme: scheme check, spectrum, simulate
+
+def check_report(scheme, mode_tol: float, tol: float | None) -> dict:
+    """The symbol route: consistency, sup |C| and the modes within mode_tol of |C| = 1.
+
+    With tol, stable says whether sup |C| <= 1 + tol.
+    """
+    from . import stencil
+
+    r0, r1 = stencil.consistency_residuals(scheme)
+    sup, argmax = stencil.von_neumann_sup(scheme)
+    report: dict = {
+        "command": "scheme check", "scheme": scheme.name, "r": scheme.r, "p": scheme.p,
+        "coefficients": [str(c) for c in scheme.coefficients], "lambda": str(scheme.lam),
+        "velocity": str(scheme.velocity), "lam_a": scheme.lam_a,
+        "consistency_residuals": {"order0": r0, "order1": r1},
+        "von_neumann_sup": sup, "sup_argmax_theta": argmax,
+    }
+    try:
+        report["modes"] = [
+            {"theta": m.theta, "theta_over_pi": m.theta / math.pi,
+             "modulus_excess": m.modulus_excess, "group_velocity": m.group_velocity}
+            for m in stencil.unimodular_modes(scheme, tol=mode_tol)
+        ]
+    except ValueError as exc:
+        report.update(modes=None, modes_note=str(exc))
+    if tol is not None:
+        report.update(stability_tol=tol, stable=bool(sup <= 1.0 + tol))
+    return report
+
+
+def spectrum_report(scheme, k: int, J: int, L: float, full: bool,
+                    json_path: str | None, matrix_path: str | None) -> dict:
+    """The spectrum route: rho and (rho - 1)/dx of the interval iteration matrix.
+
+    full adds every eigenvalue; matrix_path saves the matrix. The caller writes this
+    report to json_path (a .json): written lists it, full puts the eigenvalue CSV beside it.
+    """
+    from . import operators, spectral
+
+    grid = _grid(scheme, J, L)
+    A, result, rate = _spectrum(scheme, k, grid, full)
+    report: dict = {
+        "command": "spectrum", "scheme": scheme.name, "k": k, "J": J, "L": L,
+        "dx": grid.dx, "n": A.n, "method": result.method, "rho": result.rho,
+        "rho_minus_one": result.rho - 1.0, "normalized_excess": rate,
+        "eigen_residual": result.residual,
+        "leading_eigenvalues": [[z.real, z.imag] for z in result.leading_eigenvalues[:10]],
+    }
+    written = operators.save_matrix(A, matrix_path) if matrix_path else []
+    if full:
+        report["eigenvalues"] = [[z.real, z.imag] for z in result.leading_eigenvalues]
+    if json_path and full:
+        csv_path = json_path[: -len(".json")] + ".csv"
+        spectral.save_spectrum_csv(result.leading_eigenvalues, csv_path)
+        written.append(csv_path)
+    report["written"] = [*written, json_path] if json_path else written
+    return report
+
+
+def simulate_report(scheme, k: int, J: int, L: float, ic: dict, steps: int,
+                    snapshot_stride: int, out: str | None) -> dict:
+    """The stepping route: a run from ic (InitialCondition's fields) and its growth slope.
+
+    The slope fits the default window; it is null, with slope_note saying why, if that
+    window is infeasible. out prefixes the record CSV, snapshot CSV and sidecar JSON.
+    """
+    from . import simulate
+
+    initial = _input(None, simulate.InitialCondition, **ic)
+    record, fit, note = _stepping(scheme, k, _grid(scheme, J, L), initial, steps,
+                                  snapshot_stride)
+    final = float(record.l2_norms[-1])  # null past an overflow: JSON has no inf or NaN
+    report: dict = {
+        "command": "simulate", "params": record.params, "truncated": record.truncated,
+        "steps_recorded": int(record.times.size - 1), "final_time": float(record.times[-1]),
+        "final_l2_norm": final if math.isfinite(final) else None,
+    }
+    if fit is None:
+        report.update(slope=None, slope_note=note)
+    else:
+        report.update(slope=fit.slope, slope_window=list(fit.window),
+                      slope_r_squared=fit.r_squared)
+    if out:
+        snapshot_path, sidecar_path = out + "_snapshots.csv", out + ".json"
+        report["written"] = [_write_record(record, out), snapshot_path, sidecar_path]
+        simulate.save_snapshots_csv(record, snapshot_path)
+        extra = {"slope": report["slope"], "slope_window": report.get("slope_window")}
+        simulate.save_sidecar_json(record, sidecar_path, extra=extra)
+    return report

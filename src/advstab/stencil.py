@@ -47,7 +47,10 @@ __all__ = [
 def _as_fraction(x: RationalLike) -> Fraction:
     """Convert int/float/Fraction/'num/den' string to an exact Fraction."""
     if isinstance(x, str):
-        return Fraction(x.strip())
+        try:
+            return Fraction(x.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"{x!r} has a zero denominator") from None
     if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"{x!r} is not a finite rational number")
     if isinstance(x, (Fraction, int, float)) and not isinstance(x, bool):

@@ -136,6 +136,35 @@ def test_check_rejects_booleans_and_non_integer_extents(capsys, tmp_path, field,
 
 
 @pytest.mark.parametrize(
+    "field, value", [("coefficients", ["1/0", "1/2"]), ("lambda", "1/0")],
+)
+def test_check_zero_denominator_is_usage_error(capsys, tmp_path, field, value) -> None:
+    p = tmp_path / "custom.json"
+    p.write_text(json.dumps({**UPWIND_FILE, field: value}))
+    code, rep, err = _run(capsys, ["scheme", "check", "--scheme", str(p)])
+    assert code == 2 and rep == {}
+    assert err == f"error: bad scheme file {p}: '1/0' has a zero denominator\n"
+
+
+def test_builtin_name_wins_over_a_file_of_that_name(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "upwind").mkdir()
+    (tmp_path / "coeff1").write_text("")
+    (tmp_path / "Identity").write_text("")
+    code, rep, _ = _run(capsys, ["scheme", "check", "--scheme", "upwind", "--lam-a", "0.5"])
+    assert code == 0 and rep["scheme"] == "upwind(0.5)"
+    code, rep, _ = _run(capsys, ["spectrum", "--scheme", "coeff1", "--k", "1", "--J", "20"])
+    assert code == 0 and rep["scheme"] == "coeff1"
+    # builtin names match case-insensitively, as stencil.builtin does
+    code, rep, _ = _run(capsys, ["scheme", "check", "--scheme", "Identity"])
+    assert code == 0 and rep["scheme"] == "identity"
+    # the file is reached through a path
+    code, rep, err = _run(capsys, ["scheme", "check", "--scheme", "./coeff1"])
+    assert code == 2 and rep == {}
+    assert err.startswith("error: bad scheme file ./coeff1: ")
+
+
+@pytest.mark.parametrize(
     "argv, param",
     [
         pytest.param(["--scheme", "upwind", "--lam-a", "nan"], "lam_a", id="nan"),
@@ -446,6 +475,45 @@ def test_library_reproduce_matches_cli_report(capsys, tmp_path) -> None:
     code, rep, _ = _run(capsys, ["reproduce", "--target", "lemma1", "--manifest", p])
     assert code == 0
     assert experiments.reproduce("lemma1", copy.deepcopy(SMALL_LEMMA1)) == rep
+
+
+# the library's report functions return exactly what the commands print
+
+@pytest.mark.parametrize("name, lam_a", [("coeff1", None), ("lax-wendroff", 0.5)])
+def test_library_check_report_matches_cli_report(capsys, name, lam_a) -> None:
+    scheme_args = ["--scheme", name] + ([] if lam_a is None else ["--lam-a", str(lam_a)])
+    scheme = stencil.builtin(name, lam_a=lam_a)
+    for extra, tol in (([], None), (["--assert-stable", "--tol", "1e-6"], 1e-6)):
+        code, rep, _ = _run(capsys, ["scheme", "check", *scheme_args, *extra])
+        assert code == (1 if rep.get("stable") is False else 0)
+        assert experiments.check_report(scheme, 1e-4, tol) == rep
+
+
+def test_library_spectrum_report_matches_cli_report(capsys, tmp_path) -> None:
+    out, mat = str(tmp_path / "spec.json"), str(tmp_path / "A.bin")
+    code, rep, _ = _run(capsys, ["spectrum", "--scheme", "coeff2", "--k", "2", "--J", "40",
+                                 "--full", "--out", out, "--dump-matrix", mat])
+    assert code == 0 and rep["written"][-2:] == [str(tmp_path / "spec.csv"), out]
+    report = experiments.spectrum_report(stencil.builtin("coeff2"), 2, 40, 1.0, True, out, mat)
+    assert report == rep
+
+
+def test_library_simulate_report_matches_cli_report(capsys, tmp_path) -> None:
+    out = str(tmp_path / "run")
+    code, rep, _ = _run(capsys, ["simulate", "--scheme", "upwind", "--lam-a", "0.5", "--k",
+                                 "1", "--J", "30", "--ic", "wavepacket:0.5", "--steps", "200",
+                                 "--snapshot-stride", "50", "--out", out])
+    assert code == 0 and rep["slope"] is not None and len(rep["written"]) == 3
+    ic = {"kind": "wavepacket", "center": 0.5, "width_param": 50.0,
+          "packet_theta": 0.5 * math.pi, "sampling": "point"}
+    scheme = stencil.builtin("upwind", lam_a=0.5)
+    assert experiments.simulate_report(scheme, 1, 30, 1.0, ic, 200, 50, out) == rep
+    # an infeasible default window gives a null slope and the reason
+    code, rep, _ = _run(capsys, ["simulate", "--scheme", "upwind", "--lam-a", "0.5", "--k",
+                                 "1", "--J", "30", "--ic", "gaussian", "--steps", "5"])
+    assert code == 0 and rep["slope"] is None and "finite samples" in rep["slope_note"]
+    ic.update(kind="gaussian", packet_theta=None)
+    assert experiments.simulate_report(scheme, 1, 30, 1.0, ic, 5, 0, None) == rep
 
 
 @pytest.fixture

@@ -109,6 +109,19 @@ def test_library_modules_read_only_listed_private_names_of_siblings() -> None:
             if _is_private(name) and name not in SHARED_PRIVATE_NAMES] == []
 
 
+def test_cli_reads_only_the_reports_and_scheme_resolution() -> None:
+    # the commands parse, resolve the scheme, call one experiments function
+    # and print; the only other library name is the report file's write
+    path = Path(advstab.__file__).resolve().parent / "cli.py"
+    read: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            read.update(f"{node.module}.{alias.name}" if node.module else alias.name
+                        for alias in node.names)
+    assert sorted(name for name in read if name.partition(".")[0] not in
+                  ("experiments", "stencil") and name != "operators._atomic_write_bytes") == []
+
+
 def test_layer_imports_load_no_scipy() -> None:
     # scipy is imported only where --cell-average needs it, at call time
     probe = (
