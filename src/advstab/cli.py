@@ -86,7 +86,7 @@ def _resolve_scheme(args: argparse.Namespace):
         if is_file:
             return stencil.load_scheme(choice)
         return stencil.builtin(choice, lam_a=args.lam_a, nu=args.nu)
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad scheme file {choice}: {exc}" if is_file else str(exc)) from exc
 
 

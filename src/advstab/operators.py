@@ -152,9 +152,10 @@ class IntervalOperator:
     def __post_init__(self) -> None:
         r, p = self.scheme.r, self.scheme.p
         _check_interval(self.k, self.n, r + p)
+        weights = _float_ghost_weights(p, self.k)  # checks k before any allocation
         # a Fortran-ordered p x k array, laid out as the transpose of a k x p one
         fold = np.empty((self.k, p), dtype=np.float64).T
-        fold[...] = _float_ghost_weights(p, self.k)
+        fold[...] = weights
         fold.setflags(write=False)
         object.__setattr__(self, "ghost_fold", fold)
         block = np.zeros((_BLOCK + r + p, _BLOCK), dtype=np.float64)
@@ -323,9 +324,8 @@ class SupportedSequence:
         row alone, so it is bit for bit the 1-D norm of the row.
         """
         v = self.values
-        if v.ndim == 1:
-            return float(np.linalg.norm(v))
-        return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+        norms = np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+        return float(norms) if v.ndim == 1 else norms
 
     def value_at(self, j: int) -> float | np.ndarray:
         """The value at index j, 0 off the window; for a batch, one per row."""

@@ -19,7 +19,6 @@ from .stencil import Scheme, builtin
 
 __all__ = [
     "InitialCondition",
-    "OVERFLOW_RATIO",
     "RegressionResult",
     "SimulationRecord",
     "build_initial",
@@ -32,9 +31,6 @@ __all__ = [
     "save_sidecar_json",
     "save_snapshots_csv",
 ]
-
-# a run is truncated once the norm exceeds this multiple of the initial norm
-OVERFLOW_RATIO = 1e300
 
 # growth_slope fits no window with fewer finite samples
 _MIN_FIT_SAMPLES = 10
@@ -88,7 +84,11 @@ class SimulationRecord:
     l2_norms: np.ndarray
     snapshots: tuple[tuple[int, np.ndarray], ...]
     params: dict
-    truncated: bool
+
+    @property
+    def truncated(self) -> bool:
+        """Whether the last norm is non-finite; run stops at its first non-finite one."""
+        return not math.isfinite(self.l2_norms[-1])
 
     @property
     def times(self) -> np.ndarray:
@@ -154,10 +154,10 @@ def run(
 ) -> SimulationRecord:
     """Advance n_steps from the initial condition, recording norms each step.
 
-    Deterministic: identical inputs produce bit-identical records. On norm
-    overflow (ratio beyond OVERFLOW_RATIO or non-finite values) the run stops
-    early and the record is marked truncated. The grid's lam must be the
-    scheme's, so that dt is the scheme's time step.
+    Deterministic: identical inputs produce bit-identical records. The run
+    stops at the first non-finite squared norm, which it keeps, so the record
+    ends there and reads as truncated. The grid's lam must be the scheme's,
+    so that dt is the scheme's time step.
     """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
@@ -174,10 +174,8 @@ def run(
     snapshots: list[tuple[int, np.ndarray]] = []
     if snapshot_stride:
         snapshots.append((0, u.copy()))
-    guard = OVERFLOW_RATIO * max(math.sqrt(sqnorms[0]), np.finfo(float).tiny)
-    truncated = False
     n_done = 0
-    # a block runs on past an overflow (inf - inf is NaN there); the guard
+    # a block runs on past an overflow (inf - inf is NaN there); the stop
     # below catches it, so numpy must not report it
     with np.errstate(over="ignore", invalid="ignore"):
         for states in op.advance(u, n_steps):
@@ -185,7 +183,7 @@ def run(
             sq = sqnorms[n_done + 1:n_done + 1 + m]
             # one batched row-by-row dot: the same ddot, bit for bit, as np.dot
             np.matmul(states[:, None, :], states[:, :, None], out=sq[:, None, None])
-            bad = np.flatnonzero(~(np.sqrt(sq) <= guard))
+            bad = np.flatnonzero(~np.isfinite(sq))
             kept = int(bad[0]) + 1 if bad.size else m
             if snapshot_stride:
                 first = n_done + snapshot_stride - n_done % snapshot_stride
@@ -193,7 +191,6 @@ def run(
                     snapshots.append((n, states[n - n_done - 1].copy()))
             n_done += kept
             if bad.size:
-                truncated = True
                 break
     l2 = np.sqrt(dx * sqnorms[:n_done + 1])
     params = {
@@ -216,7 +213,6 @@ def run(
         l2_norms=l2,
         snapshots=tuple(snapshots),
         params=params,
-        truncated=truncated,
     )
 
 

@@ -106,9 +106,8 @@ def spectral_radius(
     _check_dense(entries.shape[0])
     w, V = np.linalg.eig(entries)
     order = np.argsort(-np.abs(w))
+    residual = _eigen_residual(entries, w[order[0]], V[:, order[0]])
     w = w[order]
-    V = V[:, order]
-    residual = _eigen_residual(entries, w[0], V[:, 0])
     leading = tuple(complex(z) for z in w[:n_leading])
     return SpectralReport(
         rho=float(np.abs(w[0])), leading_eigenvalues=leading,

@@ -6,8 +6,9 @@ A scheme advances a grid function one time step through
 
 with coefficients a_l kept as exact rationals. Everything spectral
 (amplification factor, von Neumann supremum, group velocities, unimodular
-modes) is computed from the float-converted coefficients; the conversion
-happens exactly once, at construction.
+modes) is computed from the float-converted coefficients. They, lam and
+lam * a are converted exactly once, at construction, and a value beyond the
+float range is a ValueError there.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
 from typing import Callable
 
@@ -56,7 +57,15 @@ def _as_fraction(x: RationalLike) -> Fraction:
     if isinstance(x, (Fraction, int, float)) and not isinstance(x, bool):
         # binary floats are dyadic rationals; this conversion is exact
         return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as a rational number")
+    raise ValueError(f"cannot interpret {x!r} as a rational number")
+
+
+def _float(x: Fraction, what: str) -> float:
+    """x as a float; ValueError naming what x is when it lies beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{what} lies beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,8 @@ class Scheme:
         coefficients: exact rationals a_{-r}, ..., a_p, in that order.
         lam: CFL ratio dt/dx, exact rational.
         velocity: transport velocity a, exact rational.
+        coeffs_float, lam_float, lam_a: the coefficients, lam and lam * a
+            as floats, converted once here.
     """
 
     name: str
@@ -80,6 +91,8 @@ class Scheme:
     velocity: Fraction
     coeffs_float: np.ndarray = field(init=False, repr=False, compare=False)
     ells: np.ndarray = field(init=False, repr=False, compare=False)
+    lam_float: float = field(init=False, repr=False, compare=False)
+    lam_a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.r < 0 or self.p < 0:
@@ -98,25 +111,20 @@ class Scheme:
         if self.p > 0 and self.coefficients[-1] == 0:
             raise ValueError("a_p must be nonzero when p > 0")
         # single documented rational-to-float conversion point
-        object.__setattr__(
-            self,
-            "coeffs_float",
-            np.array([float(c) for c in self.coefficients], dtype=np.float64),
-        )
+        coeffs = [_float(c, f"coefficient a_{{{ell}}}")
+                  for ell, c in zip(range(-self.r, self.p + 1), self.coefficients)]
+        object.__setattr__(self, "coeffs_float", np.array(coeffs, dtype=np.float64))
         object.__setattr__(
             self, "ells", np.arange(-self.r, self.p + 1, dtype=np.int64)
         )
         self.coeffs_float.setflags(write=False)
         self.ells.setflags(write=False)
-
-    @property
-    def lam_float(self) -> float:
-        return float(self.lam)
-
-    @property
-    def lam_a(self) -> float:
-        """The product (dt/dx) * a as a float."""
-        return float(self.lam * self.velocity)
+        object.__setattr__(self, "lam_float", _float(self.lam, "lam"))
+        if self.lam_float == 0.0:
+            # dt would be 0: every time and group velocity divides by it
+            raise ValueError("lam lies below the float range")
+        # the product (dt/dx) * a
+        object.__setattr__(self, "lam_a", _float(self.lam * self.velocity, "lam * a"))
 
 
 @dataclass(frozen=True)
@@ -259,37 +267,22 @@ def unimodular_modes(scheme: Scheme, tol: float = 1e-4) -> list[WaveMode]:
 # builtin schemes
 
 
-def _three_point(lam_a: float, nu: float, name: str | None = None) -> Scheme:
-    la = _as_fraction(lam_a)
-    nu_f = _as_fraction(nu)
-    a_m1 = (la + nu_f) / 2
-    a_0 = 1 - nu_f
-    a_1 = (nu_f - la) / 2
-    coeffs: list[Fraction] = [a_m1, a_0, a_1]
-    r, p = 1, 1
+def _three_point(lam_a: RationalLike, nu: RationalLike, name: str | None = None) -> Scheme:
+    la, nu_f = _as_fraction(lam_a), _as_fraction(nu)
+    a_m1, a_0, a_1 = (la + nu_f) / 2, 1 - nu_f, (nu_f - la) / 2
     # exact-zero endpoints shrink the declared stencil extent
-    if coeffs[-1] == 0:
-        coeffs.pop()
-        p = 0
-    if coeffs[0] == 0:
-        coeffs.pop(0)
-        r = 0
+    r, p = int(a_m1 != 0), int(a_1 != 0)
     return Scheme(
         name=name or f"three-point({float(la)},{float(nu_f)})",
-        r=r,
-        p=p,
-        coefficients=tuple(coeffs),
-        lam=Fraction(1),
-        velocity=la,
+        r=r, p=p, coefficients=(a_m1,) * r + (a_0,) + (a_1,) * p,
+        lam=Fraction(1), velocity=la,
     )
 
 
-# the one-parameter three-point schemes: nu as a function of the exact lam_a
-_THREE_POINT_FAMILY: dict[str, Callable[[Fraction], RationalLike]] = {
-    "lax-friedrichs": lambda la: 1,
-    "upwind": lambda la: la,
-    "lax-wendroff": lambda la: float(la * la),
-}
+def _family(name: str, nu_of: Callable[[Fraction], RationalLike]) -> Callable[..., Scheme]:
+    """The three-point scheme whose nu is a function of the exact lam_a."""
+    return lambda lam_a: _three_point(lam_a, nu_of(_as_fraction(lam_a)), name=f"{name}({lam_a})")
+
 
 # the wide (r = p = 7) design examples, a_{-7}, ..., a_7
 _WIDE = {
@@ -309,9 +302,21 @@ _WIDE = {
     ),
 }
 
+# each builtin: the parameters it takes, then its constructor, called with them
+_BUILTINS: dict[str, tuple[tuple[str, ...], Callable[..., Scheme]]] = {
+    "three-point": (("lam_a", "nu"), _three_point),
+    "lax-friedrichs": (("lam_a",), _family("lax-friedrichs", lambda la: 1)),
+    "upwind": (("lam_a",), _family("upwind", lambda la: la)),
+    "lax-wendroff": (("lam_a",), _family("lax-wendroff", lambda la: float(la * la))),
+    "identity": ((), partial(_three_point, 0, 0, name="identity")),
+    **{key: ((), partial(Scheme, name=key, r=7, p=7, coefficients=coefficients,
+                         lam=Fraction(1), velocity=Fraction(1)))
+       for key, coefficients in _WIDE.items()},
+}
+
 
 def builtin_names() -> list[str]:
-    return ["three-point", *_THREE_POINT_FAMILY, "identity", *_WIDE]
+    return list(_BUILTINS)
 
 
 def builtin(
@@ -328,36 +333,18 @@ def builtin(
     reference manifest rather than being asserted to zero.
     """
     key = name.strip().lower()
-    if key not in builtin_names():
+    if key not in _BUILTINS:
         raise ValueError(f"unknown builtin scheme {name!r}; known: {builtin_names()}")
-    takes = {"three-point": ("lam_a", "nu"), **dict.fromkeys(_THREE_POINT_FAMILY, ("lam_a",))}
-    for param, value in (("lam_a", lam_a), ("nu", nu)):
-        if value is not None and param not in takes.get(key, ()):
+    takes, make = _BUILTINS[key]
+    given = {"lam_a": lam_a, "nu": nu}
+    for param, value in given.items():
+        if value is not None and param not in takes:
             raise ValueError(f"{key} takes no parameter {param}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValueError(f"{param} = {value} is not a finite rational number")
-    if key == "three-point":
-        if lam_a is None or nu is None:
-            raise ValueError("three-point requires lam_a and nu")
-        return _three_point(lam_a, nu)
-    if key in _THREE_POINT_FAMILY:
-        if lam_a is None:
-            raise ValueError(f"{key} requires lam_a")
-        nu_of = _THREE_POINT_FAMILY[key]
-        return _three_point(lam_a, nu_of(_as_fraction(lam_a)), name=f"{key}({lam_a})")
-    if key == "identity":
-        return Scheme(
-            name="identity",
-            r=0,
-            p=0,
-            coefficients=(Fraction(1),),
-            lam=Fraction(1),
-            velocity=Fraction(0),
-        )
-    return Scheme(
-        name=key, r=7, p=7, coefficients=_WIDE[key],
-        lam=Fraction(1), velocity=Fraction(1),
-    )
+    if any(given[param] is None for param in takes):
+        raise ValueError(f"{key} requires {' and '.join(takes)}")
+    return make(**{param: given[param] for param in takes})
 
 
 # ---------------------------------------------------------------------------
@@ -367,20 +354,32 @@ def builtin(
 def _as_extent(x: object) -> int:
     """A stencil extent from a scheme file: a JSON integer, not a boolean."""
     if isinstance(x, bool) or not isinstance(x, int):
-        raise TypeError(f"cannot interpret {x!r} as a stencil extent")
+        raise ValueError(f"cannot interpret {x!r} as a stencil extent")
     return x
 
 
+def _as_coefficients(x: object) -> tuple[Fraction, ...]:
+    """Stencil coefficients from a scheme file: a JSON list of rationals."""
+    if not isinstance(x, list):
+        raise ValueError(f"coefficients must be a JSON list, got {x!r}")
+    return tuple(_as_fraction(c) for c in x)
+
+
 def load_scheme(path: str) -> Scheme:
-    """Load a scheme JSON file; rationals as 'num/den' strings or numbers."""
+    """Load a scheme JSON file; rationals as 'num/den' strings or numbers.
+
+    Malformed content is a ValueError, an unreadable path an OSError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"expected a JSON object, got a JSON {type(doc).__name__}")
     try:
         return Scheme(
             name=str(doc["name"]),
             r=_as_extent(doc["r"]),
             p=_as_extent(doc["p"]),
-            coefficients=tuple(_as_fraction(c) for c in doc["coefficients"]),
+            coefficients=_as_coefficients(doc["coefficients"]),
             lam=_as_fraction(doc["lambda"]),
             velocity=_as_fraction(doc["a"]),
         )

@@ -123,16 +123,25 @@ def test_check_rejects_parameters_the_scheme_does_not_take(capsys, tmp_path, arg
 @pytest.mark.parametrize(
     "field, value",
     [("r", True), ("p", False), ("coefficients", [True, 0.5]), ("lambda", True),
-     ("a", True), ("r", 1.0), ("r", "1"), ("lambda", float("inf"))],
+     ("a", True), ("r", 1.0), ("r", "1"), ("lambda", float("inf")),
+     # a string is not read digit by digit as the two coefficients 1, 2
+     ("coefficients", "12"),
+     # exact rationals beyond the float range
+     ("coefficients", ["1e400", "1/2"]), ("lambda", "1e400"), ("a", "1e400"),
+     # a positive lambda that is 0.0 as a float
+     ("lambda", "1e-400"),
+     # None replaces the whole document
+     (None, [UPWIND_FILE])],
 )
 def test_check_rejects_booleans_and_non_integer_extents(capsys, tmp_path, field, value) -> None:
     p = tmp_path / "custom.json"
-    doc = dict(UPWIND_FILE)
-    doc[field] = value
-    p.write_text(json.dumps(doc))
+    p.write_text(json.dumps(value if field is None else {**UPWIND_FILE, field: value}))
     code, rep, err = _run(capsys, ["scheme", "check", "--scheme", str(p)])
     assert code == 2 and rep == {}
     assert "bad scheme file" in err
+    # the file door raises ValueError alone, whatever is wrong with the file
+    with pytest.raises(ValueError):
+        stencil.load_scheme(str(p))
 
 
 @pytest.mark.parametrize(
@@ -337,6 +346,19 @@ def test_simulate_non_finite_initial_condition_is_usage_error(capsys, flag, valu
                                    flag, value])
     assert code == 2 and rep == {}
     assert "finite" in err
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--J", "10"], ["simulate", "--J", "10", "--ic", "gaussian", "--steps", "5"]],
+    ids=["spectrum", "simulate"],
+)
+def test_extrapolation_order_out_of_range_is_usage_error(capsys, argv, k) -> None:
+    code, rep, err = _run(capsys, [*argv, "--scheme", "lax-wendroff", "--lam-a", "0.5",
+                                   "--k", k])
+    assert code == 2 and rep == {}
+    assert err == f"error: extrapolation order k = {k} must lie in [1, 30]\n"
 
 
 # ---------------------------------------------------------------------------

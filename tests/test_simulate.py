@@ -170,19 +170,18 @@ def test_run_truncates_on_overflow() -> None:
 
 
 def _reference_run(scheme, k, grid, ic, n_steps, snapshot_stride):
-    """run's contract as a plain per-step loop: op.step, np.dot, then the guard."""
+    """run's contract as a plain per-step loop: op.step, np.dot, stop on a non-finite norm."""
     op = operators.IntervalOperator(scheme, k, grid.J)
     u = simulate.build_initial(ic, grid)
     sqnorms = [np.dot(u, u)]
     snapshots = [(0, u.copy())] if snapshot_stride else []
-    guard = simulate.OVERFLOW_RATIO * max(math.sqrt(sqnorms[0]), np.finfo(float).tiny)
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
             u = op.step(u)
             sqnorms.append(np.dot(u, u))
             if snapshot_stride and n % snapshot_stride == 0:
                 snapshots.append((n, u.copy()))
-            if not math.sqrt(sqnorms[-1]) <= guard:
+            if not math.isfinite(sqnorms[-1]):
                 return np.sqrt(grid.dx * np.array(sqnorms)), snapshots, True
     return np.sqrt(grid.dx * np.array(sqnorms)), snapshots, False
 
@@ -216,7 +215,7 @@ def test_run_matches_a_per_step_reference_loop_bitwise(
     if truncated:
         # the overflow lands inside a block, not on its last state
         assert (l2.size - 1) % operators._RING_STATES != 0
-        assert not np.isfinite(l2[-1]) or l2[-1] > 1e300 * l2[0]
+        assert not np.isfinite(l2[-1])
 
 
 def test_run_steps_only_through_the_block_kernel(monkeypatch) -> None:
@@ -255,9 +254,7 @@ def test_run_rejects_bad_arguments() -> None:
 
 def _synthetic_record(slope: float, n: int = 400, dt: float = 0.05) -> SimulationRecord:
     l2 = np.exp(0.3 + slope * (np.arange(n + 1) * dt))
-    return SimulationRecord(
-        l2_norms=l2, snapshots=(), params={"L": 1.0, "dt": dt}, truncated=False
-    )
+    return SimulationRecord(l2_norms=l2, snapshots=(), params={"L": 1.0, "dt": dt})
 
 
 def test_growth_slope_recovers_exact_exponential() -> None:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -125,7 +127,20 @@ def test_coeffs_float_single_conversion_point() -> None:
     assert s.coeffs_float.dtype == np.float64
     assert [float(c) for c in s.coefficients] == list(s.coeffs_float)
     assert list(s.ells) == [-1, 0, 1]
-    assert s.lam_a == 0.5
+    assert s.lam_a == 0.5 and s.lam_float == 1.0
+
+
+@pytest.mark.parametrize(
+    "coefficient, lam, velocity, what",
+    [(10**400, 1, 0, "coefficient a_{0}"), (1, 10**400, 0, "lam"),
+     (1, 1, 10**400, "lam * a"), (1, 10**200, 10**200, "lam * a"),
+     (1, Fraction(1, 10**400), 0, "lam")],
+    ids=["coefficient", "lam", "velocity", "product", "lam-underflow"],
+)
+def test_scheme_refuses_values_beyond_float_range(coefficient, lam, velocity, what) -> None:
+    with pytest.raises(ValueError, match=re.escape(f"{what} lies ")):
+        stencil.Scheme(name="big", r=0, p=0, coefficients=(Fraction(coefficient),),
+                       lam=Fraction(lam), velocity=Fraction(velocity))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +363,33 @@ def test_scheme_json_fractions_stay_rational(tmp_path) -> None:
     assert back.coefficients == stencil.builtin("three-point", lam_a=0.5, nu=0.75).coefficients
     assert back.lam == 1 and back.velocity == Fraction(1, 2)
     assert (back.r, back.p) == (1, 1)
+
+
+# parameters for every builtin that takes any, 0 and 1 included
+_BUILTIN_PARAMS = {
+    "three-point": [dict(lam_a=la, nu=nu) for la in (0, 0.5, 1) for nu in (0, 0.75, 1)],
+    **{name: [dict(lam_a=la) for la in (0, 0.3, 1)]
+       for name in ("lax-friedrichs", "upwind", "lax-wendroff")},
+}
+
+
+def test_builtins_written_as_scheme_files_load_back_equal(tmp_path) -> None:
+    # the two doors agree: each builtin, written from its exact rationals,
+    # is the same scheme through load_scheme, down to the float conversions
+    path = tmp_path / "s.json"
+    for name in stencil.builtin_names():
+        for params in _BUILTIN_PARAMS.get(name, [{}]):
+            s = stencil.builtin(name, **params)
+            path.write_text(json.dumps({
+                "name": "from-file", "r": s.r, "p": s.p, "lambda": str(s.lam),
+                "a": str(s.velocity), "coefficients": [str(c) for c in s.coefficients],
+            }))
+            back = stencil.load_scheme(str(path))
+            assert back.name == "from-file"
+            assert dataclasses.replace(back, name=s.name) == s, (name, params)
+            assert back.coeffs_float.tobytes() == s.coeffs_float.tobytes()
+            assert back.ells.tobytes() == s.ells.tobytes()
+            assert (back.lam_float, back.lam_a) == (s.lam_float, s.lam_a)
 
 
 def test_load_scheme_accepts_float_lambda(tmp_path) -> None:
