@@ -123,7 +123,6 @@ class Scheme:
         if self.lam_float == 0.0:
             # dt would be 0: every time and group velocity divides by it
             raise ValueError("lam lies below the float range")
-        # the product (dt/dx) * a
         object.__setattr__(self, "lam_a", _float(self.lam * self.velocity, "lam * a"))
 
 
