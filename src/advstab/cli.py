@@ -1,15 +1,15 @@
 """Command line front end.
 
 Subcommands: scheme check, spectrum, simulate, reproduce. Every command
-prints a JSON report to standard output; --out persists artifacts to disk
-(written atomically), and the directory of every --out and --dump-matrix
-path is checked before any computation. Exit codes: 0 success, 1 a check ran and failed,
-2 usage error or a path that cannot be read or written, 3 numeric failure
-(eigensolver nonconvergence, overflow).
+prints a JSON report to standard output; --out and --dump-matrix name the
+artifacts, and the directory of each is checked before any computation.
+Exit codes: 0 success, 1 a check ran and failed, 2 usage error or a path
+that cannot be read or written, 3 numeric failure (eigensolver
+nonconvergence, overflow).
 
 A command checks its own flags, resolves the scheme, calls one report
 function of experiments (check_report, spectrum_report, simulate_report,
-reproduce), which writes the artifacts, and prints the report it returns.
+reproduce), which writes every artifact, and prints the report it returns.
 
 ADVSTAB_THREADS caps the BLAS/OpenMP thread count. It is honored by seeding
 the standard thread-count environment variables before numpy is loaded, so
@@ -111,14 +111,9 @@ def _parse_ic(args: argparse.Namespace) -> dict:
             "sampling": "cell_average" if args.cell_average else "point"}
 
 
-def _emit_report(report: dict, out_path: str | None) -> None:
-    # the file first, so a failed write prints no report; strict JSON raises on inf or NaN
-    text = json.dumps(report, indent=2, allow_nan=False)
-    if out_path:
-        from .operators import _atomic_write_bytes
-
-        _atomic_write_bytes(out_path, [(text + "\n").encode("utf-8")])
-    print(text)
+def _emit_report(report: dict) -> None:
+    # strict JSON: a non-finite float raises ValueError, a numeric failure
+    print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def _check_output_dirs(args: argparse.Namespace) -> None:
@@ -133,10 +128,6 @@ def _check_output_dirs(args: argparse.Namespace) -> None:
             raise UsageError(f"{flag} {path}: {folder} is not an existing directory")
 
 
-def _report_json_path(out: str | None) -> str | None:
-    return out if not out or out.endswith(".json") else out + ".json"
-
-
 # ---------------------------------------------------------------------------
 # commands: check the command's own flags, call one report function, print
 
@@ -145,16 +136,15 @@ def cmd_scheme_check(args: argparse.Namespace) -> int:
         if not 0.0 <= tol < math.inf:
             raise UsageError(f"{flag} must be a finite number >= 0, got {tol}")
     report = experiments.check_report(_resolve_scheme(args), args.mode_tol,
-                                      args.tol if args.assert_stable else None)
-    _emit_report(report, _report_json_path(args.out))
+                                      args.tol if args.assert_stable else None, args.out)
+    _emit_report(report)
     return EXIT_CHECK_FAILED if report.get("stable") is False else EXIT_OK
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    json_path = _report_json_path(args.out)
     report = experiments.spectrum_report(_resolve_scheme(args), args.k, args.J, args.L,
-                                         args.full, json_path, args.dump_matrix)
-    _emit_report(report, json_path)
+                                         args.full, args.out, args.dump_matrix)
+    _emit_report(report)
     return EXIT_OK
 
 
@@ -162,7 +152,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     scheme = _resolve_scheme(args)
     report = experiments.simulate_report(scheme, args.k, args.J, args.L, _parse_ic(args),
                                          args.steps, args.snapshot_stride, args.out)
-    _emit_report(report, None)
+    _emit_report(report)
     return EXIT_OK
 
 
@@ -173,7 +163,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot read manifest {args.manifest}: {exc}") from exc
     # --steps 0, the default, keeps the pinned step count
     report = experiments.reproduce(args.target, manifest, args.steps or None, args.out)
-    _emit_report(report, _report_json_path(args.out))
+    _emit_report(report)
     return EXIT_OK if report["overall"] == "PASS" else EXIT_CHECK_FAILED
 
 

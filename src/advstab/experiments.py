@@ -5,16 +5,20 @@ symbol, the spectrum and time stepping; reproduce runs a pinned bundle, the
 paper's evidence as pass/fail clauses: lemma1 the energy identity behind
 the three-point norm bound, halfline the bounded half-line semigroups,
 example1 and example2 the two growing interval examples. Each writes its
-artifacts and returns the report the command prints. An unusable input
-raises BundleInputError, naming the manifest field it came from. Nothing
+artifacts, report JSON included, and returns the report the command
+prints; no other module writes a file. An unusable input raises
+BundleInputError, naming the manifest field it came from. Nothing
 numeric loads at module scope, so the parser can read TARGETS before the
 BLAS thread caps are set; reports call the library via module attributes.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+from collections.abc import Iterable
 from importlib import resources
 from typing import Callable
 
@@ -158,12 +162,60 @@ def _stepping(scheme, k: int, grid, ic, steps: int, snapshot_stride: int = 0):
         return record, None, str(exc)
 
 
-def _write_record(record, out: str) -> str:
-    from . import simulate
+# ---------------------------------------------------------------------------
+# artifacts: every file a report writes goes through _atomic_write_bytes
 
-    path = out + "_record.csv"
-    simulate.save_record_csv(record, path)
+_CSV_LIMIT = 64  # the matrix dump adds a CSV copy up to this dimension
+_CSV_BLOCK = 1 << 14  # record rows made Python floats at a time; all at once is large
+
+
+def _atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to a temporary file beside path, then rename it over path.
+
+    The file gets mode 0o666 & ~umask, as open() gives it. An OSError names
+    path, not the temporary file.
+    """
+    tmp = None
+    try:
+        name = os.path.join(os.path.dirname(os.path.abspath(path)),
+                            f".tmp-{os.urandom(8).hex()}.part")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
+        raise
+
+
+def _write_json(path: str, doc: dict) -> None:
+    """doc as the commands print it: strict JSON (inf or NaN raise ValueError), indented."""
+    _atomic_write_bytes(path, [(json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()])
+
+
+def _write_csv(path: str, header: tuple[str, ...], rows: Iterable[Iterable[str]]) -> None:
+    """The header (if any), then a line per row of text cells; a float's cell is its repr."""
+    lines = itertools.chain([header] if header else [], rows)
+    _atomic_write_bytes(path, ((",".join(row) + "\n").encode() for row in lines))
+
+
+def _write_record(record, out: str) -> str:
+    """out_record.csv: n, t, the norm and its ln, blank where the ln is not finite."""
+    path, t, l2, ln = out + "_record.csv", record.times, record.l2_norms, record.ln_l2_norms
+    blocks = (zip(map(repr, range(lo, l2.size)), map(repr, t[lo:lo + _CSV_BLOCK].tolist()),
+                  map(repr, l2[lo:lo + _CSV_BLOCK].tolist()),
+                  [repr(x) if math.isfinite(x) else "" for x in ln[lo:lo + _CSV_BLOCK].tolist()])
+              for lo in range(0, l2.size, _CSV_BLOCK))
+    _write_csv(path, ("n", "t", "l2norm", "ln_l2norm"), itertools.chain.from_iterable(blocks))
     return path
+
+
+def _report_json_path(out: str | None) -> str | None:
+    return out if not out or out.endswith(".json") else out + ".json"
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +412,8 @@ def reproduce(
     """Run the bundle for target against manifest[target]; return its report.
 
     steps overrides the examples' pinned step count (the other targets have
-    none) and out is the prefix of their record CSV. overall is 'PASS' when
-    every clause passes.
+    none). out names the report JSON (.json added if missing) and prefixes
+    the examples' record CSV. overall is 'PASS' when every clause passes.
     """
     if target not in _BUNDLES:
         raise BundleInputError(f"unknown target {target!r}; known: {', '.join(TARGETS)}")
@@ -375,17 +427,21 @@ def reproduce(
     _check(target, manifest[target], schema)
     clauses, info = bundle(target, manifest[target], steps, out)
     overall = all(cl["pass"] for cl in clauses)
-    return {"command": "reproduce", "target": target, "clauses": clauses, "info": info,
-            "overall": "PASS" if overall else "FAIL"}
+    report = {"command": "reproduce", "target": target, "clauses": clauses, "info": info,
+              "overall": "PASS" if overall else "FAIL"}
+    if out:
+        _write_json(_report_json_path(out), report)
+    return report
 
 
 # ---------------------------------------------------------------------------
 # the three routes for one scheme: scheme check, spectrum, simulate
 
-def check_report(scheme, mode_tol: float, tol: float | None) -> dict:
+def check_report(scheme, mode_tol: float, tol: float | None, out: str | None = None) -> dict:
     """The symbol route: consistency, sup |C| and the modes within mode_tol of |C| = 1.
 
-    With tol, stable says whether sup |C| <= 1 + tol.
+    With tol, stable says whether sup |C| <= 1 + tol. out names the report
+    JSON (.json added if missing).
     """
     from . import stencil
 
@@ -408,19 +464,30 @@ def check_report(scheme, mode_tol: float, tol: float | None) -> dict:
         report.update(modes=None, modes_note=str(exc))
     if tol is not None:
         report.update(stability_tol=tol, stable=bool(sup <= 1.0 + tol))
+    if out:
+        _write_json(_report_json_path(out), report)
     return report
 
 
 def spectrum_report(scheme, k: int, J: int, L: float, full: bool,
-                    json_path: str | None, matrix_path: str | None) -> dict:
+                    out: str | None, matrix_path: str | None) -> dict:
     """The spectrum route: rho and (rho - 1)/dx of the interval iteration matrix.
 
-    full adds every eigenvalue; matrix_path saves the matrix. The caller writes this
-    report to json_path (a .json): written lists it, full puts the eigenvalue CSV beside it.
+    full adds every eigenvalue. out names the report JSON (.json added if
+    missing); full puts the eigenvalue CSV beside it. matrix_path dumps the
+    matrix as column-major float64 bytes, a JSON sidecar (n, scheme, k, J)
+    and, for n <= _CSV_LIMIT, a CSV. Files that coincide are refused before
+    assembly; written lists them all.
     """
-    from . import operators, spectral
-
     grid = _grid(scheme, J, L)
+    json_path = _report_json_path(out)
+    csv_path = json_path[: -len(".json")] + ".csv" if json_path and full else None
+    ends = ("", ".json", ".csv") if J + 1 <= _CSV_LIMIT else ("", ".json")  # n = J + 1
+    dumps = [matrix_path + end for end in ends] if matrix_path else []
+    written = [*dumps, *(path for path in (csv_path, json_path) if path)]
+    if len({os.path.realpath(path) for path in written}) < len(written):
+        raise BundleInputError(f"--out and --dump-matrix name one file twice: {written}")
+
     A, result, rate = _spectrum(scheme, k, grid, full)
     report: dict = {
         "command": "spectrum", "scheme": scheme.name, "k": k, "J": J, "L": L,
@@ -429,14 +496,19 @@ def spectrum_report(scheme, k: int, J: int, L: float, full: bool,
         "eigen_residual": result.residual,
         "leading_eigenvalues": [[z.real, z.imag] for z in result.leading_eigenvalues[:10]],
     }
-    written = operators.save_matrix(A, matrix_path) if matrix_path else []
     if full:
         report["eigenvalues"] = [[z.real, z.imag] for z in result.leading_eigenvalues]
-    if json_path and full:
-        csv_path = json_path[: -len(".json")] + ".csv"
-        spectral.save_spectrum_csv(result.leading_eigenvalues, csv_path)
-        written.append(csv_path)
-    report["written"] = [*written, json_path] if json_path else written
+    report["written"] = written
+    if dumps:
+        _atomic_write_bytes(dumps[0], [A.entries.tobytes(order="F")])
+        _write_json(dumps[1], {"n": A.n, "scheme": scheme.name, "k": k, "J": J})
+    if len(dumps) == 3:
+        _write_csv(dumps[2], (), (map(repr, row) for row in A.entries.tolist()))
+    if csv_path:
+        _write_csv(csv_path, ("re", "im"),
+                   ((repr(z.real), repr(z.imag)) for z in result.leading_eigenvalues))
+    if json_path:
+        _write_json(json_path, report)
     return report
 
 
@@ -445,7 +517,8 @@ def simulate_report(scheme, k: int, J: int, L: float, ic: dict, steps: int,
     """The stepping route: a run from ic (InitialCondition's fields) and its growth slope.
 
     The slope fits the default window; it is null, with slope_note saying why, if that
-    window is infeasible. out prefixes the record CSV, snapshot CSV and sidecar JSON.
+    window is infeasible. out prefixes the record CSV, the snapshot CSV (n, j, u) and
+    the sidecar JSON, the run's parameters and fit.
     """
     from . import simulate
 
@@ -466,7 +539,11 @@ def simulate_report(scheme, k: int, J: int, L: float, ic: dict, steps: int,
     if out:
         snapshot_path, sidecar_path = out + "_snapshots.csv", out + ".json"
         report["written"] = [_write_record(record, out), snapshot_path, sidecar_path]
-        simulate.save_snapshots_csv(record, snapshot_path)
-        extra = {"slope": report["slope"], "slope_window": report.get("slope_window")}
-        simulate.save_sidecar_json(record, sidecar_path, extra=extra)
+        _write_csv(snapshot_path, ("n", "j", "u"), ((repr(n), repr(j), repr(x))
+                   for n, state in record.snapshots for j, x in enumerate(state.tolist())))
+        # everything needed to re-run the record, and its fit
+        _write_json(sidecar_path, {**record.params, "truncated": record.truncated,
+                                   "n_recorded": int(record.l2_norms.size),
+                                   "slope": report["slope"],
+                                   "slope_window": report.get("slope_window")})
     return report

@@ -18,16 +18,14 @@ propagation speed of the stencil so no artificial second boundary ever
 contaminates a half-line experiment; the outflow one applies the same
 ghost weights. Both step a batch, rows on one shared window: each stepper
 fills the rows' padded windows, and one kernel lays them end to end so
-that one correlation steps them all, each row bit for bit as alone.
+that one correlation steps them all, each row bit for bit as alone. This
+module writes no file; experiments writes the matrix dump.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -42,7 +40,6 @@ __all__ = [
     "MAX_DENSE_DIMENSION",
     "SupportedSequence",
     "assemble_matrix",
-    "save_matrix",
     "step_halfline_inflow",
     "step_halfline_outflow",
     "step_interval",
@@ -60,10 +57,6 @@ _BLOCK = 16
 # enough to stay cache-resident; _RING_BYTES caps the ring at very large J
 _RING_STATES = 64
 _RING_BYTES = 512 * 1024
-
-# save_matrix adds a CSV copy for matrices of at most this dimension
-_CSV_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -395,46 +388,3 @@ def step_halfline_outflow(
 
     out = _step_windows(scheme, (*v.shape[:-1], end + p), fill)
     return SupportedSequence(out[..., lead - w:], m - p)
-
-
-# ---------------------------------------------------------------------------
-# matrix export
-
-
-def _atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
-    """Write the chunks to a temporary file beside path, then rename it over path.
-
-    An OSError names path, not the temporary file.
-    """
-    d = os.path.dirname(os.path.abspath(path))
-    tmp = None
-    try:
-        fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise OSError(exc.errno, exc.strerror, path) from exc
-        raise
-
-
-def save_matrix(A: IntervalOperator, path: str) -> list[str]:
-    """Write column-major float64 binary plus a JSON sidecar; CSV for small n.
-
-    Returns the list of files written. The sidecar at path + '.json' holds
-    n, scheme, k and J; a CSV copy at path + '.csv' is added when
-    n <= _CSV_LIMIT.
-    """
-    _atomic_write_bytes(path, [A.entries.tobytes(order="F")])
-    sidecar = {"n": A.n, "scheme": A.scheme.name, "k": A.k, "J": A.J}
-    _atomic_write_bytes(path + ".json", [(json.dumps(sidecar, indent=2) + "\n").encode()])
-    written = [path, path + ".json"]
-    if A.n <= _CSV_LIMIT:
-        _atomic_write_bytes(path + ".csv", (
-            (",".join(repr(float(x)) for x in row) + "\n").encode() for row in A.entries
-        ))
-        written.append(path + ".csv")
-    return written

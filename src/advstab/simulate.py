@@ -7,14 +7,13 @@ ordinary least squares over an explicit, always-reported window.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .operators import Grid, IntervalOperator, _atomic_write_bytes, step_interval
+from .operators import Grid, IntervalOperator, step_interval
 from .stencil import Scheme, builtin
 
 __all__ = [
@@ -27,9 +26,6 @@ __all__ = [
     "growth_slope",
     "lemma1_identity_residual",
     "run",
-    "save_record_csv",
-    "save_sidecar_json",
-    "save_snapshots_csv",
 ]
 
 # growth_slope fits no window with fewer finite samples
@@ -155,7 +151,7 @@ def run(
     """Advance n_steps from the initial condition, recording norms each step.
 
     Deterministic: identical inputs produce bit-identical records. The run
-    stops at the first non-finite squared norm, which it keeps, so the record
+    stops at the first non-finite norm, which it keeps, so the record
     ends there and reads as truncated. The grid's lam must be the scheme's,
     so that dt is the scheme's time step.
     """
@@ -169,20 +165,22 @@ def run(
     u = build_initial(ic, grid)
     dx = grid.dx
     dt = grid.dt
-    sqnorms = np.empty(n_steps + 1)
-    sqnorms[0] = np.dot(u, u)
+    sqnorms = np.empty(n_steps + 1)  # dx * sum u_j^2, the recorded norms squared
+    sqnorms[0] = dx * np.dot(u, u)
     snapshots: list[tuple[int, np.ndarray]] = []
     if snapshot_stride:
         snapshots.append((0, u.copy()))
     n_done = 0
-    # a block runs on past an overflow (inf - inf is NaN there); the stop
-    # below catches it, so numpy must not report it
+    # a block runs on past an overflow (inf - inf is NaN there), and dx > 1
+    # can overflow the product alone; the stop below catches both, so numpy
+    # must not report them
     with np.errstate(over="ignore", invalid="ignore"):
         for states in op.advance(u, n_steps):
             m = states.shape[0]
             sq = sqnorms[n_done + 1:n_done + 1 + m]
             # one batched row-by-row dot: the same ddot, bit for bit, as np.dot
             np.matmul(states[:, None, :], states[:, :, None], out=sq[:, None, None])
+            sq *= dx
             bad = np.flatnonzero(~np.isfinite(sq))
             kept = int(bad[0]) + 1 if bad.size else m
             if snapshot_stride:
@@ -192,7 +190,7 @@ def run(
             n_done += kept
             if bad.size:
                 break
-    l2 = np.sqrt(dx * sqnorms[:n_done + 1])
+    l2 = np.sqrt(sqnorms[:n_done + 1])
     params = {
         "scheme": scheme.name,
         "r": scheme.r,
@@ -292,39 +290,3 @@ def lemma1_identity_residual(u: np.ndarray, lam_a: float, nu: float) -> float:
         - nu * (1.0 - la) / 2.0 * float(u[0] ** 2)
     )
     return abs(lhs - rhs)
-
-
-# ---------------------------------------------------------------------------
-# record output
-
-
-def save_record_csv(record: SimulationRecord, path: str) -> None:
-    """Norm series CSV with header n,t,l2norm,ln_l2norm (blank for missing)."""
-    def rows():
-        yield b"n,t,l2norm,ln_l2norm\n"
-        for n, (t, nrm, ln) in enumerate(
-            zip(record.times, record.l2_norms, record.ln_l2_norms)
-        ):
-            ln_txt = repr(float(ln)) if math.isfinite(ln) else ""
-            yield f"{n},{float(t)!r},{float(nrm)!r},{ln_txt}\n".encode()
-
-    _atomic_write_bytes(path, rows())
-
-
-def save_snapshots_csv(record: SimulationRecord, path: str) -> None:
-    """Snapshots in long format: n,j,u."""
-    lines = ["n,j,u"]
-    for n, state in record.snapshots:
-        for j, val in enumerate(state):
-            lines.append(f"{n},{j},{float(val)!r}")
-    _atomic_write_bytes(path, [("\n".join(lines) + "\n").encode()])
-
-
-def save_sidecar_json(record: SimulationRecord, path: str, extra: dict | None = None) -> None:
-    """Parameters sidecar; contains everything needed to re-run the record."""
-    doc = dict(record.params)
-    doc["truncated"] = record.truncated
-    doc["n_recorded"] = int(record.times.size)
-    if extra:
-        doc.update(extra)
-    _atomic_write_bytes(path, [(json.dumps(doc, indent=2) + "\n").encode()])

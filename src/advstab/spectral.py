@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import IntervalOperator, _atomic_write_bytes, _check_dense
+from .operators import IntervalOperator, _check_dense
 from .stencil import Scheme
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "operator_norm",
     "power_bound_probe",
     "rho_vs_J_scan",
-    "save_spectrum_csv",
     "spectral_radius",
 ]
 
@@ -222,12 +221,3 @@ def rho_vs_J_scan(scheme: Scheme, k: int, J_list: list[int]) -> list[ScanRow]:
         rep = spectral_radius(A)
         rows.append(ScanRow(J=J, rho=rep.rho, normalized_excess=J * (rep.rho - 1.0)))
     return rows
-
-
-def save_spectrum_csv(eigenvalues: np.ndarray, path: str) -> None:
-    """Write eigenvalues as a two-column CSV with header re,im."""
-    lines = ["re,im"]
-    for z in np.asarray(eigenvalues):
-        lines.append(f"{float(z.real)!r},{float(z.imag)!r}")
-    _atomic_write_bytes(path, [("\n".join(lines) + "\n").encode()])
-

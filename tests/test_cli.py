@@ -690,6 +690,50 @@ def test_unwritable_output_is_usage_error(
         assert ".part" not in err
 
 
+def test_report_file_holds_the_bytes_printed(capsys, monkeypatch, tmp_path) -> None:
+    monkeypatch.chdir(tmp_path)
+    p = _write_manifest(tmp_path, SMALL_LEMMA1)
+    for argv, report in (
+        (["scheme", "check", "--scheme", "coeff1", "--out", "chk"], "chk.json"),
+        (["spectrum", "--scheme", "lax-wendroff", "--lam-a", "0.5", "--k", "3", "--J", "20",
+          "--full", "--out", "spec", "--dump-matrix", "M"], "spec.json"),
+        (["reproduce", "--target", "lemma1", "--manifest", p, "--out", "r.json"], "r.json"),
+    ):
+        assert cli.main(argv) == 0
+        assert (tmp_path / report).read_bytes() == capsys.readouterr().out.encode()
+
+
+def test_artifacts_follow_the_umask(capsys, tmp_path) -> None:
+    argv = ["spectrum", "--scheme", "upwind", "--lam-a", "0.5", "--k", "1", "--J", "5",
+            "--full"]
+    for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+        folder = tmp_path / oct(umask)
+        folder.mkdir()
+        old = os.umask(umask)
+        try:
+            code, rep, _ = _run(capsys, [*argv, "--out", str(folder / "spec"),
+                                         "--dump-matrix", str(folder / "A")])
+        finally:
+            os.umask(old)
+        assert code == 0 and len(rep["written"]) == 5
+        assert {p.name: p.stat().st_mode & 0o777 for p in folder.iterdir()} == {
+            os.path.basename(path): mode for path in rep["written"]}
+
+
+@pytest.mark.parametrize("out, matrix", [("A", "A"), ("A.json", "A"), ("B", "B.json"),
+                                         ("C", "./C")])
+def test_overlapping_spectrum_artifacts_are_refused(
+    capsys, monkeypatch, tmp_path, no_numerics, out, matrix
+) -> None:
+    # one path would get two files: exit 2 before any assembly, nothing written
+    monkeypatch.chdir(tmp_path)
+    code, rep, err = _run(capsys, ["spectrum", "--scheme", "upwind", "--lam-a", "0.5",
+                                   "--k", "1", "--J", "5", "--full", "--out", out,
+                                   "--dump-matrix", matrix])
+    assert code == 2 and rep == {} and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # environment knob
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from advstab import boundary, operators, stencil
+from advstab import boundary, experiments, operators, stencil
 from advstab.operators import Grid, IntervalOperator, SupportedSequence
 
 
@@ -480,13 +480,13 @@ def test_halfline_outflow_rejects_support_beyond_boundary() -> None:
 
 
 # ---------------------------------------------------------------------------
-# matrix files
+# matrix files, written by the spectrum report
 
 def test_matrix_save_load_round_trip(tmp_path) -> None:
     s = stencil.builtin("three-point", lam_a=0.5, nu=0.7)
     A = operators.assemble_matrix(s, 2, 12)
     path = str(tmp_path / "A.bin")
-    written = operators.save_matrix(A, path)
+    written = experiments.spectrum_report(s, 2, 12, 1.0, False, None, path)["written"]
     back = np.fromfile(path).reshape((A.n, A.n), order="F")
     assert np.array_equal(back, A.entries)
     assert path in written and path + ".json" in written
@@ -495,16 +495,14 @@ def test_matrix_save_load_round_trip(tmp_path) -> None:
 
 
 def test_matrix_csv_only_below_limit(tmp_path) -> None:
+    # a CSV copy up to dimension 64, that is J = 63
     s = stencil.builtin("upwind", lam_a=0.5)
+    for J, has_csv in ((10, True), (63, True), (64, False), (70, False)):
+        path = str(tmp_path / f"A{J}.bin")
+        written = experiments.spectrum_report(s, 1, J, 1.0, False, None, path)["written"]
+        assert (path + ".csv" in written) == has_csv == os.path.exists(path + ".csv")
     small = operators.assemble_matrix(s, 1, 10)
-    big = operators.assemble_matrix(s, 1, 70)
-    p1 = str(tmp_path / "small.bin")
-    p2 = str(tmp_path / "big.bin")
-    w1 = operators.save_matrix(small, p1)
-    w2 = operators.save_matrix(big, p2)
-    assert p1 + ".csv" in w1 and os.path.exists(p1 + ".csv")
-    assert p2 + ".csv" not in w2 and not os.path.exists(p2 + ".csv")
-    rows = Path(p1 + ".csv").read_text().strip().splitlines()
+    rows = Path(tmp_path / "A10.bin.csv").read_text().strip().splitlines()
     assert len(rows) == 11
     first = [float(x) for x in rows[0].split(",")]
     assert first == list(small.entries[0])
@@ -512,17 +510,17 @@ def test_matrix_csv_only_below_limit(tmp_path) -> None:
 
 def test_matrix_writes_leave_no_temp_files(tmp_path) -> None:
     s = stencil.builtin("upwind", lam_a=0.5)
-    A = operators.assemble_matrix(s, 1, 5)
-    operators.save_matrix(A, str(tmp_path / "A.bin"))
+    experiments.spectrum_report(s, 1, 5, 1.0, False, None, str(tmp_path / "A.bin"))
     names = sorted(f.name for f in tmp_path.iterdir())
     assert names == ["A.bin", "A.bin.csv", "A.bin.json"]
 
 
 def test_a_failed_write_names_the_path_and_leaves_no_temp_file(tmp_path) -> None:
-    # mkstemp fails in a missing directory; os.replace fails onto a directory
+    # the temporary file cannot be made in a missing directory; os.replace
+    # fails onto a directory
     (tmp_path / "dir").mkdir()
     for path in (tmp_path / "missing" / "A.bin", tmp_path / "dir"):
         with pytest.raises(OSError) as exc:
-            operators._atomic_write_bytes(str(path), [b"x"])
+            experiments._atomic_write_bytes(str(path), [b"x"])
         assert exc.value.filename == str(path) and exc.value.filename2 is None
     assert [f.name for f in tmp_path.iterdir()] == ["dir"]

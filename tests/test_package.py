@@ -81,9 +81,8 @@ def test_library_imports_no_sparse_eigensolver() -> None:
 
 
 # the private names one library module may read from another: shared
-# argument checks, the atomic file write and the slope fit's sample floor
-SHARED_PRIVATE_NAMES = {"_atomic_write_bytes", "_check_interval", "_check_dense",
-                        "_MIN_FIT_SAMPLES"}
+# argument checks and the slope fit's sample floor
+SHARED_PRIVATE_NAMES = {"_check_interval", "_check_dense", "_MIN_FIT_SAMPLES"}
 
 
 def _is_private(name: str) -> bool:
@@ -111,15 +110,30 @@ def test_library_modules_read_only_listed_private_names_of_siblings() -> None:
 
 def test_cli_reads_only_the_reports_and_scheme_resolution() -> None:
     # the commands parse, resolve the scheme, call one experiments function
-    # and print; the only other library name is the report file's write
+    # and print
     path = Path(advstab.__file__).resolve().parent / "cli.py"
     read: set[str] = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and node.level:
             read.update(f"{node.module}.{alias.name}" if node.module else alias.name
                         for alias in node.names)
-    assert sorted(name for name in read if name.partition(".")[0] not in
-                  ("experiments", "stencil") and name != "operators._atomic_write_bytes") == []
+    assert sorted(name for name in read
+                  if name.partition(".")[0] not in ("experiments", "stencil")) == []
+
+
+def test_numeric_modules_import_no_json_os_or_tempfile() -> None:
+    # experiments writes every artifact; stencil reads scheme files, so it
+    # alone keeps json, for json.load
+    allowed = {"stencil": {"json"}}
+    for short in ("stencil", "boundary", "operators", "spectral", "simulate"):
+        path = Path(advstab.__file__).resolve().parent / f"{short}.py"
+        imported: set[str] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add(node.module.partition(".")[0])
+        assert imported & {"json", "os", "tempfile"} <= allowed.get(short, set()), short
 
 
 def test_layer_imports_load_no_scipy() -> None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from advstab import operators, simulate, stencil
+from advstab import experiments, operators, simulate, stencil
 from advstab.operators import Grid
 from advstab.simulate import InitialCondition, SimulationRecord
 
@@ -181,7 +181,7 @@ def _reference_run(scheme, k, grid, ic, n_steps, snapshot_stride):
             sqnorms.append(np.dot(u, u))
             if snapshot_stride and n % snapshot_stride == 0:
                 snapshots.append((n, u.copy()))
-            if not math.isfinite(sqnorms[-1]):
+            if not math.isfinite(grid.dx * sqnorms[-1]):
                 return np.sqrt(grid.dx * np.array(sqnorms)), snapshots, True
     return np.sqrt(grid.dx * np.array(sqnorms)), snapshots, False
 
@@ -216,6 +216,21 @@ def test_run_matches_a_per_step_reference_loop_bitwise(
         # the overflow lands inside a block, not on its last state
         assert (l2.size - 1) % operators._RING_STATES != 0
         assert not np.isfinite(l2[-1])
+
+
+def test_run_stops_at_the_first_non_finite_recorded_norm() -> None:
+    # dx = 1e12 / 51: the recorded norm sqrt(dx * sum u^2) overflows some
+    # steps before sum u^2 does, and the run must stop there, unwarned
+    s = stencil.builtin("three-point", lam_a=0.5, nu=3)
+    grid = Grid(J=50, L=1e12, lam=s.lam_float)
+    ic = InitialCondition(kind="gaussian")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rec = simulate.run(s, 1, grid, ic, n_steps=2000)
+    assert rec.truncated and np.isfinite(rec.l2_norms[:-1]).all()
+    l2, _, truncated = _reference_run(s, 1, grid, ic, 2000, 0)
+    assert truncated and np.array_equal(rec.l2_norms, l2)
+    assert l2.size == 224
 
 
 def test_run_steps_only_through_the_block_kernel(monkeypatch) -> None:
@@ -364,19 +379,16 @@ def test_energy_identity_input_validation() -> None:
 
 
 # ---------------------------------------------------------------------------
-# record files
+# record files, written by the simulate report
 
 def test_record_csv_round_trip(tmp_path) -> None:
     s = stencil.builtin("upwind", lam_a=1.0)
     grid = Grid(J=9, lam=s.lam_float)
-    ic = InitialCondition(kind="gaussian", center=0.3, width_param=80.0)
-    rec = simulate.run(s, 1, grid, ic, n_steps=12, snapshot_stride=6)
-    rpath = str(tmp_path / "run_record.csv")
-    spath = str(tmp_path / "run_snapshots.csv")
-    jpath = str(tmp_path / "run.json")
-    simulate.save_record_csv(rec, rpath)
-    simulate.save_snapshots_csv(rec, spath)
-    simulate.save_sidecar_json(rec, jpath, extra={"tag": "unit"})
+    ic = {"kind": "gaussian", "center": 0.3, "width_param": 80.0}
+    out = str(tmp_path / "run")
+    report = experiments.simulate_report(s, 1, 9, 1.0, ic, 12, 6, out)
+    rpath, spath, jpath = report["written"]
+    assert report["written"] == [out + "_record.csv", out + "_snapshots.csv", out + ".json"]
 
     rows = Path(rpath).read_text().strip().splitlines()
     assert rows[0] == "n,t,l2norm,ln_l2norm"
@@ -396,7 +408,9 @@ def test_record_csv_round_trip(tmp_path) -> None:
     assert side["scheme"] == s.name
     assert side["n_recorded"] == 13
     assert side["truncated"] is False
-    assert side["tag"] == "unit"
+    # the fit rides along; 12 steps are too few for the default window
+    assert side["slope"] is None and side["slope_window"] is None
+    assert {key: side[key] for key in report["params"]} == report["params"]
 
 
 def test_record_arrays_and_csv_bytes_are_pinned(tmp_path) -> None:
@@ -415,7 +429,7 @@ def test_record_arrays_and_csv_bytes_are_pinned(tmp_path) -> None:
     assert np.array_equal(rec.ln_l2_norms, ln, equal_nan=True)
 
     path = tmp_path / "run_record.csv"
-    simulate.save_record_csv(rec, str(path))
+    assert experiments._write_record(rec, str(tmp_path / "run")) == str(path)
     rows = ["n,t,l2norm,ln_l2norm"] + [
         f"{n},{float(times[n])!r},{float(l2[n])!r},"
         + (repr(float(ln[n])) if l2[n] > 0.0 else "")

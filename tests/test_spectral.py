@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from advstab import operators, spectral, stencil
+from advstab import experiments, operators, spectral, stencil
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +232,12 @@ def test_rho_vs_j_scan_identity() -> None:
 
 
 def test_save_spectrum_csv_round_trip(tmp_path) -> None:
-    w = np.array([1.0 + 2.0j, -0.5 - 0.25j])
-    path = str(tmp_path / "spec.csv")
-    spectral.save_spectrum_csv(w, path)
-    lines = Path(path).read_text().strip().splitlines()
+    # the spectrum report's eigenvalue CSV holds its eigenvalues exactly
+    s = stencil.builtin("lax-wendroff", lam_a=0.5)
+    report = experiments.spectrum_report(s, 2, 7, 1.0, True, str(tmp_path / "spec"), None)
+    assert report["written"] == [str(tmp_path / "spec.csv"), str(tmp_path / "spec.json")]
+    lines = Path(tmp_path / "spec.csv").read_text().strip().splitlines()
     assert lines[0] == "re,im"
-    parsed = [tuple(float(x) for x in line.split(",")) for line in lines[1:]]
-    assert parsed == [(1.0, 2.0), (-0.5, -0.25)]
+    parsed = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert parsed == report["eigenvalues"] and len(parsed) == 8
+    assert any(im != 0.0 for _, im in parsed)
