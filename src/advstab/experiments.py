@@ -473,6 +473,8 @@ def spectrum_report(scheme, k: int, J: int, L: float, full: bool,
                     out: str | None, matrix_path: str | None) -> dict:
     """The spectrum route: rho and (rho - 1)/dx of the interval iteration matrix.
 
+    The dominant eigenvalue carries its eigen-residual, an estimate of its
+    condition number and the modulus ratio |lambda_2| / |lambda_1|.
     full adds every eigenvalue. out names the report JSON (.json added if
     missing); full puts the eigenvalue CSV beside it. matrix_path dumps the
     matrix as column-major float64 bytes, a JSON sidecar (n, scheme, k, J)
@@ -494,6 +496,10 @@ def spectrum_report(scheme, k: int, J: int, L: float, full: bool,
         "dx": grid.dx, "n": A.n, "method": result.method, "rho": result.rho,
         "rho_minus_one": result.rho - 1.0, "normalized_excess": rate,
         "eigen_residual": result.residual,
+        # an estimate of kappa_1, null where it is infinite: JSON has no inf
+        "eigen_condition": (result.eigen_condition
+                            if math.isfinite(result.eigen_condition) else None),
+        "modulus_ratio": result.modulus_ratio,
         "leading_eigenvalues": [[z.real, z.imag] for z in result.leading_eigenvalues[:10]],
     }
     if full:

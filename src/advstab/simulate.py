@@ -109,13 +109,38 @@ class RegressionResult:
     r_squared: float | None
 
 
+def _envelope(d: np.ndarray, w: float) -> np.ndarray:
+    """exp(-w d^2) for w >= 0 at the offsets d, also where d^2 leaves float range.
+
+    Ordinary offsets take exactly that formula. Where d^2 overflows the
+    exponent is -(sqrt(w) d)^2 instead, exact for a tiny w; w = 0 gives 1
+    everywhere, where the formula would read 0 * inf = NaN.
+    """
+    if w == 0.0:
+        return np.ones_like(d)
+    with np.errstate(over="ignore"):
+        square = d ** 2
+        exponent = -w * square
+        far = np.isinf(square)
+        exponent[far] = -np.square(math.sqrt(w) * d[far])
+    return np.exp(exponent)
+
+
 def _continuum_function(ic: InitialCondition, grid: Grid) -> Callable[[float], float]:
     c, w = ic.center, ic.width_param
+
+    def envelope(x: float) -> float:
+        try:
+            return math.exp(-w * (x - c) ** 2)
+        except OverflowError:  # (x - c) ** 2 past float range, as in _envelope
+            t = math.sqrt(w) * abs(x - c)
+            return math.exp(-t * t) if w else 1.0
+
     if ic.kind == "gaussian":
-        return lambda x: math.exp(-w * (x - c) ** 2)
+        return envelope
     theta = float(ic.packet_theta)
     dx = grid.dx
-    return lambda x: math.cos((theta / dx) * (x - c)) * math.exp(-w * (x - c) ** 2)
+    return lambda x: math.cos((theta / dx) * (x - c)) * envelope(x)
 
 
 def build_initial(ic: InitialCondition, grid: Grid) -> np.ndarray:
@@ -129,15 +154,15 @@ def build_initial(ic: InitialCondition, grid: Grid) -> np.ndarray:
             val, _ = quad(f, j * dx, (j + 1) * dx, epsabs=1e-14, epsrel=1e-10, limit=200)
             out[j] = val / dx
         return out
-    xs = grid.xs
+    envelope = _envelope(grid.xs - ic.center, ic.width_param)
     if ic.kind == "gaussian":
-        return np.exp(-ic.width_param * (xs - ic.center) ** 2)
+        return envelope
     # carrier phase formed from grid indices: theta*(j - center/dx) avoids
     # the precision loss of evaluating cos((theta/dx)*(x_j - center))
     theta = float(ic.packet_theta)
     j = np.arange(grid.J + 1, dtype=np.float64)
     carrier = np.cos(theta * (j - ic.center / grid.dx))
-    return carrier * np.exp(-ic.width_param * (xs - ic.center) ** 2)
+    return carrier * envelope
 
 
 def run(

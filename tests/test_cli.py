@@ -209,6 +209,8 @@ def test_spectrum_identity_scheme(capsys) -> None:
     assert code == 0
     assert rep["rho"] == pytest.approx(1.0, abs=1e-12)
     assert rep["eigen_residual"] < 1e-10
+    assert rep["eigen_condition"] == pytest.approx(1.0, abs=1e-12)
+    assert rep["modulus_ratio"] == 1.0  # the identity's eigenvalues all tie
 
 
 def test_spectrum_full_writes_artifacts(capsys, tmp_path) -> None:

@@ -147,6 +147,23 @@ def test_layer_imports_load_no_scipy() -> None:
     assert _python("-c", probe).stdout.strip() == "[]"
 
 
+def test_spectral_radius_loads_no_scipy_and_forms_no_eigenvectors() -> None:
+    # importing scipy for LAPACK's band LU cost 0.16 s and 26 MB, past the
+    # benchmark's memory bound; the numpy band LU must stay the certificate.
+    # With np.linalg.eig gone, any eigenvector matrix would fail the call.
+    probe = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from advstab import experiments, operators, spectral, stencil\n"
+        "del np.linalg.eig\n"
+        "A = operators.assemble_matrix(stencil.builtin('coeff2'), 2, 60)\n"
+        "assert spectral.spectral_radius(A).residual < 1e-14\n"
+        "experiments.spectrum_report(stencil.builtin('coeff2'), 2, 60, 1.0, True, None, None)\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    assert _python("-c", probe).stdout.strip() == "[]"
+
+
 def test_package_import_loads_no_submodule_and_no_numpy() -> None:
     probe = (
         "import sys, advstab\n"

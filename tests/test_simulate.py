@@ -38,6 +38,20 @@ def test_wavepacket_resolves_grid_frequency_exactly() -> None:
     assert np.array_equal(u, expected)
 
 
+@pytest.mark.parametrize("sampling", ["point", "cell_average"])
+def test_gaussian_past_float_range_keeps_its_limits(sampling: str) -> None:
+    # at L = 1e300 the squared offsets (x - c)^2 overflow: width 0 is the
+    # constant 1 (not 0 * inf = NaN), and a positive width decays to 0 there
+    grid = Grid(J=50, L=1e300)
+    flat = simulate.build_initial(InitialCondition("gaussian", width_param=0.0,
+                                                   sampling=sampling), grid)
+    np.testing.assert_allclose(flat, 1.0, rtol=1e-12)
+    bump = simulate.build_initial(InitialCondition("gaussian", sampling=sampling), grid)
+    assert np.isfinite(bump).all() and not bump[1:].any()
+    if sampling == "point":
+        assert bump[0] == math.exp(-50.0 * 0.5**2)
+
+
 def test_cell_average_of_gaussian_matches_exact_integral() -> None:
     # the integral of exp(-w (x - c)^2) over [a, b] is
     # sqrt(pi / w) / 2 * (erf(sqrt(w) (b - c)) - erf(sqrt(w) (a - c)))

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from advstab import experiments, operators, spectral, stencil
@@ -35,6 +38,8 @@ def test_spectral_radius_known_diagonal() -> None:
     assert abs(rep.rho - 2.0) < 1e-13
     assert rep.residual < 1e-12
     assert abs(rep.leading_eigenvalues[0] - (-2.0)) < 1e-13
+    assert rep.modulus_ratio == 0.5
+    assert rep.eigen_condition == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectral_radius_rotation_complex_pair() -> None:
@@ -49,6 +54,96 @@ def test_spectral_radius_auto_picks_dense_below_limit() -> None:
     rep = spectral.spectral_radius(np.eye(10))
     assert rep.method == "dense"
     assert rep.rho == pytest.approx(1.0, abs=1e-14)
+
+
+def test_jordan_block_floor_pivots_neither_overflow_nor_hide_the_defect() -> None:
+    # every pivot of the nilpotent shift is the eps ||A||_1 floor: without
+    # rescaling, the back substitution would pass 1e308 within 20 rows
+    rep = spectral.spectral_radius(np.eye(300, k=1))
+    assert rep.rho == 0.0 and rep.residual < 1e-14
+    assert rep.eigen_condition == math.inf
+
+
+def test_spectrum_report_prints_an_infinite_condition_as_null(monkeypatch) -> None:
+    solve = spectral.spectral_radius
+
+    def defective(A, **kw):
+        return dataclasses.replace(solve(A, **kw), eigen_condition=math.inf)
+
+    monkeypatch.setattr(spectral, "spectral_radius", defective)
+    report = experiments.spectrum_report(stencil.builtin("coeff2"), 2, 60, 1.0, False,
+                                         None, None)
+    assert report["eigen_condition"] is None
+    json.dumps(report, allow_nan=False)
+
+
+def _banded(rng: np.random.Generator, n: int, kl: int, ku: int) -> np.ndarray:
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    i, j = np.indices((n, n))
+    return np.where((i - j <= kl) & (j - i <= ku), M, 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 60), kl=st.integers(0, 4), ku=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_band_solves_match_dense_solves(n: int, kl: int, ku: int, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    A = _banded(rng, n, kl, ku)
+    z = complex(*rng.standard_normal(2))
+    M = A - z * np.eye(n)
+    # a forward error of 1e-10 needs a condition number well below 1/(1e6 eps)
+    assume(np.linalg.cond(M) < 1e4)
+    lu = spectral._BandLU(A, z)
+    b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for got, want in ((lu.solve(b), np.linalg.solve(M, b)),
+                      (lu.solve_adjoint(b), np.linalg.solve(M.conj().T, b))):
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def _matrix(name: str, k: int, J: int, **params) -> np.ndarray:
+    return operators.assemble_matrix(stencil.builtin(name, **params), k, J).entries
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_lax_wendroff_keeps_the_better_step_and_flags_its_condition(k: int) -> None:
+    # very non-normal: at k=1 the first solve certifies to 8.9e-16 and the
+    # second drifts to 1.6e-3; the dominant eigenvalue's kappa_1 is about 1e14
+    rep = spectral.spectral_radius(_matrix("lax-wendroff", k, 200, lam_a=0.5))
+    assert rep.residual <= 1e-14
+    assert rep.eigen_condition > 1e10
+
+
+@pytest.mark.parametrize("name, k, kappa", [("coeff1", 1, 1.12), ("coeff2", 2, 1.33)])
+def test_headline_radius_is_the_largest_eigenvalue_with_a_certificate(
+    name: str, k: int, kappa: float
+) -> None:
+    A = _matrix(name, k, 994 if name == "coeff1" else 1000)
+    rep = spectral.spectral_radius(A)
+    assert rep.rho == np.max(np.abs(np.linalg.eigvals(A)))
+    assert rep.residual <= 1e-14
+    assert rep.eigen_condition == pytest.approx(kappa, rel=0.05)
+    assert 0.99 < rep.modulus_ratio <= 1.0
+
+
+@pytest.mark.parametrize("name, k, params", [
+    ("coeff1", 1, {}), ("coeff2", 2, {}), ("coeff2", 1, {}),
+    ("lax-friedrichs", 1, {"lam_a": 0.5}), ("lax-wendroff", 2, {"lam_a": 0.9}),
+])
+def test_condition_estimate_matches_scipy_left_and_right_vectors(
+    name: str, k: int, params: dict
+) -> None:
+    from scipy.linalg import eig
+
+    A = _matrix(name, k, 60, **params)
+    w, left, right = eig(A, left=True)
+    i = np.argmax(np.abs(w))
+    x, y = right[:, i], left[:, i]
+    kappa = np.linalg.norm(x) * np.linalg.norm(y) / abs(np.vdot(y, x))
+    rep = spectral.spectral_radius(A)
+    # Lax-Friedrichs and Lax-Wendroff are very non-normal (kappa 1e11 and
+    # 6e14): there the two estimates agree to a few percent
+    rel = 1e-8 if kappa < 1e3 else 0.05
+    assert rep.eigen_condition == pytest.approx(kappa, rel=rel)
 
 
 # ---------------------------------------------------------------------------
