@@ -7,6 +7,7 @@ ordinary least squares over an explicit, always-reported window.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -190,7 +191,7 @@ def run(
     u = build_initial(ic, grid)
     dx = grid.dx
     dt = grid.dt
-    sqnorms = np.empty(n_steps + 1)  # dx * sum u_j^2, the recorded norms squared
+    sqnorms = np.empty(n_steps + 1)  # dx * sum u_j^2, then the norms
     sqnorms[0] = dx * np.dot(u, u)
     snapshots: list[tuple[int, np.ndarray]] = []
     if snapshot_stride:
@@ -215,7 +216,9 @@ def run(
             n_done += kept
             if bad.size:
                 break
-    l2 = np.sqrt(sqnorms[:n_done + 1])
+    # a truncated run keeps a copy of its own rows only; sqrt runs in place
+    l2 = sqnorms if n_done == n_steps else sqnorms[:n_done + 1].copy()
+    np.sqrt(l2, out=l2)
     params = {
         "scheme": scheme.name,
         "r": scheme.r,
@@ -240,35 +243,76 @@ def run(
 
 
 def default_window(record: SimulationRecord) -> tuple[float, float]:
-    """Last half of the run, starting no earlier than two domain traversals."""
-    t_end = float(record.times[-1])
+    """(max(t_end / 2, 2 L), t_end): the last half of the run, from t = 2 L on.
+
+    t_end = (size - 1) dt is the last recorded time, the same float as
+    times[-1]. A domain traversal takes L / |a|, so t = 2 L is two of them
+    only at |a| = 1; Lax-Wendroff at a = 0.5 would need 4 L.
+    """
+    t_end = (record.l2_norms.size - 1) * record.params["dt"]
     L = float(record.params.get("L", 1.0))
     return (max(t_end / 2.0, 2.0 * L), t_end)
+
+
+def _window_samples(
+    record: SimulationRecord, t0: float, t1: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh arrays (t, ln l2) of the samples with t0 <= t_n <= t1 and a finite ln.
+
+    t_n = n dt is monotone in n, so two bisections over the same products
+    as times find the index range lo..hi that the comparisons select, also
+    for NaN or infinite bounds and reversed windows. ln is finite exactly
+    where 0 < l2 < inf. Only that slice of the record is read, and every
+    array made is window-sized.
+    """
+    size, dt = record.l2_norms.size, record.params["dt"]
+    lo = bisect.bisect_left(range(size), True, key=lambda n: n * dt >= t0)
+    hi = bisect.bisect_left(range(size), True, key=lambda n: not n * dt <= t1)
+    l2 = record.l2_norms[lo:hi]
+    keep = (l2 > 0.0) & (l2 < math.inf)
+    count = int(np.count_nonzero(keep))
+    if count < _MIN_FIT_SAMPLES:
+        raise ValueError(f"window [{t0}, {t1}] holds {count} finite samples; "
+                         f"need >= {_MIN_FIT_SAMPLES}")
+    t = np.arange(lo, lo + l2.size, dtype=np.float64)
+    if count < l2.size:
+        t, y = t[keep], l2[keep]
+    else:
+        y = l2.copy()
+    t *= dt
+    return t, np.log(y, out=y)
 
 
 def growth_slope(
     record: SimulationRecord, window: tuple[float, float] | None = None
 ) -> RegressionResult:
-    """Least-squares slope of ln-norm on the window (default: late half)."""
+    """Least-squares line through (t_n, ln l2_n) on the window (default: default_window).
+
+    The samples are those with t0 <= t_n <= t1 and a finite ln, that is a
+    norm in (0, inf); fewer than _MIN_FIT_SAMPLES raise ValueError. The fit
+    is centered: slope = Sxy / Sxx over t and ln centered on their means,
+    intercept = mean(ln) - slope mean(t), and ss_res from the residual.
+    r_squared is None when the ln variance is at rounding scale. Memory:
+    the record is only sliced; the fit holds two window-sized float arrays,
+    centered and reduced in place.
+    """
     if window is None:
         window = default_window(record)
     t0, t1 = float(window[0]), float(window[1])
-    t = record.times
-    y = record.ln_l2_norms
-    mask = (t >= t0) & (t <= t1) & np.isfinite(y)
-    if int(mask.sum()) < _MIN_FIT_SAMPLES:
-        raise ValueError(f"window [{t0}, {t1}] holds {int(mask.sum())} finite samples; "
-                         f"need >= {_MIN_FIT_SAMPLES}")
-    tt, yy = t[mask], y[mask]
-    slope, intercept = np.polyfit(tt, yy, 1)
-    fitted = slope * tt + intercept
-    ss_res = float(np.sum((yy - fitted) ** 2))
-    ss_tot = float(np.sum((yy - yy.mean()) ** 2))
+    t, y = _window_samples(record, t0, t1)
+    tm, ym = float(t.mean()), float(y.mean())
+    scale = float(np.dot(y, y))
+    t -= tm
+    y -= ym
+    ss_tot = float(np.dot(y, y))
+    slope = float(np.dot(t, y)) / float(np.dot(t, t))
+    t *= slope
+    y -= t  # the residual
+    ss_res = float(np.dot(y, y))
     # variance at rounding scale (eps^2 * sum y^2) is noise, not signal
-    scale = float(np.dot(yy, yy))
     r2 = None if ss_tot <= 1e-28 * max(scale, 1e-300) else 1.0 - ss_res / ss_tot
     return RegressionResult(
-        slope=float(slope), intercept=float(intercept), window=(t0, t1), r_squared=r2
+        slope=slope, intercept=ym - slope * tm, window=(t0, t1), r_squared=r2
     )
 
 

@@ -163,18 +163,23 @@ def test_criterion_08_inflow_halfline_contraction() -> None:
     worst = 0.0
     for name, lam_a, nu in cases:
         scheme = stencil.builtin(name, lam_a=lam_a, nu=nu)
+        ics = []  # (values, offset) in the draw order width, values, offset
         for _ in range(100):
             width = int(rng.integers(1, 41))
-            u = SupportedSequence(
-                values=rng.standard_normal(width), offset=int(rng.integers(0, 5))
-            )
-            prev = u.norm()
-            for _ in range(500):
-                u = step_halfline_inflow(scheme, u)
-                cur = u.norm()
-                if prev > 1e-280:  # below that, ratios are rounding noise
-                    worst = max(worst, cur / prev)
-                prev = cur
+            ics.append((rng.standard_normal(width), int(rng.integers(0, 5))))
+        # the 100 ICs step as one batch on a shared window from j = 0
+        block = np.zeros((len(ics), max(x.size + offset for x, offset in ics)))
+        for row, (x, offset) in zip(block, ics):
+            row[offset:offset + x.size] = x
+        u = SupportedSequence(values=block, offset=0)
+        prev = u.norm()
+        for _ in range(500):
+            u = step_halfline_inflow(scheme, u)
+            cur = u.norm()
+            live = prev > 1e-280  # below that, ratios are rounding noise
+            if live.any():
+                worst = max(worst, float((cur[live] / prev[live]).max()))
+            prev = cur
     ok = worst <= 1.0 + 1e-12
     _verdict(
         8,

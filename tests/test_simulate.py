@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from advstab import experiments, operators, simulate, stencil
 from advstab.operators import Grid
@@ -309,6 +312,103 @@ def test_growth_slope_window_selection() -> None:
         simulate.growth_slope(rec, window=(9.99, 10.0))  # too few samples
 
 
+
+def _polyfit_oracle(record: SimulationRecord, window: tuple[float, float]):
+    """The fit as it was: a full-length mask, then np.polyfit; (t, ln, fit)."""
+    t0, t1 = float(window[0]), float(window[1])
+    t = record.times
+    y = record.ln_l2_norms
+    mask = (t >= t0) & (t <= t1) & np.isfinite(y)
+    if int(mask.sum()) < simulate._MIN_FIT_SAMPLES:
+        raise ValueError(f"window [{t0}, {t1}] holds {int(mask.sum())} finite samples; "
+                         f"need >= {simulate._MIN_FIT_SAMPLES}")
+    tt, yy = t[mask], y[mask]
+    slope, intercept = np.polyfit(tt, yy, 1)
+    fitted = slope * tt + intercept
+    ss_res = float(np.sum((yy - fitted) ** 2))
+    ss_tot = float(np.sum((yy - yy.mean()) ** 2))
+    scale = float(np.dot(yy, yy))
+    r2 = None if ss_tot <= 1e-28 * max(scale, 1e-300) else 1.0 - ss_res / ss_tot
+    return tt, yy, simulate.RegressionResult(float(slope), float(intercept), (t0, t1), r2)
+
+
+@hst.composite
+def _records_and_windows(draw):
+    """ln l2 = a + b t + noise, with zero, inf and NaN norms, and a window on it."""
+    size = draw(hst.integers(1, 300))
+    dt = draw(hst.floats(0.01, 1.0))
+    a, b = draw(hst.floats(-5.0, 5.0)), draw(hst.sampled_from([0.0, 1.0, -1.0]))
+    b *= draw(hst.floats(1e-3, 2.0))
+    noise = draw(hst.sampled_from([0.0, 1.0])) * draw(hst.floats(1e-6, 0.5))
+    rng = np.random.default_rng(draw(hst.integers(0, 2**32 - 1)))
+    with np.errstate(over="ignore"):
+        l2 = np.exp(a + b * (np.arange(size) * dt) + noise * rng.standard_normal(size))
+    for _ in range(draw(hst.integers(0, 5))):
+        l2[draw(hst.integers(0, size - 1))] = draw(hst.sampled_from([0.0, math.inf, math.nan]))
+    record = SimulationRecord(l2_norms=l2, snapshots=(), params={"L": 1.0, "dt": dt})
+    t_end = (size - 1) * dt
+
+    def bound():
+        n = draw(hst.integers(-3, size + 3))
+        on_sample = n * dt  # a bound on a sample time must keep that sample
+        return draw(hst.one_of(
+            hst.just(on_sample),
+            hst.sampled_from([math.nextafter(on_sample, -math.inf),
+                              math.nextafter(on_sample, math.inf)]),
+            hst.floats(-t_end - 1.0, 2.0 * t_end + 1.0),
+            hst.sampled_from([-math.inf, math.inf, math.nan]),
+        ))
+
+    return record, (bound(), bound())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_records_and_windows())
+def test_growth_slope_matches_the_masked_polyfit(case) -> None:
+    record, window = case
+    try:
+        tt, yy, want = _polyfit_oracle(record, window)
+    except ValueError as exc:
+        for fit in (lambda: simulate._window_samples(record, *window),
+                    lambda: simulate.growth_slope(record, window)):
+            with pytest.raises(ValueError) as got:
+                fit()
+            assert str(got.value) == str(exc)
+        return
+    t, y = simulate._window_samples(record, float(window[0]), float(window[1]))
+    assert np.array_equal(t, tt) and np.array_equal(y, yy)
+    fit = simulate.growth_slope(record, window)
+    assert fit.window == want.window
+    # a slope or intercept at rounding scale of the ln values is noise on both sides
+    y_max = float(np.abs(yy).max())
+    slope_floor = y_max / (tt[-1] - tt[0])
+    assert fit.slope == pytest.approx(want.slope, rel=1e-12, abs=1e-12 * slope_floor)
+    assert fit.intercept == pytest.approx(
+        want.intercept, rel=1e-12, abs=1e-12 * (y_max + slope_floor * tt[-1]))
+    assert (fit.r_squared is None) == (want.r_squared is None)
+    if want.r_squared is not None:
+        # the oracle's residuals come from uncentered ln values, each off by
+        # a few eps max|ln|; that moves r_squared by about eps max|ln| / std(ln)
+        noise = 8 * np.finfo(float).eps * y_max / float(np.std(yy))
+        assert fit.r_squared == pytest.approx(want.r_squared, rel=1e-12, abs=1e-12 + noise)
+
+
+def test_growth_slope_holds_only_window_sized_arrays() -> None:
+    n, dt = 2_000_001, 1e-4
+    record = SimulationRecord(l2_norms=np.exp(0.3 * (np.arange(n) * dt)), snapshots=(),
+                              params={"L": 1.0, "dt": dt})
+    t0, t1 = simulate.default_window(record)  # (100, 200): the late half
+    window_bytes = 8 * int(np.count_nonzero((record.times >= t0) & (record.times <= t1)))
+    tracemalloc.start()
+    try:
+        fit = simulate.growth_slope(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.slope == pytest.approx(0.3, rel=1e-12)
+    assert peak < 3 * window_bytes
+
+
 # ---------------------------------------------------------------------------
 # exact solution and convergence
 
@@ -450,3 +550,21 @@ def test_record_arrays_and_csv_bytes_are_pinned(tmp_path) -> None:
         for n in range(13)
     ]
     assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def test_record_csv_blocks_match_the_per_row_reference(tmp_path) -> None:
+    # zero norms start the second block and end it, and the record's last,
+    # non-finite norm starts the third
+    block, dt = experiments._CSV_BLOCK, 0.00123
+    size = 2 * block + 1
+    l2 = np.exp(0.01 * np.sin(np.arange(size)) - 1e-5 * np.arange(size))
+    l2[block] = l2[2 * block - 1] = 0.0
+    l2[-1] = math.inf
+    rec = SimulationRecord(l2_norms=l2, snapshots=(), params={"dt": dt})
+    path = experiments._write_record(rec, str(tmp_path / "run"))
+    rows = ["n,t,l2norm,ln_l2norm"] + [
+        f"{n},{n * dt!r},{float(l2[n])!r},"
+        + (repr(float(np.log(l2[n]))) if 0.0 < l2[n] < math.inf else "")
+        for n in range(size)
+    ]
+    assert Path(path).read_bytes() == ("\n".join(rows) + "\n").encode()
