@@ -3,23 +3,25 @@
 The interval operator folds the Dirichlet inflow and extrapolation outflow
 closures into one object, the interval iteration matrix. Its one stepping
 kernel, advance, runs the stencil over a ring of padded states that lives
-for one call. Each ring row holds r Dirichlet zeros, the state, the p
-outflow ghosts and zero padding up to whole blocks. A step views a row as
+for one call; step_interval, the single step, is a copy of its first
+state. Each ring row holds r Dirichlet zeros, the state, the p outflow
+ghosts and zero padding up to whole blocks. A step views a row as
 overlapping windows of a block Toeplitz product with a small fixed block
 of the coefficients and writes the next state straight into the next row,
-then writes that row's ghosts with the p x k ghost fold (the exact
-boundary.ghost_weights as floats, in the shape and order advance explains)
-and clears what the product wrote past them. Its dense (J+1) x (J+1)
-entries are built on first read: the Toeplitz diagonals straight from the
-coefficients, then steps of only the last k unit vectors, the columns the
-outflow ghost fold touches. The half-line steppers act on exact
-finite-support sequences, growing their windows with the finite
-propagation speed of the stencil so no artificial second boundary ever
-contaminates a half-line experiment; the outflow one applies the same
-ghost weights. Both step a batch, rows on one shared window: each stepper
-fills the rows' padded windows, and one kernel lays them end to end so
-that one correlation steps them all, each row bit for bit as alone. This
-module writes no file; experiments writes the matrix dump.
+then writes that row's ghosts with the p x k ghost fold and clears what
+the product wrote past them. The fold is the exact boundary.ghost_weights
+as floats, cached once per (p, k) by _float_ghost_weights, which explains
+its order. Its dense (J+1) x (J+1) entries are built on first read: the
+Toeplitz diagonals straight from the coefficients, then steps of only the
+last k unit vectors, the columns the outflow ghost fold touches. The
+half-line steppers act on exact finite-support sequences, growing their
+windows with the finite propagation speed of the stencil so no artificial
+second boundary ever contaminates a half-line experiment; the outflow one
+applies the interval's very fold object, so the two round their ghosts
+alike. Both step a batch, rows on one shared window: each stepper fills
+the rows' padded windows, and one kernel lays them end to end so that one
+correlation steps them all, each row bit for bit as alone. This module
+writes no file; experiments writes the matrix dump.
 """
 
 from __future__ import annotations
@@ -112,10 +114,20 @@ def _check_interval(k: int, n: int, width: int) -> None:
 
 @lru_cache(maxsize=None)
 def _float_ghost_weights(p: int, k: int) -> np.ndarray:
-    """boundary.ghost_weights(p, k) as a read-only C-ordered float64 array."""
-    rows = np.array(ghost_weights(p, k), dtype=np.float64).reshape(p, k)
-    rows.setflags(write=False)
-    return rows
+    """boundary.ghost_weights(p, k) as a read-only Fortran-ordered p x k float64 array.
+
+    This is the package's one float ghost fold: every interval operator with
+    this (p, k) holds this object, and step_halfline_outflow applies it. The
+    product keeps its p rows and Fortran order because the OpenBLAS gemv
+    kernel sums rows in groups of four plus a remainder with different
+    rounding: padding the fold with zero rows, or a C-ordered copy of it,
+    moves the ghosts by an ulp for most p when k >= 2.
+    """
+    weights = np.array(ghost_weights(p, k), dtype=np.float64).reshape(p, k)
+    fold = np.empty((k, p), dtype=np.float64).T  # Fortran order: a k x p array transposed
+    fold[...] = weights
+    fold.setflags(write=False)
+    return fold
 
 
 @dataclass(frozen=True)
@@ -123,12 +135,12 @@ class IntervalOperator:
     """The interval one-step operator for (scheme, k, J), closures folded once.
 
     The Dirichlet inflow contributes r zero ghosts. The order-k outflow
-    ghosts are linear in the last k interior values: ghost_fold is the exact
-    p x k ghost_weights as float64, in Fortran order (see advance for why
-    the order matters). The stencil itself is kept as toeplitz_block, the
-    (b + r + p) x b block with column q holding a_{-r}, ..., a_p from row q
-    on, so that one window of b + r + p padded values times the block gives
-    b consecutive outputs. All size and order checks happen here, at
+    ghosts are linear in the last k interior values: ghost_fold is the
+    cached _float_ghost_weights(p, k), the exact p x k ghost_weights as
+    float64, the very object the outflow half-line applies. The stencil
+    itself is kept as toeplitz_block, the (b + r + p) x b block with column
+    q holding a_{-r}, ..., a_p from row q on, so that one window of
+    b + r + p padded values times the block gives b consecutive outputs. All size and order checks happen here, at
     construction, and never per step. advance is the one stepping kernel;
     its ring of padded states belongs to the call, never to the operator.
     The dense matrix is the entries attribute, built on first read; stepping
@@ -145,12 +157,7 @@ class IntervalOperator:
     def __post_init__(self) -> None:
         r, p = self.scheme.r, self.scheme.p
         _check_interval(self.k, self.n, r + p)
-        weights = _float_ghost_weights(p, self.k)  # checks k before any allocation
-        # a Fortran-ordered p x k array, laid out as the transpose of a k x p one
-        fold = np.empty((self.k, p), dtype=np.float64).T
-        fold[...] = weights
-        fold.setflags(write=False)
-        object.__setattr__(self, "ghost_fold", fold)
+        object.__setattr__(self, "ghost_fold", _float_ghost_weights(p, self.k))
         block = np.zeros((_BLOCK + r + p, _BLOCK), dtype=np.float64)
         cols = np.arange(_BLOCK)
         block[np.arange(r + p + 1)[:, None] + cols, cols] = self.scheme.coeffs_float[:, None]
@@ -180,13 +187,9 @@ class IntervalOperator:
           ghosts over the first p outputs past the state;
         - the rest of those outputs, up to the next whole block, are set
           back to zero, so no value past the ghosts can grow from step to
-          step and reach the state through a zero of the block as 0 * inf.
-
-        The ghost product keeps ghost_fold's p rows and Fortran order. The
-        OpenBLAS gemv kernel sums rows in groups of four plus a remainder
-        with different rounding, so padding the fold with zero rows to
-        clear the spill in the same call, or a C-ordered copy of it, moves
-        the ghosts by an ulp for most p when k >= 2.
+          step and reach the state through a zero of the block as 0 * inf
+          (the fold is not padded to clear them in the same call; see
+          _float_ghost_weights).
         """
         if n_steps < 0:
             raise ValueError("n_steps must be >= 0")
@@ -224,15 +227,6 @@ class IntervalOperator:
             done += size
             yield states[:size]
 
-    def step(self, u: np.ndarray) -> np.ndarray:
-        """One interval step of the state u_0..u_J, copied out of a two-row ring.
-
-        This is advance for one step, so a single step and a long run round
-        alike; the ring setup makes it costlier than a step inside a run.
-        """
-        (states,) = self.advance(u, 1)
-        return states[0].copy()
-
     @cached_property
     def entries(self) -> np.ndarray:
         """The dense iteration matrix, read-only: diagonals, then ghost columns.
@@ -254,7 +248,8 @@ class IntervalOperator:
         e = np.zeros(n, dtype=np.float64)
         for j in range(n - self.k, n):
             e[j] = 1.0
-            A[:, j] = self.step(e)
+            (states,) = self.advance(e, 1)
+            A[:, j] = states[0]
             e[j] = 0.0
         A.setflags(write=False)
         return A
@@ -263,12 +258,16 @@ class IntervalOperator:
 def step_interval(scheme: Scheme, k: int, u: np.ndarray) -> np.ndarray:
     """One interval step of u; builds the IntervalOperator for u.size points.
 
-    Loops should build the operator once and call its advance instead.
+    The step is a copy of the first state of advance(u, 1), so a single step
+    and a long run round alike. Loops should build the operator once and
+    call its advance instead: the operator and ring setup make a single
+    step costlier than a step inside a run.
     """
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 1:
         raise ValueError("state must be one-dimensional")
-    return IntervalOperator(scheme, k, u.size - 1).step(u)
+    (states,) = IntervalOperator(scheme, k, u.size - 1).advance(u, 1)
+    return states[0].copy()
 
 
 def assemble_matrix(scheme: Scheme, k: int, J: int) -> IntervalOperator:
@@ -320,13 +319,6 @@ class SupportedSequence:
         norms = np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
         return float(norms) if v.ndim == 1 else norms
 
-    def value_at(self, j: int) -> float | np.ndarray:
-        """The value at index j, 0 off the window; for a batch, one per row."""
-        i = j - self.offset
-        v = self.values
-        x = v[..., i] if 0 <= i < v.shape[-1] else np.zeros(v.shape[:-1])
-        return float(x) if v.ndim == 1 else x
-
 
 def _step_windows(scheme: Scheme, shape: tuple[int, ...],
                   fill: Callable[[np.ndarray], None]) -> np.ndarray:
@@ -371,20 +363,21 @@ def step_halfline_outflow(
     The stored window always reaches J (zeros are kept there since the
     extrapolation tail is anchored at the boundary) and grows on the left by
     p each step. A row's window holds lead >= r + p zeros, the values
-    extended by zeros up to J and the p ghosts: ghost_weights times the last
-    k values, zeros included, one gemv per row as in a 1-D step.
+    extended by zeros up to J and the p ghosts: the interval operator's ghost
+    fold times the last k values, zeros included, one gemv per row as in a
+    1-D step.
     """
     m, M = u.support
     if M > J:
         raise ValueError("outflow half-line state must be supported on j <= J")
     w, p, v = scheme.r + scheme.p, scheme.p, u.values
-    weights = _float_ghost_weights(p, k)
+    fold = _float_ghost_weights(p, k)
     lead = max(w, k + m - J - 1)
     end = lead + J + 1 - m
 
     def fill(windows: np.ndarray) -> None:
         windows[..., lead:lead + v.shape[-1]] = v
-        np.matmul(weights, windows[..., end - k:end, None], out=windows[..., end:, None])
+        np.matmul(fold, windows[..., end - k:end, None], out=windows[..., end:, None])
 
     out = _step_windows(scheme, (*v.shape[:-1], end + p), fill)
     return SupportedSequence(out[..., lead - w:], m - p)

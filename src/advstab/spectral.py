@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import IntervalOperator, _check_dense
+from .operators import IntervalOperator, _check_dense, assemble_matrix
 from .stencil import Scheme
 
 __all__ = [
@@ -368,8 +368,6 @@ def rho_vs_J_scan(scheme: Scheme, k: int, J_list: list[int]) -> list[ScanRow]:
     No monotonicity is implied: the excess is typically violently sensitive
     to J, flipping between stable and unstable as J varies by 1.
     """
-    from .operators import assemble_matrix
-
     rows = []
     for J in J_list:
         A = assemble_matrix(scheme, k, J)

@@ -12,7 +12,6 @@ import sys
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from advstab import cli, experiments, operators, simulate, spectral, stencil
 
@@ -256,7 +255,7 @@ def test_spectrum_full_beyond_the_dense_eigen_limit_is_usage_error(
         raise AssertionError("a grid beyond the limit must be rejected before any eigensolve")
 
     monkeypatch.setattr(np.linalg, "eig", forbidden)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", forbidden)
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
     J = operators.MAX_DENSE_DIMENSION  # n = J + 1 is one past the limit
     code, rep, err = _run(capsys, ["spectrum", "--scheme", "upwind", "--lam-a", "0.5",
                                    "--k", "1", "--J", str(J), *extra])

@@ -136,7 +136,8 @@ def test_interval_operator_validation() -> None:
 
 
 def test_ghost_fold_is_the_exact_ghost_weights() -> None:
-    # the fold is the weights as float64, p x k, Fortran-ordered, read-only
+    # the fold is the weights as float64, p x k, Fortran-ordered, read-only,
+    # and one cached object per (p, k): the one the outflow half-line applies
     for k in range(1, boundary.MAX_EXTRAPOLATION_ORDER + 1):
         for p in range(0, 9):
             s = stencil.Scheme(
@@ -147,12 +148,19 @@ def test_ghost_fold_is_the_exact_ghost_weights() -> None:
             assert fold.shape == (p, k) and fold.dtype == np.float64
             assert fold.flags.f_contiguous and not fold.flags.writeable
             assert fold.tolist() == [list(map(float, row)) for row in boundary.ghost_weights(p, k)]
+            assert IntervalOperator(s, k, max(k, p) + 5).ghost_fold is fold
+            assert operators._float_ghost_weights(p, k) is fold
 
 
 def _reference_step(op: IntervalOperator, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One step as a plain correlation of the padded state; also returns the pad."""
     ext = np.concatenate([np.zeros(op.scheme.r), u, op.ghost_fold @ u[-op.k:]])
     return np.correlate(ext, op.scheme.coeffs_float, mode="valid"), ext
+
+
+def _step(op: IntervalOperator, u: np.ndarray) -> np.ndarray:
+    """One step of op's scheme and k through the single-step entry, step_interval."""
+    return operators.step_interval(op.scheme, op.k, u)
 
 
 def _unit_vector_matrix(op: IntervalOperator) -> np.ndarray:
@@ -192,10 +200,10 @@ def test_blocked_step_and_diagonal_assembly_match_the_correlation(
     bound = 4 * np.finfo(float).eps * np.correlate(
         np.abs(ext), np.abs(op.scheme.coeffs_float), mode="valid"
     )
-    assert np.all(np.abs(op.step(u) - expected) <= bound)
+    assert np.all(np.abs(_step(op, u) - expected) <= bound)
     A = op.entries
     for e in np.eye(n):
-        assert np.array_equal(A @ e, op.step(e))
+        assert np.array_equal(A @ e, _step(op, e))
     # away from the ghost fold every entry is a single coefficient, exactly
     assert np.array_equal(A[:, :n - k], _unit_vector_matrix(op)[:, :n - k])
 
@@ -220,10 +228,10 @@ def test_advance_yields_the_repeated_step_states_bitwise(
         assert len(states) == n_steps
         v = u
         for state in states:
-            v = op.step(v)
+            v = _step(op, v)
             assert np.array_equal(state, v, equal_nan=True)
     # the dense matrix is still the step of each unit vector, column by column
-    assert np.array_equal(op.entries, np.column_stack([op.step(e) for e in np.eye(op.n)]))
+    assert np.array_equal(op.entries, np.column_stack([_step(op, e) for e in np.eye(op.n)]))
 
 
 def test_advance_clears_the_block_product_past_the_ghosts() -> None:
@@ -258,19 +266,18 @@ def test_advance_refuses_a_state_of_the_wrong_shape() -> None:
     # a scalar, a one-point or an (n, 1) state must not broadcast over J + 1 points
     op = IntervalOperator(stencil.builtin("upwind", lam_a=0.5), 1, 9)
     for u in (np.float64(1.0), np.array([2.0]), np.ones(op.n + 1), np.ones((op.n, 1))):
-        with pytest.raises(ValueError, match="shape"):
-            op.step(u)
-        with pytest.raises(ValueError, match="shape"):
-            next(op.advance(u, 5))
-    assert np.array_equal(op.step(np.ones(op.n)), op.step(list(np.ones(op.n))))
+        for n_steps in (1, 5):
+            with pytest.raises(ValueError, match="shape"):
+                next(op.advance(u, n_steps))
+    assert np.array_equal(next(op.advance(np.ones(op.n), 1)),
+                          next(op.advance(list(np.ones(op.n)), 1)))
 
 
 def test_headline_matrices_match_the_unit_vector_assembly() -> None:
     for name, k, J in (("coeff1", 1, 994), ("coeff2", 2, 1000)):
         op = IntervalOperator(stencil.builtin(name), k, J)
-        u = np.ones(op.n)
-        for _ in range(10):
-            u = op.step(u)
+        for _ in op.advance(np.ones(op.n), 10):
+            pass
         assert "entries" not in vars(op)  # stepping never builds the dense matrix
         assert np.array_equal(op.entries, _unit_vector_matrix(op))
         assert op.entries is op.entries
@@ -295,15 +302,11 @@ def test_identity_scheme_assembles_identity_matrix() -> None:
 def test_supported_sequence_basics() -> None:
     u = SupportedSequence(values=np.array([1.0, 2.0, 3.0]), offset=-1)
     assert u.support == (-1, 1)
-    assert u.value_at(-1) == 1.0
-    assert u.value_at(5) == 0.0
     assert u.norm() == np.sqrt(14.0)
     # a batch: rows on one shared window
     u = SupportedSequence(values=np.array([[3.0, 4.0, 0.0], [0.0, 0.0, 2.0]]), offset=1)
     assert u.support == (1, 3)
     assert np.array_equal(u.norm(), [5.0, 2.0])
-    assert np.array_equal(u.value_at(3), [0.0, 2.0])
-    assert np.array_equal(u.value_at(0), [0.0, 0.0])
     with pytest.raises(ValueError):
         SupportedSequence(values=np.zeros((2, 2, 2)), offset=0)
 
@@ -317,8 +320,14 @@ def _halfline_schemes() -> list[stencil.Scheme]:
     ]
 
 
+def _value_at(u: SupportedSequence, j: int) -> float | np.ndarray:
+    """u at index j, 0 off its window; for a batch, one value per row."""
+    i = j - u.offset
+    return u.values[..., i] if 0 <= i < u.values.shape[-1] else np.zeros(u.values.shape[:-1])
+
+
 def _on_interval(u: SupportedSequence, J: int) -> np.ndarray:
-    return np.array([u.value_at(j) for j in range(J + 1)])
+    return np.array([_value_at(u, j) for j in range(J + 1)])
 
 
 def test_halfline_inflow_matches_lattice_away_from_boundary() -> None:
@@ -327,11 +336,10 @@ def test_halfline_inflow_matches_lattice_away_from_boundary() -> None:
     rng = np.random.default_rng(17)
     for s in _halfline_schemes():
         J = 9 + 20 * s.r + 40
-        op = IntervalOperator(s, 2, J)
         seq = SupportedSequence(values=rng.standard_normal(9), offset=0)
         u = _on_interval(seq, J)
         for _ in range(20):
-            seq, u = operators.step_halfline_inflow(s, seq), op.step(u)
+            seq, u = operators.step_halfline_inflow(s, seq), operators.step_interval(s, 2, u)
             assert np.max(np.abs(_on_interval(seq, J) - u)) <= 1e-14 * np.linalg.norm(u)
 
 
@@ -340,9 +348,9 @@ def test_halfline_inflow_zero_ghosts_at_boundary() -> None:
     u = SupportedSequence(values=np.array([1.0]), offset=0)
     v = operators.step_halfline_inflow(s, u)
     # v_0 = a_0 u_0 (left neighbor is the Dirichlet zero), v_1 = a_{-1} u_0
-    assert v.value_at(0) == 1.0 - 0.7
-    assert v.value_at(1) == (0.5 + 0.7) / 2.0
-    assert v.value_at(-1) == 0.0
+    assert _value_at(v, 0) == 1.0 - 0.7
+    assert _value_at(v, 1) == (0.5 + 0.7) / 2.0
+    assert _value_at(v, -1) == 0.0
 
 
 def test_halfline_inflow_rejects_negative_support() -> None:
@@ -379,7 +387,7 @@ def test_halfline_inflow_batch_steps_each_row_as_alone() -> None:
                 assert u.offset == batch.offset == 0
                 assert np.array_equal(batch.values[i, :width], u.values)
                 assert not batch.values[i, width:].any()
-                assert batch.value_at(3)[i] == u.value_at(3)
+                assert _value_at(batch, 3)[i] == _value_at(u, 3)
             # a row norm is the 1-D norm of the row over the shared window
             assert np.array_equal(batch.norm(), [np.linalg.norm(row) for row in batch.values])
 
@@ -409,7 +417,7 @@ def test_halfline_outflow_batch_steps_each_row_as_alone() -> None:
                     assert u.support[1] == batch.support[1] == J
                     assert np.array_equal(batch.values[i, -width:], u.values)
                     assert not batch.values[i, :-width].any()
-                    assert batch.value_at(J)[i] == u.value_at(J)
+                    assert _value_at(batch, J)[i] == _value_at(u, J)
                 assert np.array_equal(batch.norm(), [np.linalg.norm(row) for row in batch.values])
 
 
@@ -419,11 +427,10 @@ def test_halfline_outflow_matches_lattice_away_from_boundary() -> None:
     rng = np.random.default_rng(19)
     for s in _halfline_schemes():
         J = 20 * s.p + 60
-        op = IntervalOperator(s, 2, J)
         seq = SupportedSequence(values=rng.standard_normal(9), offset=J - 8)
         u = _on_interval(seq, J)
         for _ in range(20):
-            seq, u = operators.step_halfline_outflow(s, 2, seq, J), op.step(u)
+            seq, u = operators.step_halfline_outflow(s, 2, seq, J), operators.step_interval(s, 2, u)
             assert np.max(np.abs(_on_interval(seq, J) - u)) <= 1e-14 * np.linalg.norm(u)
 
 
@@ -434,17 +441,15 @@ def test_halfline_outflow_windows_narrower_than_k_match_the_interval() -> None:
     for s in _halfline_schemes():
         J = 20 * s.p + 60
         for k in range(1, 5):
-            op = IntervalOperator(s, k, J)
-            # the two ghost products round differently, by up to the weights' size
-            tol = 1e-15 * (1.0 + np.abs(op.ghost_fold).sum(axis=1).max(initial=0.0))
             for width in range(1, max(k, 2)):
                 for gap in (0, 1):
                     seq = SupportedSequence(rng.standard_normal(width), J - gap - width + 1)
                     u = _on_interval(seq, J)
                     for _ in range(20):
-                        seq, u = operators.step_halfline_outflow(s, k, seq, J), op.step(u)
+                        seq = operators.step_halfline_outflow(s, k, seq, J)
+                        u = operators.step_interval(s, k, u)
                         err = np.max(np.abs(_on_interval(seq, J) - u))
-                        assert err <= tol * np.linalg.norm(u)
+                        assert err <= 1e-14 * np.linalg.norm(u)
 
 
 def test_halfline_outflow_first_order_ghosts() -> None:
@@ -452,8 +457,8 @@ def test_halfline_outflow_first_order_ghosts() -> None:
     u = SupportedSequence(values=np.array([2.0]), offset=0)
     v = operators.step_halfline_outflow(s, 1, u, J=0)
     # ghost copies u_J: v_J = (a_0 + a_1) u_J; below, v_{J-1} = a_1 u_J
-    assert v.value_at(0) == (1.0 - 0.7 + (0.7 - 0.5) / 2.0) * 2.0
-    assert v.value_at(-1) == (0.7 - 0.5) / 2.0 * 2.0
+    assert _value_at(v, 0) == (1.0 - 0.7 + (0.7 - 0.5) / 2.0) * 2.0
+    assert _value_at(v, -1) == (0.7 - 0.5) / 2.0 * 2.0
 
 
 def test_halfline_outflow_agrees_with_interval_far_from_inflow() -> None:
@@ -468,7 +473,7 @@ def test_halfline_outflow_agrees_with_interval_far_from_inflow() -> None:
     seq = SupportedSequence(values=u[-12:], offset=J - 11)
     v_half = operators.step_halfline_outflow(s, k, seq, J=J)
     for j in range(J - 20, J + 1):
-        assert abs(v_half.value_at(j) - v_interval[j]) < 1e-13
+        assert abs(_value_at(v_half, j) - v_interval[j]) < 1e-13
 
 
 def test_halfline_outflow_rejects_support_beyond_boundary() -> None:

@@ -187,14 +187,13 @@ def test_run_truncates_on_overflow() -> None:
 
 
 def _reference_run(scheme, k, grid, ic, n_steps, snapshot_stride):
-    """run's contract as a plain per-step loop: op.step, np.dot, stop on a non-finite norm."""
-    op = operators.IntervalOperator(scheme, k, grid.J)
+    """run's contract as a plain per-step loop: step_interval, np.dot, stop on a non-finite norm."""
     u = simulate.build_initial(ic, grid)
     sqnorms = [np.dot(u, u)]
     snapshots = [(0, u.copy())] if snapshot_stride else []
     with np.errstate(over="ignore", invalid="ignore"):
         for n in range(1, n_steps + 1):
-            u = op.step(u)
+            u = operators.step_interval(scheme, k, u)
             sqnorms.append(np.dot(u, u))
             if snapshot_stride and n % snapshot_stride == 0:
                 snapshots.append((n, u.copy()))
@@ -259,8 +258,9 @@ def test_run_steps_only_through_the_block_kernel(monkeypatch) -> None:
     def forbidden(*args, **kwargs):
         raise AssertionError("run must step through IntervalOperator.advance")
 
-    monkeypatch.setattr(operators.IntervalOperator, "step", forbidden)
+    # simulate imports step_interval by name, so both holders are patched
     monkeypatch.setattr(operators, "step_interval", forbidden)
+    monkeypatch.setattr(simulate, "step_interval", forbidden)
     got = simulate.run(s, 2, grid, ic, n_steps=500, snapshot_stride=64)
     assert np.array_equal(got.l2_norms, want.l2_norms)
     assert [n for n, _ in got.snapshots] == [n for n, _ in want.snapshots]
@@ -440,11 +440,10 @@ def test_convergence_orders_upwind_first_lax_wendroff_second() -> None:
     def error(scheme: stencil.Scheme, J: int) -> float:
         # weighted l2 error against the exact profile at the time reached
         grid = Grid(J=J, lam=scheme.lam_float)
-        op = operators.IntervalOperator(scheme, 1, J)
         n = round(0.25 / grid.dt)
         u = np.array([f(x) for x in grid.xs])
         for _ in range(n):
-            u = op.step(u)
+            u = operators.step_interval(scheme, 1, u)
         ref = simulate.exact_solution(f, float(scheme.velocity), n * grid.dt, grid)
         return float(np.sqrt(grid.dx * np.sum((u - ref) ** 2)))
 
