@@ -9,8 +9,9 @@ For coeff2 the excess settles near +0.316 for every J scanned. For coeff1
 the round-trip gain depends delicately on J, so the excess jumps around and
 is positive only at resonant values such as J = 994. Either way the
 reflection mechanism, not the tiny symbol excess, sets the growth rate.
-Runtime is a minute or so; the largest eigensolve is dense at dimension
-1001.
+The largest eigensolves are dense at dimension 995 and 1001; the closing
+pinned rates reuse the scan's solves of those two matrices, so the script
+runs in 2-3 s on a 2-core x86-64 machine with one BLAS thread.
 """
 
 from __future__ import annotations

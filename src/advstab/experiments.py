@@ -207,23 +207,24 @@ def _write_record(record, out: str) -> str:
     """out_record.csv: n, t, the norm and its ln, blank where the ln is not finite.
 
     t and ln are formed a block of _CSV_BLOCK rows at a time, never for the
-    whole record.
+    whole record, and each block is encoded and written as one chunk.
     """
     import numpy as np
 
     path, l2, dt = out + "_record.csv", record.l2_norms, record.params["dt"]
 
-    def rows(lo: int):
+    def chunk(lo: int) -> bytes:
         block = l2[lo:lo + _CSV_BLOCK]
         with np.errstate(divide="ignore", invalid="ignore"):
             ln = np.log(block).tolist()
-        return zip(map(repr, range(lo, lo + block.size)),
+        rows = zip(map(repr, range(lo, lo + block.size)),
                    map(repr, (np.arange(lo, lo + block.size) * dt).tolist()),
                    map(repr, block.tolist()),
                    [repr(x) if math.isfinite(x) else "" for x in ln])
+        return ("\n".join(map(",".join, rows)) + "\n").encode()
 
-    blocks = map(rows, range(0, l2.size, _CSV_BLOCK))
-    _write_csv(path, ("n", "t", "l2norm", "ln_l2norm"), itertools.chain.from_iterable(blocks))
+    header = b"n,t,l2norm,ln_l2norm\n"
+    _atomic_write_bytes(path, itertools.chain([header], map(chunk, range(0, l2.size, _CSV_BLOCK))))
     return path
 
 

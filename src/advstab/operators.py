@@ -60,6 +60,7 @@ _BLOCK = 16
 _RING_STATES = 64
 _RING_BYTES = 512 * 1024
 
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform grid on [0, L] with J+1 interior points x_j = j dx.
@@ -140,12 +141,12 @@ class IntervalOperator:
     float64, the very object the outflow half-line applies. The stencil
     itself is kept as toeplitz_block, the (b + r + p) x b block with column
     q holding a_{-r}, ..., a_p from row q on, so that one window of
-    b + r + p padded values times the block gives b consecutive outputs. All size and order checks happen here, at
-    construction, and never per step. advance is the one stepping kernel;
-    its ring of padded states belongs to the call, never to the operator.
-    The dense matrix is the entries attribute, built on first read; stepping
-    never builds it. All three arrays are read-only, so the operator holds
-    no mutable state.
+    b + r + p padded values times the block gives b consecutive outputs.
+    All size and order checks happen here, at construction, and never per
+    step. advance is the one stepping kernel; its ring of padded states
+    belongs to the call, never to the operator. The dense matrix is the
+    entries attribute, built on first read; stepping never builds it. All
+    three arrays are read-only, so the operator holds no mutable state.
     """
 
     scheme: Scheme

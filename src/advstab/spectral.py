@@ -12,11 +12,20 @@ complex conjugate pair, the signature of an oscillatory boundary
 instability, and is deliberately not offered for eigenvalues; the
 power-bound probe iterates only on the symmetric B^T B, and keeps a norm
 only under a Kato-Temple certificate.
+
+An interval operator's spectrum is a pure function of (scheme, k, J), all
+frozen, so spectral_radius solves each one once per process. Its private
+memo, keyed by that triple and never by the operator, keeps the
+read-only eigenvalues by decreasing modulus and the certificate of the
+first, for the _SOLVED_SIZE most recently used operators; a hit returns
+the same certificate. It holds no operator and no dense matrix. A plain
+array is solved on every call.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +50,10 @@ _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
 # the band solves rescale their vector by 2^-256 once an entry passes 2^256
 _SOLVE_RESCALE = 2.0**256
+# spectral_radius's interval spectra, (scheme, k, J) -> _solve's triple,
+# least recently used first; an entry at n = 2501 holds 40 KB
+_SOLVED: OrderedDict[tuple[Scheme, int, int], tuple] = OrderedDict()
+_SOLVED_SIZE = 16
 
 
 class PowerBoundOverflow(RuntimeError):
@@ -236,6 +249,14 @@ def _certify(A: np.ndarray, z: complex) -> tuple[float, float]:
     return residual, 1.0 / overlap if overlap > 0.0 else math.inf
 
 
+def _solve(entries: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(read-only eigenvalues by decreasing modulus, residual, condition) of entries."""
+    w = np.linalg.eigvals(entries)
+    w = w[np.argsort(-np.abs(w))]
+    w.setflags(write=False)
+    return (w, *_certify(entries, complex(w[0])))
+
+
 def spectral_radius(
     A: IntervalOperator | np.ndarray,
     method: str = "dense",
@@ -250,17 +271,32 @@ def spectral_radius(
     |lambda_2| / |lambda_1| of the sorted eigenvalues: 1 for a dominant
     complex-conjugate pair or a zero spectrum, 0 for a nonzero 1 x 1
     matrix. 'dense' is the only method; a matrix of dimension above
-    MAX_DENSE_DIMENSION raises ValueError.
+    MAX_DENSE_DIMENSION raises ValueError, before any solve or lookup.
+
+    An IntervalOperator's eigenvalues and certificate are memoized by
+    (scheme, k, J) for the _SOLVED_SIZE most recently used triples, so an
+    equal operator built again is not solved again and gets the same
+    certificate; each call still builds its own report with its own
+    n_leading. A plain array is never memoized.
     """
     if method != "dense":
         raise ValueError(f"unknown method {method!r}")
-    entries = _dense(A)
-    _check_dense(entries.shape[0])
-    w = np.linalg.eigvals(entries)
-    w = w[np.argsort(-np.abs(w))]
+    if isinstance(A, IntervalOperator):
+        _check_dense(A.n)
+        key = (A.scheme, A.k, A.J)
+        solved = _SOLVED.pop(key, None)
+        if solved is None:
+            solved = _solve(A.entries)
+        _SOLVED[key] = solved
+        if len(_SOLVED) > _SOLVED_SIZE:
+            _SOLVED.popitem(last=False)
+    else:
+        entries = np.asarray(A)
+        _check_dense(entries.shape[0])
+        solved = _solve(entries)
+    w, residual, condition = solved
     rho = float(abs(w[0]))
     second = float(abs(w[1])) if w.size > 1 else 0.0
-    residual, condition = _certify(entries, complex(w[0]))
     leading = tuple(complex(z) for z in w[:n_leading])
     return SpectralReport(
         rho=rho, leading_eigenvalues=leading, method=method,
@@ -365,8 +401,10 @@ def power_bound_probe(
 def rho_vs_J_scan(scheme: Scheme, k: int, J_list: list[int]) -> list[ScanRow]:
     """Spectral radius versus J with the normalized excess J*(rho - 1).
 
-    No monotonicity is implied: the excess is typically violently sensitive
-    to J, flipping between stable and unstable as J varies by 1.
+    Each row goes through spectral_radius, so a (scheme, k, J) already
+    solved in this process is not solved again. No monotonicity is implied:
+    the excess is typically violently sensitive to J, flipping between
+    stable and unstable as J varies by 1.
     """
     rows = []
     for J in J_list:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +26,10 @@ def test_spectral_radius_dense_respects_limit() -> None:
         spectral.spectral_radius(
             np.zeros((operators.MAX_DENSE_DIMENSION + 1,) * 2), method="dense"
         )
+    A = operators.IntervalOperator(stencil.builtin("upwind", lam_a=0.5), 1,
+                                   operators.MAX_DENSE_DIMENSION)
+    with pytest.raises(ValueError, match="dense guard"):
+        spectral.spectral_radius(A)
 
 
 def test_spectral_radius_has_only_the_dense_method() -> None:
@@ -50,7 +56,7 @@ def test_spectral_radius_rotation_complex_pair() -> None:
     assert abs(rep.leading_eigenvalues[0].imag) > 0.1
 
 
-def test_spectral_radius_auto_picks_dense_below_limit() -> None:
+def test_spectral_radius_of_the_identity_is_one_by_the_dense_method() -> None:
     rep = spectral.spectral_radius(np.eye(10))
     assert rep.method == "dense"
     assert rep.rho == pytest.approx(1.0, abs=1e-14)
@@ -75,6 +81,83 @@ def test_spectrum_report_prints_an_infinite_condition_as_null(monkeypatch) -> No
                                          None, None)
     assert report["eigen_condition"] is None
     json.dumps(report, allow_nan=False)
+
+
+# ---------------------------------------------------------------------------
+# the per-process memo of interval spectra; each test clears it first
+
+def _count_eigvals(monkeypatch) -> list[int]:
+    calls, eigvals = [], np.linalg.eigvals
+
+    def counted(a):
+        calls.append(np.shape(a)[0])
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return calls
+
+
+def test_equal_operators_share_one_solve_and_one_certificate(monkeypatch) -> None:
+    spectral._SOLVED.clear()
+    first = spectral.spectral_radius(
+        operators.IntervalOperator(stencil.builtin("coeff2"), 2, 60))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an interval spectrum already solved was solved again")
+
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    again = spectral.spectral_radius(
+        operators.assemble_matrix(stencil.builtin("coeff2"), 2, 60), n_leading=3)
+    assert again == dataclasses.replace(
+        first, leading_eigenvalues=first.leading_eigenvalues[:3])
+    (w, residual, condition), = spectral._SOLVED.values()
+    assert w.shape == (61,) and not w.flags.writeable
+    assert (residual, condition) == (first.residual, first.eigen_condition)
+
+
+def test_plain_arrays_are_solved_on_every_call(monkeypatch) -> None:
+    spectral._SOLVED.clear()
+    A = _matrix("coeff2", 2, 60)
+    calls = _count_eigvals(monkeypatch)
+    reports = [spectral.spectral_radius(A) for _ in range(2)]
+    assert calls == [61, 61] and reports[0] == reports[1]
+    assert not spectral._SOLVED
+
+
+def test_memo_keeps_the_most_recently_used_sixteen(monkeypatch) -> None:
+    spectral._SOLVED.clear()
+    scheme = stencil.builtin("upwind", lam_a=0.5)
+    for J in range(2, 18):
+        spectral.spectral_radius(operators.IntervalOperator(scheme, 1, J))
+    spectral.spectral_radius(operators.IntervalOperator(scheme, 1, 2))  # a hit: now newest
+    calls = _count_eigvals(monkeypatch)
+    spectral.spectral_radius(operators.IntervalOperator(scheme, 1, 18))
+    assert calls == [19] and len(spectral._SOLVED) == 16
+    assert (scheme, 1, 3) not in spectral._SOLVED  # the oldest is gone
+    assert (scheme, 1, 2) in spectral._SOLVED
+    spectral.spectral_radius(operators.IntervalOperator(scheme, 1, 3))
+    assert calls == [19, 4]
+
+
+def test_memo_keeps_no_operator_alive() -> None:
+    spectral._SOLVED.clear()
+    A = operators.IntervalOperator(stencil.builtin("coeff2"), 2, 60)
+    ref = weakref.ref(A)
+    spectral.spectral_radius(A)
+    del A
+    gc.collect()
+    assert ref() is None and len(spectral._SOLVED) == 1
+
+
+def test_the_memo_does_not_move_a_scan_after_a_spectrum_report() -> None:
+    spectral._SOLVED.clear()
+    coeff2 = stencil.builtin("coeff2")
+    report = experiments.spectrum_report(coeff2, 2, 1000, 1.0, False, None, None)
+    after_report = spectral.rho_vs_J_scan(coeff2, 2, [60, 1000])
+    spectral._SOLVED.clear()
+    cleared = spectral.rho_vs_J_scan(coeff2, 2, [60, 1000])
+    assert [row.rho for row in after_report] == [row.rho for row in cleared]
+    assert after_report[1].rho == report["rho"]
 
 
 def _banded(rng: np.random.Generator, n: int, kl: int, ku: int) -> np.ndarray:
@@ -117,9 +200,11 @@ def test_lax_wendroff_keeps_the_better_step_and_flags_its_condition(k: int) -> N
 def test_headline_radius_is_the_largest_eigenvalue_with_a_certificate(
     name: str, k: int, kappa: float
 ) -> None:
-    A = _matrix(name, k, 994 if name == "coeff1" else 1000)
+    # the operator, as the commands pass it: a spectrum an earlier test
+    # solved in this process comes from the memo, and is checked all the same
+    A = operators.IntervalOperator(stencil.builtin(name), k, 994 if name == "coeff1" else 1000)
     rep = spectral.spectral_radius(A)
-    assert rep.rho == np.max(np.abs(np.linalg.eigvals(A)))
+    assert rep.rho == np.max(np.abs(np.linalg.eigvals(A.entries)))
     assert rep.residual <= 1e-14
     assert rep.eigen_condition == pytest.approx(kappa, rel=0.05)
     assert 0.99 < rep.modulus_ratio <= 1.0
