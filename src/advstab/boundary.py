@@ -3,8 +3,9 @@
 The outflow closure of order k puts each ghost value on the polynomial of
 degree k - 1 through the k values before it. Every ghost is therefore a
 fixed integer combination of the last k interior values; ghost_weights
-returns those combinations, and every outflow closure in the package (the
-interval operator's ghost fold and the outflow half-line step) applies them.
+returns those combinations. The interval operator's ghost fold is their one
+float copy and its advance their one use: the outflow half-line steps as a
+zero-led interval.
 """
 
 from __future__ import annotations

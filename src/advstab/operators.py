@@ -16,18 +16,17 @@ Toeplitz diagonals straight from the coefficients, then steps of only the
 last k unit vectors, the columns the outflow ghost fold touches. The
 half-line steppers act on exact finite-support sequences, growing their
 windows with the finite propagation speed of the stencil so no artificial
-second boundary ever contaminates a half-line experiment; the outflow one
-applies the interval's very fold object, so the two round their ghosts
-alike. Both step a batch, rows on one shared window: each stepper fills
-the rows' padded windows, and one kernel lays them end to end so that one
-correlation steps them all, each row bit for bit as alone. This module
+second boundary ever contaminates a half-line experiment. The outflow one
+is one interval step of its window led by zeros, so the fold is applied in
+one place, advance. The inflow one steps a batch, rows on one shared
+window, with one correlation, each row bit for bit as alone. This module
 writes no file; experiments writes the matrix dump.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -118,7 +117,7 @@ def _float_ghost_weights(p: int, k: int) -> np.ndarray:
     """boundary.ghost_weights(p, k) as a read-only Fortran-ordered p x k float64 array.
 
     This is the package's one float ghost fold: every interval operator with
-    this (p, k) holds this object, and step_halfline_outflow applies it. The
+    this (p, k) holds this object, and only advance applies it. The
     product keeps its p rows and Fortran order because the OpenBLAS gemv
     kernel sums rows in groups of four plus a remainder with different
     rounding: padding the fold with zero rows, or a C-ordered copy of it,
@@ -138,10 +137,11 @@ class IntervalOperator:
     The Dirichlet inflow contributes r zero ghosts. The order-k outflow
     ghosts are linear in the last k interior values: ghost_fold is the
     cached _float_ghost_weights(p, k), the exact p x k ghost_weights as
-    float64, the very object the outflow half-line applies. The stencil
-    itself is kept as toeplitz_block, the (b + r + p) x b block with column
-    q holding a_{-r}, ..., a_p from row q on, so that one window of
-    b + r + p padded values times the block gives b consecutive outputs.
+    float64; advance is the one place any stepper applies it, the outflow
+    half-line included. The stencil itself is kept as toeplitz_block, the
+    (b + r + p) x b block with column q holding a_{-r}, ..., a_p from row q
+    on, so that one window of b + r + p padded values times the block gives
+    b consecutive outputs.
     All size and order checks happen here, at construction, and never per
     step. advance is the one stepping kernel; its ring of padded states
     belongs to the call, never to the operator. The dense matrix is the
@@ -291,9 +291,9 @@ class SupportedSequence:
     """A finitely supported sequence, or a batch of them on one shared window.
 
     values[..., i] sits at index offset + i. values is 1-D for one sequence
-    or (rows, width) for a batch: each row is one sequence, and every row
-    has the same window offset..offset + width - 1, zero where a row's own
-    support is narrower.
+    or (rows, width) for a batch, which step_halfline_inflow steps: each row
+    is one sequence, and every row has the same window
+    offset..offset + width - 1, zero where a row's own support is narrower.
     """
 
     values: np.ndarray
@@ -321,39 +321,28 @@ class SupportedSequence:
         return float(norms) if v.ndim == 1 else norms
 
 
-def _step_windows(scheme: Scheme, shape: tuple[int, ...],
-                  fill: Callable[[np.ndarray], None]) -> np.ndarray:
-    """Step zeroed padded windows of the given shape, filled by fill, in one correlation.
-
-    A window of width values gives the width - r - p outputs
-    out[i] = sum_l a_l window[i + r + l]. The windows lie end to end in one
-    flat array with r + p zeros after the last; each output is the same dot
-    over the same values as in a one-row step, so every row steps bit for
-    bit as alone, and the r + p outputs that straddle two rows are dropped.
-    """
-    w, size = scheme.r + scheme.p, math.prod(shape)
-    flat = np.zeros(size + w)
-    fill(flat[:size].reshape(shape))
-    return np.correlate(flat, scheme.coeffs_float, "valid").reshape(shape)[..., :shape[-1] - w]
-
-
 def step_halfline_inflow(scheme: Scheme, u: SupportedSequence) -> SupportedSequence:
     """Half-line step on j >= 0 with zero Dirichlet ghosts at j < 0.
 
     The stored window is grown on the right by r each step (finite
     propagation speed), so the update is exact: no second boundary exists.
-    A row's window from j = -r holds the Dirichlet ghosts, the zeros below
-    the support, the values and r + p zeros for the window's growth.
+    A row's padded window from j = -r holds the Dirichlet ghosts, the zeros
+    below the support, the values and r + p zeros for the growth. A batch's
+    windows lie end to end with r + p zeros after the last, and one
+    correlation steps them all, each output the same dot as in a one-row
+    step, so each row bit for bit as alone; the outputs that straddle two
+    rows are dropped.
     """
     if u.offset < 0:
         raise ValueError("inflow half-line state must be supported on j >= 0")
-    r, v, start = scheme.r, u.values, scheme.r + u.offset
+    w, v, start = scheme.r + scheme.p, u.values, scheme.r + u.offset
     n = start + v.shape[-1]
-
-    def fill(windows: np.ndarray) -> None:
-        windows[..., start:n] = v
-
-    return SupportedSequence(_step_windows(scheme, (*v.shape[:-1], n + r + scheme.p), fill), 0)
+    shape = (*v.shape[:-1], n + w)
+    size = math.prod(shape)
+    flat = np.zeros(size + w)
+    flat[:size].reshape(shape)[..., start:n] = v
+    out = np.correlate(flat, scheme.coeffs_float, "valid").reshape(shape)[..., :n]
+    return SupportedSequence(out, 0)
 
 
 def step_halfline_outflow(
@@ -361,24 +350,21 @@ def step_halfline_outflow(
 ) -> SupportedSequence:
     """Half-line step on j <= J with order-k extrapolation ghosts above J.
 
-    The stored window always reaches J (zeros are kept there since the
-    extrapolation tail is anchored at the boundary) and grows on the left by
-    p each step. A row's window holds lead >= r + p zeros, the values
-    extended by zeros up to J and the p ghosts: the interval operator's ghost
-    fold times the last k values, zeros included, one gemv per row as in a
-    1-D step.
+    The stored window m..J always reaches J and grows left by p each step.
+    The step is one interval step of the width = J + 1 - m window values at
+    the right end of n >= width + p zero-led points: the support grows left
+    by only p, so the Dirichlet ghosts read only zeros and the step is
+    exact, and the ghosts are the interval's own fold of the last k values,
+    zeros included. One sequence per call: a batch is a ValueError.
     """
+    if u.values.ndim != 1:
+        raise ValueError("the outflow half-line stepper steps one sequence, not a batch")
     m, M = u.support
     if M > J:
         raise ValueError("outflow half-line state must be supported on j <= J")
-    w, p, v = scheme.r + scheme.p, scheme.p, u.values
-    fold = _float_ghost_weights(p, k)
-    lead = max(w, k + m - J - 1)
-    end = lead + J + 1 - m
-
-    def fill(windows: np.ndarray) -> None:
-        windows[..., lead:lead + v.shape[-1]] = v
-        np.matmul(fold, windows[..., end - k:end, None], out=windows[..., end:, None])
-
-    out = _step_windows(scheme, (*v.shape[:-1], end + p), fill)
-    return SupportedSequence(out[..., lead - w:], m - p)
+    p, width = scheme.p, J + 1 - m
+    n = max(width + p, k, scheme.r + p)
+    x = np.zeros(n)
+    x[n - width:n - width + u.values.size] = u.values
+    (states,) = IntervalOperator(scheme, k, n - 1).advance(x, 1)
+    return SupportedSequence(states[0, n - width - p:].copy(), m - p)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import IntervalOperator, _check_dense, assemble_matrix
+from .operators import IntervalOperator, _check_dense
 from .stencil import Scheme
 
 __all__ = [
@@ -111,7 +111,13 @@ class ScanRow:
 
 
 def _dense(A: IntervalOperator | np.ndarray) -> np.ndarray:
-    return A.entries if isinstance(A, IntervalOperator) else np.asarray(A)
+    """A's entries; ValueError unless a plain array is a non-empty square 2-D array."""
+    if isinstance(A, IntervalOperator):
+        return A.entries
+    entries = np.asarray(A)
+    if entries.ndim != 2 or not 0 < entries.shape[0] == entries.shape[1]:
+        raise ValueError(f"matrix must be a non-empty square 2-D array, not {entries.shape}")
+    return entries
 
 
 class _BandLU:
@@ -271,7 +277,8 @@ def spectral_radius(
     |lambda_2| / |lambda_1| of the sorted eigenvalues: 1 for a dominant
     complex-conjugate pair or a zero spectrum, 0 for a nonzero 1 x 1
     matrix. 'dense' is the only method; a matrix of dimension above
-    MAX_DENSE_DIMENSION raises ValueError, before any solve or lookup.
+    MAX_DENSE_DIMENSION, or a plain array that is not a non-empty square
+    2-D array, raises ValueError, before any solve or lookup.
 
     An IntervalOperator's eigenvalues and certificate are memoized by
     (scheme, k, J) for the _SOLVED_SIZE most recently used triples, so an
@@ -291,7 +298,7 @@ def spectral_radius(
         if len(_SOLVED) > _SOLVED_SIZE:
             _SOLVED.popitem(last=False)
     else:
-        entries = np.asarray(A)
+        entries = _dense(A)
         _check_dense(entries.shape[0])
         solved = _solve(entries)
     w, residual, condition = solved
@@ -401,14 +408,14 @@ def power_bound_probe(
 def rho_vs_J_scan(scheme: Scheme, k: int, J_list: list[int]) -> list[ScanRow]:
     """Spectral radius versus J with the normalized excess J*(rho - 1).
 
-    Each row goes through spectral_radius, so a (scheme, k, J) already
-    solved in this process is not solved again. No monotonicity is implied:
+    Each row is a bare IntervalOperator through spectral_radius, so a
+    (scheme, k, J) already solved in this process is not solved again and
+    its dense entries are never built. No monotonicity is implied:
     the excess is typically violently sensitive to J, flipping between
     stable and unstable as J varies by 1.
     """
     rows = []
     for J in J_list:
-        A = assemble_matrix(scheme, k, J)
-        rep = spectral_radius(A)
+        rep = spectral_radius(IntervalOperator(scheme, k, J))
         rows.append(ScanRow(J=J, rho=rep.rho, normalized_excess=J * (rep.rho - 1.0)))
     return rows

@@ -158,6 +158,12 @@ def _reference_step(op: IntervalOperator, u: np.ndarray) -> tuple[np.ndarray, np
     return np.correlate(ext, op.scheme.coeffs_float, mode="valid"), ext
 
 
+def _rounding_bound(op: IntervalOperator, ext: np.ndarray) -> np.ndarray:
+    """4 eps sum_l |a_l| |ext|: how far two orders of the same correlation sums may differ."""
+    return 4 * np.finfo(float).eps * np.correlate(
+        np.abs(ext), np.abs(op.scheme.coeffs_float), mode="valid")
+
+
 def _step(op: IntervalOperator, u: np.ndarray) -> np.ndarray:
     """One step of op's scheme and k through the single-step entry, step_interval."""
     return operators.step_interval(op.scheme, op.k, u)
@@ -188,24 +194,35 @@ def _random_operators(draw) -> IntervalOperator:
 
 
 @settings(max_examples=60, deadline=None)
-@given(op=_random_operators(), seed=hst.integers(0, 2**32 - 1))
+@given(op=_random_operators(), seed=hst.integers(0, 2**32 - 1), width=hst.integers(0, 12),
+       gap=hst.integers(0, 2), half_J=hst.sampled_from([0, 5]))
 def test_blocked_step_and_diagonal_assembly_match_the_correlation(
-    op: IntervalOperator, seed: int
+    op: IntervalOperator, seed: int, width: int, gap: int, half_J: int
 ) -> None:
-    n, k = op.n, op.k
+    n, k, p = op.n, op.k, op.scheme.p
     assert not op.toeplitz_block.flags.writeable
-    u = np.random.default_rng(seed).standard_normal(n)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(n)
     expected, ext = _reference_step(op, u)
     # both sum the same r + p + 1 products, possibly in another order
-    bound = 4 * np.finfo(float).eps * np.correlate(
-        np.abs(ext), np.abs(op.scheme.coeffs_float), mode="valid"
-    )
-    assert np.all(np.abs(_step(op, u) - expected) <= bound)
+    assert np.all(np.abs(_step(op, u) - expected) <= _rounding_bound(op, ext))
     A = op.entries
     for e in np.eye(n):
         assert np.array_equal(A @ e, _step(op, e))
     # away from the ghost fold every entry is a single coefficient, exactly
     assert np.array_equal(A[:, :n - k], _unit_vector_matrix(op)[:, :n - k])
+    # the outflow half-line: width values from m, then gap zeros up to J;
+    # the oracle correlates them on lo..J, zeros below m, with r zeros before
+    m = half_J + 1 - gap - width
+    lo = min(m - p, half_J + 1 - k)
+    x = np.zeros(half_J + 1 - lo)
+    x[m - lo:m - lo + width] = rng.standard_normal(width)
+    v = operators.step_halfline_outflow(
+        op.scheme, k, SupportedSequence(x[m - lo:m - lo + width], m), half_J)
+    expected, ext = _reference_step(op, x)
+    assert v.support == (m - p, half_J)
+    assert np.all(np.abs(v.values - expected[m - p - lo:])
+                  <= _rounding_bound(op, ext)[m - p - lo:])
 
 
 @settings(max_examples=40, deadline=None)
@@ -244,10 +261,7 @@ def test_advance_clears_the_block_product_past_the_ghosts() -> None:
     for block in op.advance(prev, 100):
         for state in block:
             expected, ext = _reference_step(op, prev)
-            bound = 4 * np.finfo(float).eps * np.correlate(
-                np.abs(ext), np.abs(op.scheme.coeffs_float), mode="valid"
-            )
-            assert np.all(np.abs(state - expected) <= bound)
+            assert np.all(np.abs(state - expected) <= _rounding_bound(op, ext))
             prev = state.copy()
 
 
@@ -392,33 +406,12 @@ def test_halfline_inflow_batch_steps_each_row_as_alone() -> None:
             assert np.array_equal(batch.norm(), [np.linalg.norm(row) for row in batch.values])
 
 
-def test_halfline_outflow_batch_steps_each_row_as_alone() -> None:
-    # rows of different supports, each ending at most 2 below J, share one
-    # window ending at J; every row is the same correlation dots and the
-    # same ghost gemv as its own 1-D step, so bit for bit
-    rng = np.random.default_rng(37)
-    J = 3
-    for name, lam_a, nu in _BATCH_SCHEMES:
-        s = stencil.builtin(name, lam_a, nu)
-        for k in range(1, 4):
-            rows = [(int(rng.integers(0, 3)), rng.standard_normal(int(rng.integers(1, 8))))
-                    for _ in range(6)]
-            block = np.zeros((len(rows), 10))
-            for row, (gap, x) in zip(block, rows):
-                row[10 - gap - x.size:10 - gap] = x
-            batch = SupportedSequence(values=block, offset=J - 9)
-            singles = [SupportedSequence(values=x, offset=J - gap - x.size + 1)
-                       for gap, x in rows]
-            for _ in range(15):
-                batch = operators.step_halfline_outflow(s, k, batch, J)
-                singles = [operators.step_halfline_outflow(s, k, u, J) for u in singles]
-                for i, u in enumerate(singles):
-                    width = u.values.size
-                    assert u.support[1] == batch.support[1] == J
-                    assert np.array_equal(batch.values[i, -width:], u.values)
-                    assert not batch.values[i, :-width].any()
-                    assert _value_at(batch, J)[i] == _value_at(u, J)
-                assert np.array_equal(batch.norm(), [np.linalg.norm(row) for row in batch.values])
+def test_halfline_outflow_refuses_a_batch() -> None:
+    # the outflow stepper is one interval step of one zero-led window
+    s = stencil.builtin("coeff2")
+    batch = SupportedSequence(values=np.ones((2, 3)), offset=-2)
+    with pytest.raises(ValueError, match="one sequence"):
+        operators.step_halfline_outflow(s, 2, batch, J=0)
 
 
 def test_halfline_outflow_matches_lattice_away_from_boundary() -> None:

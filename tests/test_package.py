@@ -108,6 +108,34 @@ def test_library_modules_read_only_listed_private_names_of_siblings() -> None:
             if _is_private(name) and name not in SHARED_PRIVATE_NAMES] == []
 
 
+def _readers(names: set[str]) -> set[tuple[str, str, str]]:
+    """(file, top-level definition, name) for every use of the names in the library."""
+    found: set[tuple[str, str, str]] = set()
+    for path in Path(advstab.__file__).resolve().parent.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    used = {node.id}
+                elif isinstance(node, ast.Attribute):
+                    used = {node.attr}
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    used = {alias.name.rpartition(".")[2] for alias in node.names}
+                else:
+                    continue
+                found.update((path.name, owner, name) for name in used & names)
+    return found
+
+
+def test_the_ghost_fold_and_the_correlation_each_have_one_site() -> None:
+    # the interval operator is the one place the outflow fold is applied;
+    # the outflow half-line steps through it, and only the inflow half-line
+    # keeps its own kernel, one correlation per batch
+    fold = {"_float_ghost_weights", "ghost_fold"}
+    assert _readers(fold) == {("operators.py", "IntervalOperator", name) for name in fold}
+    assert _readers({"correlate"}) == {("operators.py", "step_halfline_inflow", "correlate")}
+
+
 def test_cli_reads_only_the_reports_and_scheme_resolution() -> None:
     # the commands parse, resolve the scheme, call one experiments function
     # and print

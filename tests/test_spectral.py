@@ -32,6 +32,17 @@ def test_spectral_radius_dense_respects_limit() -> None:
         spectral.spectral_radius(A)
 
 
+def test_spectral_radius_refuses_an_empty_or_non_square_array(monkeypatch) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a malformed matrix reached the eigensolve")
+
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    for A in (np.zeros((0, 0)), np.zeros((2, 3)), np.ones(4), np.float64(2.0),
+              np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="non-empty square 2-D array"):
+            spectral.spectral_radius(A)
+
+
 def test_spectral_radius_has_only_the_dense_method() -> None:
     for method in ("iterative", "auto"):
         with pytest.raises(ValueError, match="unknown method"):
@@ -158,6 +169,21 @@ def test_the_memo_does_not_move_a_scan_after_a_spectrum_report() -> None:
     cleared = spectral.rho_vs_J_scan(coeff2, 2, [60, 1000])
     assert [row.rho for row in after_report] == [row.rho for row in cleared]
     assert after_report[1].rho == report["rho"]
+
+
+def test_a_scan_row_already_solved_never_reads_the_dense_entries(monkeypatch) -> None:
+    spectral._SOLVED.clear()
+    coeff2 = stencil.builtin("coeff2")
+    spectral.spectral_radius(operators.IntervalOperator(coeff2, 2, 60))
+    solved = spectral.rho_vs_J_scan(coeff2, 2, [60])
+
+    def forbidden(self):
+        raise AssertionError("a scan row in the memo built its dense entries")
+
+    monkeypatch.setattr(operators.IntervalOperator, "entries", property(forbidden))
+    assert spectral.rho_vs_J_scan(coeff2, 2, [60]) == solved
+    with pytest.raises(ValueError, match="dense guard"):
+        spectral.rho_vs_J_scan(coeff2, 2, [operators.MAX_DENSE_DIMENSION])
 
 
 def _banded(rng: np.random.Generator, n: int, kl: int, ku: int) -> np.ndarray:
@@ -290,6 +316,16 @@ def test_power_bound_probe_nilpotent_terminates_at_zero() -> None:
 def test_power_bound_probe_validation() -> None:
     with pytest.raises(ValueError):
         spectral.power_bound_probe(np.eye(2), n_max=0)
+
+
+def test_power_bound_probe_refuses_an_empty_or_non_square_array(monkeypatch) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a malformed matrix reached a norm")
+
+    monkeypatch.setattr(spectral, "_certified_norm2", forbidden)
+    for A in (np.zeros((0, 0)), np.zeros((2, 3)), np.ones(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="non-empty square 2-D array"):
+            spectral.power_bound_probe(A, 3)
 
 
 def test_power_bound_probe_certifies_most_criterion_7_powers() -> None:
