@@ -87,8 +87,9 @@ class SpectralReport:
 class PowerBoundResult:
     """Probe of sup_n ||A^n||: the sup, where it occurred, and the series.
 
-    n_svd counts the powers whose norm came from the dense SVD rather than
-    from the certified power step.
+    n_svd counts the computed powers whose norm came from the dense SVD
+    rather than from the certified power step. Zeros the probe proved
+    rather than computed (see power_bound_probe) add nothing to it.
     """
 
     sup_norm: float
@@ -111,12 +112,17 @@ class ScanRow:
 
 
 def _dense(A: IntervalOperator | np.ndarray) -> np.ndarray:
-    """A's entries; ValueError unless a plain array is a non-empty square 2-D array."""
+    """A's entries; ValueError unless a plain array is a non-empty, square, finite 2-D array.
+
+    An IntervalOperator is finite by construction and is not scanned.
+    """
     if isinstance(A, IntervalOperator):
         return A.entries
     entries = np.asarray(A)
     if entries.ndim != 2 or not 0 < entries.shape[0] == entries.shape[1]:
         raise ValueError(f"matrix must be a non-empty square 2-D array, not {entries.shape}")
+    if not np.isfinite(entries).all():
+        raise ValueError("matrix entries must be finite")
     return entries
 
 
@@ -329,27 +335,33 @@ def _certified_norm2(B: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, b
     bracket is within 4 eps relative. The steps stop early once the gap is
     not positive and theta grew by at most 4 eps theta over the last step:
     from there power steps cannot raise theta past rounding, so no later
-    step can certify. Returns the norm, the last iterate (the next power's
-    start vector) and whether the dense SVD supplied the norm.
+    step can certify. A ||Bv||^2 or ||B||_F^2 that overflows certifies
+    nothing, and neither warns nor leaves a non-finite iterate. Returns the
+    norm, the last iterate (the next power's start vector, always finite)
+    and whether the dense SVD supplied the norm.
     """
-    frob2 = float(np.vdot(B, B))
+    frob2 = float(np.vdot(B, B))  # BLAS: an overflow reads inf, unwarned
     allowance = 4.0 * B.shape[0] * _EPS * frob2
     last = -math.inf
-    for _ in range(_CERTIFY_ITERATIONS):
-        w = B @ v
-        theta = float(w @ w)
-        gap = 2.0 * theta - frob2 - allowance
-        if gap <= 0.0 and theta - last <= 4.0 * _EPS * theta:
-            break  # stalled below the gap
-        g = B.T @ w
-        r = g - theta * v
-        if gap > 0.0 and float(r @ r) <= 4.0 * _EPS * theta * gap:
-            return math.sqrt(theta), v, False
-        g_norm = math.sqrt(float(g @ g))
-        if not g_norm > 0.0:
-            break  # Bv = 0 (or not finite): no direction to iterate on
-        v = g / g_norm
-        last = theta
+    # a huge B overflows ||Bv||^2, B^T B v or its square; each is caught below
+    with np.errstate(over="ignore"):
+        for _ in range(_CERTIFY_ITERATIONS):
+            w = B @ v
+            theta = float(w @ w)
+            if not theta + frob2 < math.inf:
+                break  # ||Bv||^2 or ||B||_F^2 overflowed: no certificate
+            gap = 2.0 * theta - frob2 - allowance
+            if gap <= 0.0 and theta - last <= 4.0 * _EPS * theta:
+                break  # stalled below the gap
+            g = B.T @ w
+            r = g - theta * v
+            if gap > 0.0 and float(r @ r) <= 4.0 * _EPS * theta * gap:
+                return math.sqrt(theta), v, False
+            g_norm = math.sqrt(float(g @ g))
+            if not 0.0 < g_norm < math.inf:
+                break  # Bv = 0 or B^T B v overflowed: no direction to iterate on
+            v = g / g_norm
+            last = theta
     return float(np.linalg.norm(B, 2)), v, True
 
 
@@ -365,6 +377,12 @@ def power_bound_probe(
     the partial series. Each norm comes from a few power steps warm-started
     from the previous power's vector and is kept only under a Kato-Temple
     certificate; otherwise the dense SVD supplies it.
+
+    The probe stops computing once the rest of the series is provably 0.0
+    and fills it with zeros: when a power is exactly zero (A is nilpotent),
+    or when the certified ||A|| is below 1 by more than the chain's rounding
+    and the exponent ledger has fallen to 2^-1075. Those zeros are proven,
+    not computed, so n_svd counts only the powers computed before them.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -381,11 +399,22 @@ def power_bound_probe(
         B = entries @ B
         s, v, from_svd = _certified_norm2(B, v)
         n_svd += from_svd
-        if s == 0.0:
-            # nilpotent from here on: all further norms are zero
-            series.extend([0.0] * (n_max - n + 1))
-            break
-        if exponent * _LN2 + math.log(s) > 700.0:
+        if n == 1:
+            # A certified norm is within a factor 1 + 4 size eps of the true
+            # norm of the matrix it was taken from (the 4 eps Kato-Temple
+            # bracket plus the rounding of theta and of the unit start
+            # vector, or LAPACK's backward error), and a product adds
+            # ||fl(AB) - AB|| <= size^2 eps ||A|| ||B|| (gemm) plus, once
+            # entries underflow, at most size^2 2^-1074. Every scaled B has
+            # a certified norm below 1, so each later certified norm is at
+            # most s_1 (1 + 4 size eps)^3 (1 + size^2 eps) + size^2 2^-1074,
+            # to first order s_1 (1 + 13 size^2 eps) + size^2 2^-1074, and so
+            # below 1 when s_1 < 1 - 16 size^2 eps. Then frexp gives e <= 0 from
+            # here on and the exponent ledger never rises. A decaying
+            # non-normal A with ||A|| > 1 can grow again (Trefethen and
+            # Embree 2005), so observed decay alone never ends the probe.
+            contracting = s < 1.0 - 16.0 * size * size * _EPS
+        if s > 0.0 and exponent * _LN2 + math.log(s) > 700.0:
             # n_reached counts the norms actually recorded, n - 1 of them
             raise PowerBoundOverflow(
                 f"||A^{n}|| overflows float range (gross instability)",
@@ -400,6 +429,12 @@ def power_bound_probe(
         e = math.frexp(s)[1]
         B = np.ldexp(B, -e)
         exponent += e
+        # A zero B stays zero. Under a contraction, every later norm is
+        # ldexp(s, E) with s < 1 and E <= exponent, below 2^-1075 once the
+        # ledger is: it rounds to 0.0, as this power's value already has.
+        if s == 0.0 or contracting and exponent <= -1075:
+            series.extend([0.0] * (n_max - n))
+            break
     return PowerBoundResult(
         sup_norm=sup, argmax_n=argmax_n, series=tuple(series), n_svd=n_svd
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import warnings
@@ -385,6 +386,112 @@ def test_power_bound_probe_start_vector_in_null_space() -> None:
     assert probe.series[0] == pytest.approx(2.0, rel=1e-15)
     assert probe.series[1:] == (0.0, 0.0)
     assert probe.n_svd == 2
+
+
+def _counted_certificates(monkeypatch) -> list[int]:
+    """A one-item list that counts the probe's calls to _certified_norm2."""
+    calls = [0]
+    certified = spectral._certified_norm2
+
+    def counted(B, v):
+        calls[0] += 1
+        return certified(B, v)
+
+    monkeypatch.setattr(spectral, "_certified_norm2", counted)
+    return calls
+
+
+def test_a_certified_contraction_stops_at_its_first_zero(monkeypatch) -> None:
+    # criterion 7's J = 20 matrix has ||A|| = 0.9973: every norm from the
+    # first 0.0 on is proven, not computed
+    calls = _counted_certificates(monkeypatch)
+    scheme = stencil.builtin("three-point", lam_a=0.5, nu=0.5)
+    probe = spectral.power_bound_probe(operators.assemble_matrix(scheme, 2, 20), n_max=10_000)
+    first_zero = probe.series.index(0.0) + 1
+    assert len(probe.series) == 10_000 and set(probe.series[first_zero - 1:]) == {0.0}
+    assert calls[0] == first_zero < 2000
+
+
+def test_a_norm_above_one_never_ends_the_probe_early(monkeypatch) -> None:
+    # ||A|| = 4.06: the series underflows from n = 1089 on, but without a
+    # certified contraction nothing proves that it stays there
+    calls = _counted_certificates(monkeypatch)
+    probe = spectral.power_bound_probe(np.array([[0.5, 4.0], [0.0, 0.5]]), n_max=1500)
+    assert set(probe.series[1088:]) == {0.0} and probe.series[1087] > 0.0
+    assert calls[0] == 1500
+
+
+def _powers_without_exit(A: np.ndarray):
+    """The probe's loop with no exit: every norm is multiplied out and certified."""
+    size = A.shape[0]
+    B = np.eye(size)
+    v = np.full(size, 1.0 / math.sqrt(size))
+    exponent = 0
+    while True:
+        B = A @ B
+        s, v, _ = spectral._certified_norm2(B, v)
+        yield math.ldexp(s, exponent)
+        e = math.frexp(s)[1]
+        B = np.ldexp(B, -e)
+        exponent += e
+
+
+@settings(max_examples=30, deadline=None)
+@given(size=st.integers(1, 40), shape=st.sampled_from(["dense", "bidiagonal", "upper"]),
+       norm=st.floats(0.02, 0.9999), tail=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_proven_zeros_of_a_contraction_are_the_computed_ones(
+    size: int, shape: str, norm: float, tail: int, seed: int
+) -> None:
+    G = np.random.default_rng(seed).standard_normal((size, size))
+    if shape == "bidiagonal":
+        G = np.triu(np.tril(G, 1))
+    elif shape == "upper":
+        G = np.triu(G)
+    A = norm * G / np.linalg.norm(G, 2)
+    # a spectral radius of at most 0.7 underflows within a few thousand powers
+    assume(np.max(np.abs(np.linalg.eigvals(A))) <= 0.7)
+    series = []
+    for n, value in enumerate(itertools.islice(_powers_without_exit(A), 20_000), 1):
+        series.append(value)
+        if value == 0.0 and n >= series.index(0.0) + 1 + tail:
+            break
+    assert series[-1] == 0.0  # n_max reaches past the underflow
+    probe = spectral.power_bound_probe(A, n_max=len(series))
+    assert probe.series == tuple(series)
+    assert probe.sup_norm == max(series)
+    assert probe.argmax_n == series.index(max(series)) + 1
+
+
+def test_non_finite_arrays_are_refused_before_any_kernel(monkeypatch) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a non-finite matrix reached a kernel")
+
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    monkeypatch.setattr(spectral, "_certified_norm2", forbidden)
+    for bad in (np.nan, np.inf, -np.inf):
+        A = np.eye(3)
+        A[1, 2] = bad
+        for solve in (spectral.spectral_radius, spectral.operator_norm,
+                      lambda M: spectral.power_bound_probe(M, 3)):
+            with pytest.raises(ValueError, match="entries must be finite"):
+                solve(A)
+
+
+def test_an_overflowing_certificate_warns_nothing() -> None:
+    # ||Bv||^2 = 1e400 overflows: the SVD gives ||A||, and the second power
+    # is reported as the probe's own overflow, not as a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(spectral.PowerBoundOverflow) as info:
+            spectral.power_bound_probe(np.diag([1e200, 1e200]), 3)
+        assert info.value.n_reached == 1 and info.value.series == [1e200]
+        # the certificate alone: ||Bv||^2 overflows for the first B, B^T B v for the second
+        for B in (np.diag([1e200, 1e200]), np.diag([1e120, 1.0])):
+            s, v, from_svd = spectral._certified_norm2(B, np.full(2, math.sqrt(0.5)))
+            assert from_svd and s == pytest.approx(B[0, 0], rel=1e-15)
+            assert np.isfinite(v).all()
 
 
 def _direct_power_norms(A: np.ndarray, n_max: int) -> np.ndarray:
