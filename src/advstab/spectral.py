@@ -13,6 +13,13 @@ instability, and is deliberately not offered for eigenvalues; the
 power-bound probe iterates only on the symmetric B^T B, and keeps a norm
 only under a Kato-Temple certificate.
 
+operator_norm is the dense SVD of one matrix. The lemma1 sweep instead
+streams its operators into the private _gram_norms, which bisects for the
+largest eigenvalue of each Gram matrix A^T A with banded LDL^T
+factorizations, batched over a chunk of operators and a few shifts at
+once. It forms no dense Gram matrix; only an operator whose band is too
+wide for the bisection to pay goes to the SVD.
+
 An interval operator's spectrum is a pure function of (scheme, k, J), all
 frozen, so spectral_radius solves each one once per process. Its private
 memo, keyed by that triple and never by the operator, keeps the
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +62,19 @@ _SOLVE_RESCALE = 2.0**256
 # least recently used first; an entry at n = 2501 holds 40 KB
 _SOLVED: OrderedDict[tuple[Scheme, int, int], tuple] = OrderedDict()
 _SOLVED_SIZE = 16
+# _gram_norms: operators bisected together, shifts tested per pass, and rows
+# per block of a chunk's bands. A wider chunk runs fewer numpy calls per
+# operator, but its bands and blocks stay resident: 192 is as fast as 256
+# on the lemma1 sweep and holds under 1 MB. A block of three diagonals
+# stays under malloc's 128 KiB mmap threshold, so freeing it does not
+# raise that threshold and leave later allocations resident on the heap.
+_GRAM_CHUNK = 192
+_GRAM_SHIFTS = 7
+_GRAM_ROWS = 16
+# the widest Gram band (b = kl + ku) _gram_norms bisects: each row costs
+# about b^2 numpy calls, so on the lemma1 sweep b = 5 (k = 5) still beats
+# the dense SVD and b = 6 does not; k = 30 would take 13x the SVD's time
+_GRAM_WIDEST = 5
 
 
 class PowerBoundOverflow(RuntimeError):
@@ -126,6 +147,22 @@ def _dense(A: IntervalOperator | np.ndarray) -> np.ndarray:
     return entries
 
 
+def _bandwidths(A: np.ndarray) -> tuple[int, int]:
+    """(kl, ku): the widths of A's band below and above the diagonal, from its nonzeros.
+
+    Each row's first and last nonzero column bound it; a zero row bounds
+    nothing. Reading them off A != 0 is faster than listing the nonzeros.
+    """
+    nonzero = A != 0
+    n = A.shape[1]
+    first = nonzero.argmax(axis=1)
+    last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
+    i = np.arange(A.shape[0])
+    held = nonzero[i, first]
+    return (int(np.max(i - first, where=held, initial=0)),
+            int(np.max(last - i, where=held, initial=0)))
+
+
 class _BandLU:
     """LU with partial pivoting of A - zI for a banded A, in row-skewed band storage.
 
@@ -148,9 +185,7 @@ class _BandLU:
 
     def __init__(self, A: np.ndarray, z: complex):
         n = A.shape[0]
-        i, j = np.nonzero(A)
-        kl = int((i - j).max(initial=0))
-        ku = int((j - i).max(initial=0))
+        kl, ku = _bandwidths(A)
         width = 2 * kl + ku + 1
         rows = np.zeros((n + kl, width), dtype=np.complex128)
         column_sums = np.zeros(n)
@@ -322,6 +357,170 @@ def operator_norm(A: IntervalOperator | np.ndarray) -> float:
     """l2-induced operator norm (largest singular value) by dense SVD."""
     entries = _dense(A)
     return float(np.linalg.norm(entries, 2))
+
+
+def _gram_band(A: np.ndarray, kl: int, ku: int) -> np.ndarray:
+    """The upper band of M = A^T A as a (b + 1) x n array G[e, i] = M[i, i + e], b = kl + ku.
+
+    kl and ku are A's band widths. Row l of A holds A[l, l + d] for
+    d = -kl..ku, and each product of two of those diagonals adds to one
+    diagonal of M, so the band costs O(n b^2) and no dense product is
+    formed. G[e, i] is 0 where i + e >= n.
+    """
+    n = A.shape[0]
+    rows = np.zeros((n + kl + ku, kl + ku + 1))  # rows[l + ku, kl + d] = A[l, l + d]
+    for d in range(-kl, ku + 1):
+        diagonal = np.diagonal(A, d)
+        start = ku + max(0, -d)
+        rows[start:start + diagonal.size, kl + d] = diagonal
+    G = np.zeros((kl + ku + 1, n))
+    for d in range(-kl, ku + 1):
+        # column c of A meets diagonal d in row c - d: M[c, c + e] gains A[c-d, c] A[c-d, c+e]
+        window = rows[ku - d:ku - d + n]
+        for e in range(ku - d + 1):
+            G[e] += window[:, kl + d] * window[:, kl + d + e]
+    return G
+
+
+def _gram_positive(blocks: list[np.ndarray], t: np.ndarray) -> np.ndarray:
+    """Whether LDL^T without pivoting of t I - M has only positive pivots, per shift.
+
+    t holds the shifts, (S, C), one column per matrix. blocks[k] holds the
+    negated upper Gram bands of the rows k h .. k h + h + b - 1 of the
+    columns that still have a row k h, which lead: blocks[k][e, j, c] =
+    -M_c[k h + j, k h + j + e], zero past the matrix. Elimination keeps
+    only the window of rows i..i+b: its last row and column are still
+    untouched band entries, and the Schur complement of the rest is a
+    packed upper triangle of (S, C) arrays. A NaN pivot counts as a
+    failure. b >= 1: a diagonal M has lo = hi, so a chunk of them is never
+    factored.
+    """
+    b = blocks[0].shape[0] - 1
+    lowest = np.empty(t.shape)
+    low = np.full(t.shape, np.inf)  # the lowest pivot of each column still factoring
+    m = t.shape[1]
+    # w[p][q - p] is the Schur complement entry of rows i + p and i + q, q < b
+    w = [[t + blocks[0][0, p] if q == p else blocks[0][q - p, p] for q in range(p, b)]
+         for p in range(b)]
+    for block in blocks:
+        if block.shape[2] < m:  # the columns past the block's have factored every row
+            lowest[:, block.shape[2]:m] = low[:, block.shape[2]:]
+            m = block.shape[2]
+            low, t = low[:, :m].copy(), t[:, :m].copy()
+            w = [[x[..., :m] for x in row] for row in w]
+        for i in range(block.shape[1] - b):
+            pivot = w[0][0]
+            np.minimum(low, pivot, out=low)
+            top = w[0][1:] + [block[b, i]]  # row i against rows i+1..i+b
+            scaled = [x / pivot for x in top]
+            w = [
+                [(w[p][q - p] if q < b else block[b - p, i + p]) - top[p - 1] * scaled[q - 1]
+                 for q in range(p, b + 1)]
+                for p in range(1, b)
+            ] + [[t + block[0, i + b] - top[b - 1] * scaled[b - 1]]]
+    lowest[:, :m] = low
+    return lowest > 0.0
+
+
+def _gram_bisect(chunk: list[tuple[np.ndarray, float, float]]) -> np.ndarray:
+    """sqrt(lambda_max(M)) for each (band, lo, hi) of _gram_norms, bisecting from [lo, hi].
+
+    The bands are laid side by side by decreasing n, negated, and cut into
+    blocks of _GRAM_ROWS rows for _gram_positive, padded to the widest band
+    with zeros. A matrix shorter than its block is padded with M = 0 rows,
+    whose pivot t > 0 never fails. Each pass tests _GRAM_SHIFTS shifts
+    evenly spaced inside every open bracket, which becomes the gap between
+    the smallest shift that passed and the one below it. The norms come
+    back in the chunk's order. The chunk is emptied, so that its bands are
+    freed once the blocks hold them.
+    """
+    sizes = np.array([G.shape[1] for G, _, _ in chunk])
+    order = np.argsort(-sizes, kind="stable")
+    bands = [chunk[c][0] for c in order]
+    lo = np.array([chunk[c][1] for c in order])
+    hi = np.array([chunk[c][2] for c in order])
+    chunk.clear()
+    width, n = max(G.shape[0] for G in bands), int(sizes.max())
+    blocks = []
+    for start in range(0, n, _GRAM_ROWS):
+        rows = min(_GRAM_ROWS, n - start) + width - 1
+        block = np.zeros((width, rows, int(np.count_nonzero(sizes > start))))
+        for c in range(block.shape[2]):
+            G = bands[c][:, start:start + rows]
+            np.negative(G, out=block[:G.shape[0], :G.shape[1], c])
+        blocks.append(block)
+    del bands
+    fractions = np.arange(1, _GRAM_SHIFTS + 1)[:, None] / (_GRAM_SHIFTS + 1)
+    never, always = np.zeros((1, lo.size), bool), np.ones((1, lo.size), bool)
+    columns = np.arange(lo.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while True:
+            open_ = hi - lo > 4.0 * _EPS * hi
+            if not open_.any():
+                break
+            t = lo + (hi - lo) * fractions
+            shifts = np.vstack([lo[None], t, hi[None]])
+            passed = np.vstack([never, _gram_positive(blocks, t), always])
+            first = passed.argmax(axis=0)
+            hi = np.where(open_, shifts[first, columns], hi)
+            lo = np.where(open_, shifts[first - 1, columns], lo)
+    norms = np.empty(lo.size)
+    norms[order] = np.sqrt(hi)
+    return norms
+
+
+def _gram_norms(ops: Iterable[IntervalOperator | np.ndarray]) -> np.ndarray:
+    """||A||_2 of each operator, in input order, by bisection on its banded Gram matrix.
+
+    ||A||^2 is the largest eigenvalue of M = A^T A, and t I - M is positive
+    definite exactly when t > lambda_max(M), which is when its LDL^T
+    without pivoting has only positive pivots. So each norm comes from a
+    bisection on t, bracketed by lo = max_i M[i, i] <= lambda_max (a
+    diagonal entry of a symmetric matrix) and hi = the largest Gershgorin
+    row sum of |M| >= lambda_max. The bisection stops once
+    hi - lo <= 4 eps hi and returns sqrt(hi): the smallest shift whose
+    factorization succeeded, or the Gershgorin bound if none did. LDL^T is
+    backward stable, so a success at t shows that t I - M + E is positive
+    definite for an E of the order of b eps ||M||; hi is thus an upper
+    bound on lambda_max up to that rounding and the rounding of M. That is
+    the conservative end for a check of ||A|| <= 1 + tol. A NaN or
+    non-positive pivot fails the test.
+
+    Each band is read off the operator's entries, the matrix operator_norm
+    reads, with its widths from the nonzero pattern as _BandLU does, and
+    formed in O(n b^2). The operators are streamed, and only the bands of
+    one chunk of _GRAM_CHUNK of them are held at a time. A band wider than
+    _GRAM_WIDEST costs more this way than operator_norm's dense SVD, which
+    takes that operator instead.
+    """
+    norms: list[float] = []
+    chunk: list[tuple[np.ndarray, float, float]] = []
+    slots: list[int] = []  # the place in norms of each chunk entry
+
+    def bisect_chunk() -> None:
+        for slot, norm in zip(slots, _gram_bisect(chunk)):  # empties chunk
+            norms[slot] = norm
+        slots.clear()
+
+    for A in ops:
+        entries = _dense(A)
+        kl, ku = _bandwidths(entries)
+        if kl + ku > _GRAM_WIDEST:
+            norms.append(operator_norm(entries))
+            continue
+        G = _gram_band(entries, kl, ku)
+        magnitudes = np.abs(G)
+        row_sums = magnitudes.sum(axis=0)
+        for e in range(1, G.shape[0]):
+            row_sums[e:] += magnitudes[e, :-e]
+        slots.append(len(norms))
+        norms.append(math.nan)
+        chunk.append((G, float(G[0].max()), float(row_sums.max())))
+        if len(chunk) == _GRAM_CHUNK:
+            bisect_chunk()
+    if chunk:
+        bisect_chunk()
+    return np.array(norms)
 
 
 def _certified_norm2(B: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, bool]:

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -487,6 +488,25 @@ def test_reproduce_with_manifest_override(capsys, tmp_path) -> None:
     assert code == 2
 
 
+@pytest.mark.parametrize("field, value", [("residual_lam_a_range", [1e200, 1e200]),
+                                          ("residual_nu_range", [1e300, 1e300])])
+def test_reproduce_lemma1_fails_an_overflowing_energy_residual(
+    capsys, tmp_path, field, value
+) -> None:
+    # the residual is inf or NaN there; NaN once slipped through max() as a pass
+    manifest = copy.deepcopy(SMALL_LEMMA1)
+    manifest["lemma1"][field] = value
+    p = _write_manifest(tmp_path, manifest)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep, _ = _run(capsys, ["reproduce", "--target", "lemma1", "--manifest", p])
+    assert code == 1 and rep["overall"] == "FAIL"
+    norm, residual = rep["clauses"]
+    assert norm["pass"]
+    assert not residual["pass"] and residual["computed"] is None
+    assert rep["info"]["worst_relative_residual"] is None
+
+
 def test_reproduce_unknown_target_rejected_by_parser() -> None:
     with pytest.raises(SystemExit) as exc:
         cli.main(["reproduce", "--target", "example9"])
@@ -547,7 +567,7 @@ def no_numerics(monkeypatch):
         raise AssertionError("a bad input must be rejected before any computation")
 
     for module, name in ((operators, "assemble_matrix"), (spectral, "spectral_radius"),
-                         (spectral, "operator_norm")):
+                         (spectral, "operator_norm"), (spectral, "_gram_norms")):
         monkeypatch.setattr(module, name, forbidden)
 
 

@@ -81,8 +81,9 @@ def test_library_imports_no_sparse_eigensolver() -> None:
 
 
 # the private names one library module may read from another: shared
-# argument checks and the slope fit's sample floor
-SHARED_PRIVATE_NAMES = {"_check_interval", "_check_dense", "_MIN_FIT_SAMPLES"}
+# argument checks, the slope fit's sample floor and the lemma1 sweep's
+# batched norm engine
+SHARED_PRIVATE_NAMES = {"_check_interval", "_check_dense", "_MIN_FIT_SAMPLES", "_gram_norms"}
 
 
 def _is_private(name: str) -> bool:
@@ -190,6 +191,23 @@ def test_spectral_radius_loads_no_scipy_and_forms_no_eigenvectors() -> None:
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     )
     assert _python("-c", probe).stdout.strip() == "[]"
+
+
+def test_lemma1_sweep_runs_no_svd_and_loads_no_scipy() -> None:
+    # the lemma1 norms come from the banded Gram bisection; with the SVD gone
+    # from numpy.linalg and from the module norm calls it in, a dense SVD
+    # anywhere in the sweep would fail the run
+    probe = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from advstab import cli\n"
+        "del np.linalg.svd, np.linalg._linalg.svd\n"
+        "assert cli.main(['reproduce', '--target', 'lemma1']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    report, _, scipy = _python("-c", probe).stdout.strip().rpartition("\n")
+    assert json.loads(report)["overall"] == "PASS"
+    assert scipy == "[]"
 
 
 def test_package_import_loads_no_submodule_and_no_numpy() -> None:

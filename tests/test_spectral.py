@@ -10,6 +10,7 @@ import math
 import warnings
 import weakref
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -270,6 +271,83 @@ def test_operator_norm_matches_svd_on_random_dense() -> None:
     rng = np.random.default_rng(29)
     A = rng.standard_normal((60, 60))
     assert abs(spectral.operator_norm(A) - np.linalg.svd(A, compute_uv=False)[0]) < 1e-10
+
+
+def test_bandwidths_match_the_nonzero_pattern() -> None:
+    rng = np.random.default_rng(43)
+    for _ in range(500):
+        n = int(rng.integers(1, 12))
+        A = rng.standard_normal((n, n)) * (rng.random((n, n)) < rng.random())
+        i, j = np.nonzero(A)
+        assert spectral._bandwidths(A) == (int((i - j).max(initial=0)),
+                                           int((j - i).max(initial=0)))
+
+
+def _three_point(lam_a: float, nu: float, k: int, J: int) -> operators.IntervalOperator:
+    return operators.assemble_matrix(stencil.builtin("three-point", lam_a=lam_a, nu=nu), k, J)
+
+
+@st.composite
+def _three_point_batches(draw) -> list[tuple[float, float, int, int]]:
+    # more operators than one (shrunken) chunk, of mixed sizes
+    size = draw(st.integers(spectral._GRAM_CHUNK + 1, 3 * spectral._GRAM_CHUNK + 1))
+    batch = []
+    for _ in range(size):
+        lam_a, nu = (draw(st.floats(-0.5, 1.5)) for _ in range(2))
+        k = draw(st.integers(1, 4))
+        batch.append((lam_a, nu, k, draw(st.integers(max(1, k - 1), 200))))
+    return batch
+
+
+def _assert_gram_norms_match_svd(ops: list) -> None:
+    got = spectral._gram_norms(iter(ops))
+    want = np.array([spectral.operator_norm(A) for A in ops])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_gram_norms_match_the_svd_in_input_order(data) -> None:
+    # a chunk of 4 makes every batch span several chunks, each sorted by n
+    with mock.patch.object(spectral, "_GRAM_CHUNK", 4):
+        batch = data.draw(_three_point_batches())
+        _assert_gram_norms_match_svd([_three_point(*args) for args in batch])
+
+
+def test_gram_norms_match_the_svd_past_one_full_chunk() -> None:
+    rng = np.random.default_rng(41)
+    _assert_gram_norms_match_svd([
+        _three_point(*rng.uniform(-0.5, 1.5, 2), int(k), int(rng.integers(max(1, k - 1), 60)))
+        for k in rng.integers(1, 5, spectral._GRAM_CHUNK + 9)
+    ])
+
+
+@pytest.mark.parametrize("J", [5, 50, 200])
+@pytest.mark.parametrize("lam_a", [0.0, 1.0])  # the identity, then the pure shift
+def test_gram_norm_of_the_identity_and_the_pure_shift_is_exactly_one(lam_a, J) -> None:
+    assert spectral._gram_norms([_three_point(lam_a, lam_a, 1, J)]).tolist() == [1.0]
+
+
+@pytest.mark.parametrize("lam_a", [0.25, 0.5, 0.9])
+def test_gram_norm_without_a_ghost_matches_the_svd(lam_a) -> None:
+    # lam_a = nu zeroes a_1, so p = 0: no ghost, and A is lower bidiagonal
+    A = _three_point(lam_a, lam_a, 1, 80)
+    assert A.scheme.p == 0
+    _assert_gram_norms_match_svd([A])
+
+
+def test_a_band_past_the_widest_takes_the_svd_in_its_place() -> None:
+    # k = 8 widens the last row to kl = 7, so b = 8 > _GRAM_WIDEST
+    ops = [_three_point(0.3, 0.6, k, 40) for k in (1, 8, 2, 8, 5)]
+    got = spectral._gram_norms(ops)
+    assert [got[1], got[3]] == [spectral.operator_norm(ops[1]), spectral.operator_norm(ops[3])]
+    _assert_gram_norms_match_svd(ops)
+
+
+def test_gram_norms_of_one_or_no_operator() -> None:
+    _assert_gram_norms_match_svd([_three_point(0.3, 0.6, 2, 37)])
+    assert spectral._gram_norms([]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------
