@@ -5,7 +5,7 @@ prints a JSON report to standard output; --out and --dump-matrix name the
 artifacts, and the directory of each is checked before any computation.
 Exit codes: 0 success, 1 a check ran and failed, 2 usage error or a path
 that cannot be read or written, 3 numeric failure (eigensolver
-nonconvergence, overflow).
+nonconvergence, overflow, an array too large to allocate).
 
 A command checks its own flags, resolves the scheme, calls one report
 function of experiments (check_report, spectrum_report, simulate_report,
@@ -286,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
         # an unwritable or unreadable path the user gave; the library names it
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

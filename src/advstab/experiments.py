@@ -312,9 +312,9 @@ def _lemma1(target: str, m: dict, steps: int | None, out: str | None):
                 scheme = stencil.builtin("three-point", lam_a=float(lam_a), nu=float(nu))
                 for _ in range(m["J_draws_per_cell"]):
                     J = int(rng.integers(j_lo, j_hi + 1))
-                    yield operators.assemble_matrix(scheme, k, J)
+                    yield operators.IntervalOperator(scheme, k, J)
 
-    # streamed: one chunk of Gram bands is held at a time, never the matrices
+    # streamed: one chunk of Gram bands is held at a time, and no dense matrix
     norms = spectral._gram_norms(draws())
     worst_excess = float(np.max(norms, initial=-math.inf)) - 1.0
     n_matrices = norms.size

@@ -11,9 +11,11 @@ of the coefficients and writes the next state straight into the next row,
 then writes that row's ghosts with the p x k ghost fold and clears what
 the product wrote past them. The fold is the exact boundary.ghost_weights
 as floats, cached once per (p, k) by _float_ghost_weights, which explains
-its order. Its dense (J+1) x (J+1) entries are built on first read: the
-Toeplitz diagonals straight from the coefficients, then steps of only the
-last k unit vectors, the columns the outflow ghost fold touches. The
+its order. The iteration matrix exists once, as the operator's band,
+built on first read: the Toeplitz diagonals straight from the
+coefficients, then steps of only the last k unit vectors, the columns the
+outflow ghost fold touches. Its dense (J+1) x (J+1) entries are that band
+written out, and the spectral engines read the band itself. The
 half-line steppers act on exact finite-support sequences, growing their
 windows with the finite propagation speed of the stencil so no artificial
 second boundary ever contaminates a half-line experiment. The outflow one
@@ -144,9 +146,10 @@ class IntervalOperator:
     b consecutive outputs.
     All size and order checks happen here, at construction, and never per
     step. advance is the one stepping kernel; its ring of padded states
-    belongs to the call, never to the operator. The dense matrix is the
-    entries attribute, built on first read; stepping never builds it. All
-    three arrays are read-only, so the operator holds no mutable state.
+    belongs to the call, never to the operator. The matrix is the band
+    attribute, and the dense entries attribute is that band written out;
+    each is built on first read, and stepping builds neither. All four
+    arrays are read-only, so the operator holds no mutable state.
     """
 
     scheme: Scheme
@@ -229,29 +232,53 @@ class IntervalOperator:
             yield states[:size]
 
     @cached_property
-    def entries(self) -> np.ndarray:
-        """The dense iteration matrix, read-only: diagonals, then ghost columns.
+    def band(self) -> tuple[int, int, np.ndarray]:
+        """(kl, ku, rows): the iteration matrix in band storage, read-only.
 
+        kl and ku are the widths below and above the diagonal, from the
+        structure and at most n - 1: ku = p, and kl = r, or k - 1 if the
+        outflow fold reaches further down (it reaches row n - 1 from column
+        n - k), which it does only for p > 0. rows has n + kl + ku rows: ku
+        zero rows, then rows[ku + i, kl + d] = A[i, i + d], then kl zero
+        rows, so rows[ku - d:ku - d + n, kl + d] is diagonal d read by
+        column.
         Away from the outflow ghosts column j is the stencil read downwards,
         A[j - l, j] = a_l, so each diagonal is written straight from the
         coefficients and those entries are exact. Only the last k columns
-        feel the ghost fold; each is one step of its unit vector, so the
-        stepper stays the source of truth there and displayed matrices stay
-        available as independent test oracles.
+        feel the ghost fold; each is one step of its unit vector, written
+        over its band rows, so the stepper stays the source of truth there.
+        The band is O(n (kl + ku)) and has no dense guard.
+        """
+        r, p, k, n = self.scheme.r, self.scheme.p, self.k, self.n
+        kl, ku = min(max(r, k - 1) if p else r, n - 1), min(p, n - 1)
+        rows = np.zeros((n + kl + ku, kl + ku + 1), dtype=np.float64)
+        for ell, a in zip(self.scheme.ells.tolist(), self.scheme.coeffs_float):
+            rows[ku + max(0, -ell):ku + n - max(0, ell), kl + ell] = a
+        e = np.zeros(n, dtype=np.float64)
+        for j in range(n - k, n):
+            e[j] = 1.0
+            (states,) = self.advance(e, 1)
+            i = np.arange(max(0, j - ku), min(n, j + kl + 1))
+            rows[ku + i, kl + j - i] = states[0, i]
+            e[j] = 0.0
+        rows.setflags(write=False)
+        return kl, ku, rows
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The dense iteration matrix, read-only: the band written out.
+
+        Matrices displayed entry by entry stay independent test oracles of
+        it, and so of the band and the stepper.
         """
         n = self.n
         _check_dense(n)
+        kl, ku, rows = self.band
         A = np.zeros((n, n), dtype=np.float64)
         idx = np.arange(n)
-        for ell, a in zip(self.scheme.ells.tolist(), self.scheme.coeffs_float):
-            rows = idx[max(0, -ell):n - max(0, ell)]
-            A[rows, rows + ell] = a
-        e = np.zeros(n, dtype=np.float64)
-        for j in range(n - self.k, n):
-            e[j] = 1.0
-            (states,) = self.advance(e, 1)
-            A[:, j] = states[0]
-            e[j] = 0.0
+        for d in range(-kl, ku + 1):
+            i = idx[max(0, -d):n - max(0, d)]
+            A[i, i + d] = rows[ku + i, kl + d]
         A.setflags(write=False)
         return A
 

@@ -3,9 +3,9 @@
 Spectral radii come from the eigenvalues of one dense LAPACK eigensolve,
 without eigenvectors, limited to matrices of dimension at most
 operators.MAX_DENSE_DIMENSION. The dominant eigenvalue z is certified by
-banded inverse iteration: one LU with partial pivoting of A - zI in band
-storage gives its eigen-residual and, through one adjoint solve, an
-estimate of its condition number. The band LU is numpy only; importing
+banded inverse iteration: one LU with partial pivoting of A - zI, copied
+from the operator's band (_band), gives its eigen-residual and, through
+one adjoint solve, an estimate of its condition number. The band LU is numpy only; importing
 scipy for LAPACK's gbtrf would cost more time and memory than the solves
 it replaces. Plain one-vector power iteration would stall on a dominant
 complex conjugate pair, the signature of an oscillatory boundary
@@ -17,8 +17,9 @@ operator_norm is the dense SVD of one matrix. The lemma1 sweep instead
 streams its operators into the private _gram_norms, which bisects for the
 largest eigenvalue of each Gram matrix A^T A with banded LDL^T
 factorizations, batched over a chunk of operators and a few shifts at
-once. It forms no dense Gram matrix; only an operator whose band is too
-wide for the bisection to pay goes to the SVD.
+once. It forms each Gram band from the operator's own band and builds no
+dense matrix; only an operator whose band is too wide for the bisection
+to pay goes to the SVD.
 
 An interval operator's spectrum is a pure function of (scheme, k, J), all
 frozen, so spectral_radius solves each one once per process. Its private
@@ -147,30 +148,33 @@ def _dense(A: IntervalOperator | np.ndarray) -> np.ndarray:
     return entries
 
 
-def _bandwidths(A: np.ndarray) -> tuple[int, int]:
-    """(kl, ku): the widths of A's band below and above the diagonal, from its nonzeros.
+def _band(A: IntervalOperator | np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(kl, ku, rows): A's band, in IntervalOperator.band's layout.
 
-    Each row's first and last nonzero column bound it; a zero row bounds
-    nothing. Reading them off A != 0 is faster than listing the nonzeros.
+    An operator's is its own band. A plain array's reaches the outermost
+    diagonals that hold a nonzero, and its rows keep the array's dtype.
     """
-    nonzero = A != 0
-    n = A.shape[1]
-    first = nonzero.argmax(axis=1)
-    last = n - 1 - nonzero[:, ::-1].argmax(axis=1)
-    i = np.arange(A.shape[0])
-    held = nonzero[i, first]
-    return (int(np.max(i - first, where=held, initial=0)),
-            int(np.max(last - i, where=held, initial=0)))
+    if isinstance(A, IntervalOperator):
+        return A.band
+    entries = _dense(A)
+    n = entries.shape[0]
+    held = [d for d in range(1 - n, n) if np.diagonal(entries, d).any()] + [0]
+    kl, ku = -min(held), max(held)
+    rows = np.zeros((n + kl + ku, kl + ku + 1), dtype=entries.dtype)
+    for d in range(-kl, ku + 1):
+        start = ku + max(0, -d)
+        rows[start:start + n - abs(d), kl + d] = np.diagonal(entries, d)
+    return kl, ku, rows
 
 
 class _BandLU:
-    """LU with partial pivoting of A - zI for a banded A, in row-skewed band storage.
+    """LU with partial pivoting of A - zI for a band (kl, ku, rows) of _band.
 
-    kl and ku are read off A's nonzero pattern, so an interval operator and
-    a plain array take the same path. Row i of A - zI is kept as row i of
-    rows, rows[i, c] = (A - zI)[i, i - kl + c], over the width 2 kl + ku + 1
-    that row interchanges can fill; kl zero rows below keep every window
-    inside the buffer. Column j's elimination works on the
+    An interval operator and a plain array thus take the same path. Row i
+    of A - zI is kept as row i of a complex buffer, (A - zI)[i, i - kl + c]
+    in column c, which is row ku + i of the band, over the width
+    2 kl + ku + 1 that row interchanges can fill; kl zero rows below keep
+    every window inside the buffer. Column j's elimination works on the
     (kl + 1) x (kl + ku + 1) block (A - zI)[j:j+kl+1, j:j+kl+ku+1], which is
     one strided view of that storage, and all n of them are built as one
     window array, as IntervalOperator.advance does for its steps. A column
@@ -183,17 +187,15 @@ class _BandLU:
     it, so its multipliers stay zero.
     """
 
-    def __init__(self, A: np.ndarray, z: complex):
-        n = A.shape[0]
-        kl, ku = _bandwidths(A)
+    def __init__(self, band: tuple[int, int, np.ndarray], z: complex):
+        kl, ku, A = band
+        n = A.shape[0] - kl - ku
         width = 2 * kl + ku + 1
         rows = np.zeros((n + kl, width), dtype=np.complex128)
-        column_sums = np.zeros(n)
-        for d in range(-kl, ku + 1):  # (A - zI)[i, i + d] sits in column kl + d
-            diagonal = np.diagonal(A, d)
-            rows[max(0, -d):max(0, -d) + diagonal.size, kl + d] = diagonal
-            column_sums[max(0, d):max(0, d) + diagonal.size] += np.abs(diagonal)
+        rows[:n, :kl + ku + 1] = A[ku:ku + n]
         rows[:n, kl] -= z
+        # ||A||_1 from the column sums, diagonal d read by column
+        column_sums = sum(np.abs(A[ku - d:ku - d + n, kl + d]) for d in range(-kl, ku + 1))
         floor = _EPS * float(column_sums.max()) or 1.0
         item = rows.itemsize
         windows = np.ndarray(
@@ -271,18 +273,18 @@ def _eigen_residual(A: np.ndarray, z: complex, v: np.ndarray) -> float:
     return float(np.linalg.norm(Av - z * v) / np.linalg.norm(v))
 
 
-def _certify(A: np.ndarray, z: complex) -> tuple[float, float]:
+def _certify(A: np.ndarray, band: tuple, z: complex) -> tuple[float, float]:
     """(eigen-residual, condition estimate) of the eigenvalue z of A, by inverse iteration.
 
-    Two solves with the one band LU of A - zI run from a fixed start
-    vector, and the smaller residual is kept: on a very non-normal A the
-    second step can be worse (Lax-Wendroff 0.5, k=1, J=200 gives 8.9e-16,
-    then 1.6e-3). One adjoint solve from the same start gives the left
+    Two solves with the one band LU of A - zI, from A's band, run from a
+    fixed start vector, and the smaller residual is kept: on a very
+    non-normal A the second step can be worse (Lax-Wendroff 0.5, k=1,
+    J=200 gives 8.9e-16, then 1.6e-3). One adjoint solve from the same start gives the left
     vector y, and 1/|y^H x| for unit x and y estimates the eigenvalue's
     condition number kappa_1 (inf when y^H x is 0).
     """
     n = A.shape[0]
-    lu = _BandLU(A, z)
+    lu = _BandLU(band, z)
     start = np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
     steps = []
     x = start
@@ -296,12 +298,13 @@ def _certify(A: np.ndarray, z: complex) -> tuple[float, float]:
     return residual, 1.0 / overlap if overlap > 0.0 else math.inf
 
 
-def _solve(entries: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(read-only eigenvalues by decreasing modulus, residual, condition) of entries."""
+def _solve(A: IntervalOperator | np.ndarray) -> tuple[np.ndarray, float, float]:
+    """(read-only eigenvalues by decreasing modulus, residual, condition) of A."""
+    entries = _dense(A)
     w = np.linalg.eigvals(entries)
     w = w[np.argsort(-np.abs(w))]
     w.setflags(write=False)
-    return (w, *_certify(entries, complex(w[0])))
+    return (w, *_certify(entries, _band(A), complex(w[0])))
 
 
 def spectral_radius(
@@ -334,14 +337,13 @@ def spectral_radius(
         key = (A.scheme, A.k, A.J)
         solved = _SOLVED.pop(key, None)
         if solved is None:
-            solved = _solve(A.entries)
+            solved = _solve(A)
         _SOLVED[key] = solved
         if len(_SOLVED) > _SOLVED_SIZE:
             _SOLVED.popitem(last=False)
     else:
-        entries = _dense(A)
-        _check_dense(entries.shape[0])
-        solved = _solve(entries)
+        _check_dense(_dense(A).shape[0])
+        solved = _solve(A)
     w, residual, condition = solved
     rho = float(abs(w[0]))
     second = float(abs(w[1])) if w.size > 1 else 0.0
@@ -359,20 +361,16 @@ def operator_norm(A: IntervalOperator | np.ndarray) -> float:
     return float(np.linalg.norm(entries, 2))
 
 
-def _gram_band(A: np.ndarray, kl: int, ku: int) -> np.ndarray:
+def _gram_band(band: tuple[int, int, np.ndarray]) -> np.ndarray:
     """The upper band of M = A^T A as a (b + 1) x n array G[e, i] = M[i, i + e], b = kl + ku.
 
-    kl and ku are A's band widths. Row l of A holds A[l, l + d] for
+    band is A's (kl, ku, rows) from _band. Row l of A holds A[l, l + d] for
     d = -kl..ku, and each product of two of those diagonals adds to one
     diagonal of M, so the band costs O(n b^2) and no dense product is
     formed. G[e, i] is 0 where i + e >= n.
     """
-    n = A.shape[0]
-    rows = np.zeros((n + kl + ku, kl + ku + 1))  # rows[l + ku, kl + d] = A[l, l + d]
-    for d in range(-kl, ku + 1):
-        diagonal = np.diagonal(A, d)
-        start = ku + max(0, -d)
-        rows[start:start + diagonal.size, kl + d] = diagonal
+    kl, ku, rows = band
+    n = rows.shape[0] - kl - ku
     G = np.zeros((kl + ku + 1, n))
     for d in range(-kl, ku + 1):
         # column c of A meets diagonal d in row c - d: M[c, c + e] gains A[c-d, c] A[c-d, c+e]
@@ -386,28 +384,21 @@ def _gram_positive(blocks: list[np.ndarray], t: np.ndarray) -> np.ndarray:
     """Whether LDL^T without pivoting of t I - M has only positive pivots, per shift.
 
     t holds the shifts, (S, C), one column per matrix. blocks[k] holds the
-    negated upper Gram bands of the rows k h .. k h + h + b - 1 of the
-    columns that still have a row k h, which lead: blocks[k][e, j, c] =
-    -M_c[k h + j, k h + j + e], zero past the matrix. Elimination keeps
-    only the window of rows i..i+b: its last row and column are still
-    untouched band entries, and the Schur complement of the rest is a
-    packed upper triangle of (S, C) arrays. A NaN pivot counts as a
-    failure. b >= 1: a diagonal M has lo = hi, so a chunk of them is never
-    factored.
+    negated upper Gram bands of the rows k h .. k h + h + b - 1 of every
+    matrix: blocks[k][e, j, c] = -M_c[k h + j, k h + j + e], zero past the
+    matrix. Elimination keeps only the window of rows i..i+b: its last row
+    and column are still untouched band entries, and the Schur complement
+    of the rest is a packed upper triangle of (S, C) arrays. A NaN pivot
+    counts as a failure. The zero rows past a matrix meet none of its rows,
+    so their pivot is t itself and fails nothing that had not failed.
+    b >= 1: a diagonal M has lo = hi, so a chunk of them is never factored.
     """
     b = blocks[0].shape[0] - 1
-    lowest = np.empty(t.shape)
-    low = np.full(t.shape, np.inf)  # the lowest pivot of each column still factoring
-    m = t.shape[1]
+    low = np.full(t.shape, np.inf)  # the lowest pivot of each column
     # w[p][q - p] is the Schur complement entry of rows i + p and i + q, q < b
     w = [[t + blocks[0][0, p] if q == p else blocks[0][q - p, p] for q in range(p, b)]
          for p in range(b)]
     for block in blocks:
-        if block.shape[2] < m:  # the columns past the block's have factored every row
-            lowest[:, block.shape[2]:m] = low[:, block.shape[2]:]
-            m = block.shape[2]
-            low, t = low[:, :m].copy(), t[:, :m].copy()
-            w = [[x[..., :m] for x in row] for row in w]
         for i in range(block.shape[1] - b):
             pivot = w[0][0]
             np.minimum(low, pivot, out=low)
@@ -418,35 +409,30 @@ def _gram_positive(blocks: list[np.ndarray], t: np.ndarray) -> np.ndarray:
                  for q in range(p, b + 1)]
                 for p in range(1, b)
             ] + [[t + block[0, i + b] - top[b - 1] * scaled[b - 1]]]
-    lowest[:, :m] = low
-    return lowest > 0.0
+    return low > 0.0
 
 
 def _gram_bisect(chunk: list[tuple[np.ndarray, float, float]]) -> np.ndarray:
     """sqrt(lambda_max(M)) for each (band, lo, hi) of _gram_norms, bisecting from [lo, hi].
 
-    The bands are laid side by side by decreasing n, negated, and cut into
-    blocks of _GRAM_ROWS rows for _gram_positive, padded to the widest band
-    with zeros. A matrix shorter than its block is padded with M = 0 rows,
+    The bands are laid side by side in the chunk's order, negated, and cut
+    into blocks of _GRAM_ROWS rows for _gram_positive, padded to the widest
+    and the longest band with zeros: a shorter matrix goes on as M = 0 rows,
     whose pivot t > 0 never fails. Each pass tests _GRAM_SHIFTS shifts
     evenly spaced inside every open bracket, which becomes the gap between
-    the smallest shift that passed and the one below it. The norms come
-    back in the chunk's order. The chunk is emptied, so that its bands are
-    freed once the blocks hold them.
+    the smallest shift that passed and the one below it. The chunk is
+    emptied, so that its bands are freed once the blocks hold them.
     """
-    sizes = np.array([G.shape[1] for G, _, _ in chunk])
-    order = np.argsort(-sizes, kind="stable")
-    bands = [chunk[c][0] for c in order]
-    lo = np.array([chunk[c][1] for c in order])
-    hi = np.array([chunk[c][2] for c in order])
+    bands, lo, hi = zip(*chunk)
+    lo, hi = np.array(lo), np.array(hi)
     chunk.clear()
-    width, n = max(G.shape[0] for G in bands), int(sizes.max())
+    width, n = max(G.shape[0] for G in bands), max(G.shape[1] for G in bands)
     blocks = []
     for start in range(0, n, _GRAM_ROWS):
         rows = min(_GRAM_ROWS, n - start) + width - 1
-        block = np.zeros((width, rows, int(np.count_nonzero(sizes > start))))
-        for c in range(block.shape[2]):
-            G = bands[c][:, start:start + rows]
+        block = np.zeros((width, rows, len(bands)))
+        for c, G in enumerate(bands):
+            G = G[:, start:start + rows]
             np.negative(G, out=block[:G.shape[0], :G.shape[1], c])
         blocks.append(block)
     del bands
@@ -464,9 +450,7 @@ def _gram_bisect(chunk: list[tuple[np.ndarray, float, float]]) -> np.ndarray:
             first = passed.argmax(axis=0)
             hi = np.where(open_, shifts[first, columns], hi)
             lo = np.where(open_, shifts[first - 1, columns], lo)
-    norms = np.empty(lo.size)
-    norms[order] = np.sqrt(hi)
-    return norms
+    return np.sqrt(hi)
 
 
 def _gram_norms(ops: Iterable[IntervalOperator | np.ndarray]) -> np.ndarray:
@@ -486,10 +470,11 @@ def _gram_norms(ops: Iterable[IntervalOperator | np.ndarray]) -> np.ndarray:
     the conservative end for a check of ||A|| <= 1 + tol. A NaN or
     non-positive pivot fails the test.
 
-    Each band is read off the operator's entries, the matrix operator_norm
-    reads, with its widths from the nonzero pattern as _BandLU does, and
-    formed in O(n b^2). The operators are streamed, and only the bands of
-    one chunk of _GRAM_CHUNK of them are held at a time. A band wider than
+    Each Gram band is formed in O(n b^2) from the operator's band, which
+    _band gives as it does to _BandLU: an IntervalOperator's own, with no
+    dense matrix built, or a plain array's read off its nonzeros. The
+    operators are streamed, and only the bands of one chunk of _GRAM_CHUNK
+    of them are held at a time. A band wider than
     _GRAM_WIDEST costs more this way than operator_norm's dense SVD, which
     takes that operator instead.
     """
@@ -503,12 +488,11 @@ def _gram_norms(ops: Iterable[IntervalOperator | np.ndarray]) -> np.ndarray:
         slots.clear()
 
     for A in ops:
-        entries = _dense(A)
-        kl, ku = _bandwidths(entries)
-        if kl + ku > _GRAM_WIDEST:
-            norms.append(operator_norm(entries))
+        band = _band(A)
+        if band[0] + band[1] > _GRAM_WIDEST:
+            norms.append(operator_norm(A))
             continue
-        G = _gram_band(entries, kl, ku)
+        G = _gram_band(band)
         magnitudes = np.abs(G)
         row_sums = magnitudes.sum(axis=0)
         for e in range(1, G.shape[0]):

@@ -670,6 +670,20 @@ def test_reproduce_numeric_value_error_still_exits_3(capsys, monkeypatch) -> Non
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scheme", "upwind", "--lam-a", "0.5", "--k", "1", "--J", "10",
+     "--ic", "gaussian"],
+    ["reproduce", "--target", "example1"],
+])
+def test_a_step_count_too_large_to_record_is_a_numeric_failure(capsys, argv) -> None:
+    # 10**15 steps need an 8 PB record, past any address space, so the
+    # allocation fails at once even under memory overcommit
+    code = cli.main([*argv, "--steps", str(10**15)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numeric failure: ") and captured.err.count("\n") == 1
+
+
 def test_parser_leaves_numpy_unloaded() -> None:
     # ADVSTAB_THREADS only works while numpy is still unloaded
     probe = (

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from advstab import boundary, experiments, operators, stencil
+from advstab import boundary, experiments, operators, spectral, stencil
 from advstab.operators import Grid, IntervalOperator, SupportedSequence
 
 
@@ -296,6 +296,30 @@ def test_headline_matrices_match_the_unit_vector_assembly() -> None:
         assert np.array_equal(op.entries, _unit_vector_matrix(op))
         assert op.entries is op.entries
         assert not op.entries.flags.writeable
+
+
+_BAND_PARAMS = {
+    "three-point": [{"lam_a": 0.3, "nu": 0.6}, {"lam_a": 0.5, "nu": 0.5}],  # p = 1, p = 0
+    "lax-friedrichs": [{"lam_a": 0.5}], "upwind": [{"lam_a": 0.5}],
+    "lax-wendroff": [{"lam_a": 0.5}], "identity": [{}], "coeff1": [{}], "coeff2": [{}],
+}
+
+
+@pytest.mark.parametrize("name", stencil.builtin_names())
+def test_band_is_the_nonzero_band_of_the_entries(name: str) -> None:
+    # the structural widths are the widths of the nonzeros, so the band and
+    # the band _band reads off the dense matrix agree bit for bit
+    for params in _BAND_PARAMS[name]:
+        scheme = stencil.builtin(name, **params)
+        for k in range(1, 31):
+            fewest = max(k, scheme.r + scheme.p)  # the fewest points the guards allow
+            for n in (fewest, fewest + 1, fewest + 17):
+                op = IntervalOperator(scheme, k, n - 1)
+                kl, ku, rows = op.band
+                want_kl, want_ku, want = spectral._band(op.entries)
+                assert (kl, ku) == (want_kl, want_ku)
+                assert rows.tobytes() == want.tobytes()
+                assert not rows.flags.writeable
 
 
 def test_assemble_matrix_guards_dimension() -> None:

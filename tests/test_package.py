@@ -210,6 +210,19 @@ def test_lemma1_sweep_runs_no_svd_and_loads_no_scipy() -> None:
     assert scipy == "[]"
 
 
+def test_lemma1_sweep_builds_no_dense_matrix() -> None:
+    # the lemma1 norms read each operator's band; with the dense entries
+    # raising, a dense matrix anywhere in the sweep would fail the run
+    probe = (
+        "from advstab import cli, operators\n"
+        "def forbidden(self):\n"
+        "    raise AssertionError('the lemma1 sweep built a dense matrix')\n"
+        "operators.IntervalOperator.entries = property(forbidden)\n"
+        "assert cli.main(['reproduce', '--target', 'lemma1']) == 0\n"
+    )
+    assert json.loads(_python("-c", probe).stdout)["overall"] == "PASS"
+
+
 def test_package_import_loads_no_submodule_and_no_numpy() -> None:
     probe = (
         "import sys, advstab\n"

@@ -204,7 +204,7 @@ def test_band_solves_match_dense_solves(n: int, kl: int, ku: int, seed: int) -> 
     M = A - z * np.eye(n)
     # a forward error of 1e-10 needs a condition number well below 1/(1e6 eps)
     assume(np.linalg.cond(M) < 1e4)
-    lu = spectral._BandLU(A, z)
+    lu = spectral._BandLU(spectral._band(A), z)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for got, want in ((lu.solve(b), np.linalg.solve(M, b)),
                       (lu.solve_adjoint(b), np.linalg.solve(M.conj().T, b))):
@@ -273,14 +273,39 @@ def test_operator_norm_matches_svd_on_random_dense() -> None:
     assert abs(spectral.operator_norm(A) - np.linalg.svd(A, compute_uv=False)[0]) < 1e-10
 
 
-def test_bandwidths_match_the_nonzero_pattern() -> None:
+def test_band_of_a_plain_array_holds_its_nonzero_diagonals() -> None:
     rng = np.random.default_rng(43)
-    for _ in range(500):
-        n = int(rng.integers(1, 12))
-        A = rng.standard_normal((n, n)) * (rng.random((n, n)) < rng.random())
-        i, j = np.nonzero(A)
-        assert spectral._bandwidths(A) == (int((i - j).max(initial=0)),
-                                           int((j - i).max(initial=0)))
+    for dtype in (np.float64, np.complex128):
+        for _ in range(250):
+            n = int(rng.integers(1, 12))
+            A = (rng.standard_normal((n, n)) * (rng.random((n, n)) < rng.random())).astype(dtype)
+            i, j = np.nonzero(A)
+            kl, ku, rows = spectral._band(A)
+            assert (kl, ku) == (int((i - j).max(initial=0)), int((j - i).max(initial=0)))
+            assert rows.shape == (n + kl + ku, kl + ku + 1) and rows.dtype == dtype
+            # rows[ku + i, kl + d] = A[i, i + d], zero everywhere else
+            written = np.zeros_like(A)
+            for d in range(-kl, ku + 1):
+                row = np.arange(max(0, -d), n - max(0, d))
+                written[row, row + d] = rows[ku + row, kl + d]
+            assert np.array_equal(written, A)
+            assert np.count_nonzero(rows) == np.count_nonzero(A)
+
+
+def test_a_band_past_the_dense_guard_solves_with_no_dense_matrix() -> None:
+    op = operators.IntervalOperator(stencil.builtin("coeff2"), 2, 4999)
+    with pytest.raises(ValueError, match="dense guard"):
+        op.entries
+    kl, ku, rows = op.band
+    assert (kl, ku) == (7, 7) and rows.shape == (op.n + 14, 15)
+    z = 2.0 + 0.5j  # well outside the spectrum, so A - zI is well conditioned
+    rng = np.random.default_rng(47)
+    b = rng.standard_normal(op.n) + 1j * rng.standard_normal(op.n)
+    x = spectral._BandLU(op.band, z).solve(b)
+    # A x from two real steps: no n x n array exists anywhere
+    (real,), (imag,) = op.advance(x.real, 1), op.advance(x.imag, 1)
+    residual = real[0] + 1j * imag[0] - z * x - b
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(b)
 
 
 def _three_point(lam_a: float, nu: float, k: int, J: int) -> operators.IntervalOperator:
