@@ -194,13 +194,17 @@ def test_spectral_radius_loads_no_scipy_and_forms_no_eigenvectors() -> None:
 
 
 def test_lemma1_sweep_runs_no_svd_and_loads_no_scipy() -> None:
-    # the lemma1 norms come from the banded Gram bisection; with the SVD gone
-    # from numpy.linalg and from the module norm calls it in, a dense SVD
-    # anywhere in the sweep would fail the run
+    # the lemma1 norms come from the banded Gram bisection on each operator's
+    # band; with the SVD gone from numpy.linalg and from the module norm
+    # calls it in, and the dense entries raising, a dense SVD or a dense
+    # matrix anywhere in the sweep would fail the run
     probe = (
         "import sys\n"
         "import numpy as np\n"
-        "from advstab import cli\n"
+        "from advstab import cli, operators\n"
+        "def forbidden(self):\n"
+        "    raise AssertionError('the lemma1 sweep built a dense matrix')\n"
+        "operators.IntervalOperator.entries = property(forbidden)\n"
         "del np.linalg.svd, np.linalg._linalg.svd\n"
         "assert cli.main(['reproduce', '--target', 'lemma1']) == 0\n"
         "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
@@ -208,19 +212,6 @@ def test_lemma1_sweep_runs_no_svd_and_loads_no_scipy() -> None:
     report, _, scipy = _python("-c", probe).stdout.strip().rpartition("\n")
     assert json.loads(report)["overall"] == "PASS"
     assert scipy == "[]"
-
-
-def test_lemma1_sweep_builds_no_dense_matrix() -> None:
-    # the lemma1 norms read each operator's band; with the dense entries
-    # raising, a dense matrix anywhere in the sweep would fail the run
-    probe = (
-        "from advstab import cli, operators\n"
-        "def forbidden(self):\n"
-        "    raise AssertionError('the lemma1 sweep built a dense matrix')\n"
-        "operators.IntervalOperator.entries = property(forbidden)\n"
-        "assert cli.main(['reproduce', '--target', 'lemma1']) == 0\n"
-    )
-    assert json.loads(_python("-c", probe).stdout)["overall"] == "PASS"
 
 
 def test_package_import_loads_no_submodule_and_no_numpy() -> None:
