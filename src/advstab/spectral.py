@@ -5,13 +5,11 @@ without eigenvectors, limited to matrices of dimension at most
 operators.MAX_DENSE_DIMENSION. The dominant eigenvalue z is certified by
 banded inverse iteration: one LU with partial pivoting of A - zI, copied
 from the operator's band (_band), gives its eigen-residual and, through
-one adjoint solve, an estimate of its condition number. The band LU is numpy only; importing
-scipy for LAPACK's gbtrf would cost more time and memory than the solves
-it replaces. Plain one-vector power iteration would stall on a dominant
-complex conjugate pair, the signature of an oscillatory boundary
-instability, and is deliberately not offered for eigenvalues; the
-power-bound probe iterates only on the symmetric B^T B, and keeps a norm
-only under a Kato-Temple certificate.
+one adjoint solve, an estimate of its condition number. Plain one-vector
+power iteration would stall on a dominant complex conjugate pair, the
+signature of an oscillatory boundary instability, and is deliberately not
+offered for eigenvalues; the power-bound probe iterates only on the
+symmetric B^T B, and keeps a norm only under a Kato-Temple certificate.
 
 operator_norm is the dense SVD of one matrix. The lemma1 sweep instead
 streams its operators into the private _gram_norms, which bisects for the
@@ -20,6 +18,13 @@ factorizations, batched over a chunk of operators and a few shifts at
 once. It forms each Gram band from the operator's own band and builds no
 dense matrix; only an operator whose band is too wide for the bisection
 to pay goes to the SVD.
+
+Both band factorizations are one kernel, _band_elimination, in two modes:
+it eliminates a band in place over trailing batch axes, by LU with
+partial pivoting for _BandLU (a batch of one shift) or by LDL^T without
+pivoting for the Gram bisection (a batch of shifts x operators). It is
+numpy only; importing scipy for LAPACK's gbtrf would cost more time and
+memory than the solves it replaces.
 
 An interval operator's spectrum is a pure function of (scheme, k, J), all
 frozen, so spectral_radius solves each one once per process. Its private
@@ -64,17 +69,17 @@ _SOLVE_RESCALE = 2.0**256
 _SOLVED: OrderedDict[tuple[Scheme, int, int], tuple] = OrderedDict()
 _SOLVED_SIZE = 16
 # _gram_norms: operators bisected together, shifts tested per pass, and rows
-# per block of a chunk's bands. A wider chunk runs fewer numpy calls per
-# operator, but its bands and blocks stay resident: 192 is as fast as 256
-# on the lemma1 sweep and holds under 1 MB. A block of three diagonals
-# stays under malloc's 128 KiB mmap threshold, so freeing it does not
-# raise that threshold and leave later allocations resident on the heap.
+# eliminated per work block. A wider chunk runs fewer numpy calls per
+# operator, but its bands and its work block stay resident: 192 is as fast
+# as 256 on the lemma1 sweep. At b = 2 the chunk's upper bands and the work
+# block hold 0.97 MB each; a block of 8, 4 or 2 rows runs more passes and
+# is slower.
 _GRAM_CHUNK = 192
 _GRAM_SHIFTS = 7
 _GRAM_ROWS = 16
-# the widest Gram band (b = kl + ku) _gram_norms bisects: each row costs
-# about b^2 numpy calls, so on the lemma1 sweep b = 5 (k = 5) still beats
-# the dense SVD and b = 6 does not; k = 30 would take 13x the SVD's time
+# the widest Gram band (b = kl + ku) _gram_norms bisects: each row updates
+# a b x b block, and the lemma1 sweep (one BLAS thread) took about the
+# dense SVD's time at b = 5 (k = 5, 1.1x) and 1.3x it at b = 6
 _GRAM_WIDEST = 5
 
 
@@ -133,10 +138,12 @@ class ScanRow:
     normalized_excess: float
 
 
-def _dense(A: IntervalOperator | np.ndarray) -> np.ndarray:
+def _dense(A: IntervalOperator | np.ndarray, real: bool = False) -> np.ndarray:
     """A's entries; ValueError unless a plain array is a non-empty, square, finite 2-D array.
 
-    An IntervalOperator is finite by construction and is not scanned.
+    An IntervalOperator is finite by construction and is not scanned. With
+    real set, a complex array is refused too, by its dtype, for the routes
+    written for real matrices only.
     """
     if isinstance(A, IntervalOperator):
         return A.entries
@@ -145,18 +152,21 @@ def _dense(A: IntervalOperator | np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix must be a non-empty square 2-D array, not {entries.shape}")
     if not np.isfinite(entries).all():
         raise ValueError("matrix entries must be finite")
+    if real and np.iscomplexobj(entries):
+        raise ValueError(f"matrix dtype {entries.dtype} is complex; this route takes real ones")
     return entries
 
 
-def _band(A: IntervalOperator | np.ndarray) -> tuple[int, int, np.ndarray]:
+def _band(A: IntervalOperator | np.ndarray, real: bool = False) -> tuple[int, int, np.ndarray]:
     """(kl, ku, rows): A's band, in IntervalOperator.band's layout.
 
-    An operator's is its own band. A plain array's reaches the outermost
-    diagonals that hold a nonzero, and its rows keep the array's dtype.
+    An operator's is its own band. A plain array's, checked by _dense,
+    reaches the outermost diagonals that hold a nonzero, and its rows keep
+    the array's dtype.
     """
     if isinstance(A, IntervalOperator):
         return A.band
-    entries = _dense(A)
+    entries = _dense(A, real)
     n = entries.shape[0]
     held = [d for d in range(1 - n, n) if np.diagonal(entries, d).any()] + [0]
     kl, ku = -min(held), max(held)
@@ -167,6 +177,67 @@ def _band(A: IntervalOperator | np.ndarray) -> tuple[int, int, np.ndarray]:
     return kl, ku, rows
 
 
+def _band_elimination(rows: np.ndarray, kl: int, floor: float | None = None):
+    """(blocks, eliminate): the one band elimination, in place, over any trailing batch axes.
+
+    rows is (m, width, *batch) in _BandLU's row layout: row i holds the
+    matrix's row i from its column i - kl on. blocks[j], column j's block
+    of rows j..j+kl over the width - kl columns from j, is one strided view
+    of rows, and the views each column reads are built once, here, as
+    IntervalOperator.advance builds its own. eliminate(stop) eliminates
+    columns 0..stop-1 of every batch element in one of two modes:
+
+    - with a floor, LU with partial pivoting (see _BandLU), per batch
+      element: a pivot search, a row swap, the floor for an exact zero
+      pivot, lower /= pivot and rest -= lower (x) row. It returns the
+      (stop, *batch) pivots: q at [j, s] swapped row j + q into row j.
+    - without one, LDL^T without pivoting of a symmetric band, width
+      2 kl + 1: the pivot row is also the column below the pivot, so the
+      update is rest -= row (x) (row / pivot), and the lower triangle is
+      written but never read. It returns each batch element's lowest
+      pivot, NaN once a pivot was NaN.
+    """
+    (m, width), (down, across), batch = rows.shape[:2], rows.strides[:2], rows.shape[2:]
+    blocks = np.ndarray(
+        (m - kl, kl + 1, width - kl) + batch, dtype=rows.dtype, buffer=rows,
+        offset=kl * across, strides=(down, down - across, across) + rows.strides[2:])
+    # the column that multiplies the pivot row: the one below the pivot, or the row's own
+    multiplier = blocks[:, 1:, :1] if floor is not None else blocks[:, 0, 1:, None]
+    columns = list(zip(
+        blocks[:, :, 0], blocks[:, 0, 0], multiplier, blocks[:, 0, 1:], blocks[:, 1:, 1:]))
+    magnitude = np.empty((kl + 1,) + batch)
+    scaled, product = np.empty_like(blocks[0, 0, 1:]), np.empty_like(blocks[0, 1:, 1:])
+    # numpy fuses a complex product (an FMA) in its SIMD loops but not in the
+    # scalar loop it takes for a single one, so where a pivoted update is one
+    # product per batch element, each is formed alone, as in a batch of one
+    alone = [(..., *s) for s in np.ndindex(batch)] if kl * (width - kl - 1) == 1 else []
+
+    def eliminate(stop: int | None = None) -> np.ndarray:
+        low, found = np.full(batch, np.inf), []
+        for j, (candidates, pivot, column, row, rest) in enumerate(columns[:stop]):
+            if floor is None:
+                np.minimum(low, pivot, out=low)
+                np.multiply(column, np.divide(row, pivot, out=scaled), out=product)
+            else:
+                q = np.abs(candidates, out=magnitude).argmax(axis=0)
+                found.append(q)
+                if np.count_nonzero(q):
+                    for s in zip(*q.nonzero()):
+                        block, k = blocks[(j, ..., *s)], q[s]
+                        block[0], block[k] = block[k], block[0].copy()
+                if np.count_nonzero(pivot) < pivot.size:
+                    pivot[pivot == 0] = floor
+                np.divide(column, pivot, out=column)
+                for s in alone:
+                    np.multiply(column[s], row[s], out=product[s])
+                if not alone:
+                    np.multiply(column, row, out=product)
+            np.subtract(rest, product, out=rest)
+        return low if floor is None else np.array(found)
+
+    return blocks, eliminate
+
+
 class _BandLU:
     """LU with partial pivoting of A - zI for a band (kl, ku, rows) of _band.
 
@@ -174,54 +245,32 @@ class _BandLU:
     of A - zI is kept as row i of a complex buffer, (A - zI)[i, i - kl + c]
     in column c, which is row ku + i of the band, over the width
     2 kl + ku + 1 that row interchanges can fill; kl zero rows below keep
-    every window inside the buffer. Column j's elimination works on the
-    (kl + 1) x (kl + ku + 1) block (A - zI)[j:j+kl+1, j:j+kl+ku+1], which is
-    one strided view of that storage, and all n of them are built as one
-    window array, as IntervalOperator.advance does for its steps. A column
-    is a pivot search over its kl + 1 rows, a swap, a scale and a rank-1
-    update. The interchanges are kept in LAPACK's gbtrf form: a later swap
-    leaves the multipliers of earlier columns where they are, so
+    every block inside the buffer. _band_elimination factors it as a batch
+    of one shift: column j's elimination works on the (kl + 1) x
+    (kl + ku + 1) block (A - zI)[j:j+kl+1, j:j+kl+ku+1], a pivot search
+    over its kl + 1 rows, a swap, a scale and a rank-1 update. The
+    interchanges are kept in LAPACK's gbtrf form: a later swap leaves the
+    multipliers of earlier columns where they are, so
     A - zI = P_0 L_0 P_1 L_1 ... P_{n-1} L_{n-1} U. An exact zero pivot,
     which a diagonal A gives at any of its eigenvalues, is replaced by
-    eps ||A||_1 (1 for A = 0); partial pivoting has then left zeros under
-    it, so its multipliers stay zero.
+    floor = eps ||A||_1 (1 for A = 0); partial pivoting has then left
+    zeros under it, so its multipliers stay zero.
     """
 
     def __init__(self, band: tuple[int, int, np.ndarray], z: complex):
         kl, ku, A = band
         n = A.shape[0] - kl - ku
-        width = 2 * kl + ku + 1
-        rows = np.zeros((n + kl, width), dtype=np.complex128)
-        rows[:n, :kl + ku + 1] = A[ku:ku + n]
+        rows = np.zeros((n + kl, 2 * kl + ku + 1, 1), dtype=np.complex128)
+        rows[:n, :kl + ku + 1, 0] = A[ku:ku + n]
         rows[:n, kl] -= z
         # ||A||_1 from the column sums, diagonal d read by column
         column_sums = sum(np.abs(A[ku - d:ku - d + n, kl + d]) for d in range(-kl, ku + 1))
-        floor = _EPS * float(column_sums.max()) or 1.0
-        item = rows.itemsize
-        windows = np.ndarray(
-            (n, kl + 1, kl + ku + 1), dtype=np.complex128, buffer=rows, offset=kl * item,
-            strides=(width * item, (width - 1) * item, item),
-        )
-        pivots = [0] * n
-        for col, block in enumerate(windows):
-            q = int(np.argmax(np.abs(block[:, 0])))
-            if q:
-                pivots[col] = q
-                block[[0, q]] = block[[q, 0]]
-            if block[0, 0] == 0:
-                block[0, 0] = floor
-            lower = block[1:, 0]
-            lower /= block[0, 0]
-            block[1:, 1:] -= lower[:, None] * block[0, 1:]
+        self.floor = _EPS * float(column_sums.max()) or 1.0
+        blocks, eliminate = _band_elimination(rows, kl, self.floor)
+        self.pivots = eliminate()[:, 0].tolist()
         self.n, self.kl, self.ku = n, kl, ku
-        self.pivots = pivots
-        self.lower = windows[:, 1:, 0]  # multipliers of column j, rows j+1..j+kl
-        self.upper = windows[:, 0, :]  # U[j, j..j+kl+ku]
-
-    def _padded(self, b: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.n + self.kl + self.ku, dtype=np.complex128)
-        x[:self.n] = b
-        return x
+        # the multipliers of column j, rows j+1..j+kl, and U[j, j..j+kl+ku]
+        self.lower, self.upper = blocks[:, 1:, 0, 0], blocks[:, 0, :, 0]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """A multiple of (A - zI)^-1 b.
@@ -231,7 +280,7 @@ class _BandLU:
         block) cannot overflow.
         """
         n, kl, ku = self.n, self.kl, self.ku
-        x = self._padded(b)
+        x = np.concatenate([b, np.zeros(kl + ku, dtype=np.complex128)])
         for j, (q, lower) in enumerate(zip(self.pivots, self.lower)):
             if q:
                 x[j], x[j + q] = x[j + q], x[j]
@@ -251,7 +300,7 @@ class _BandLU:
         Its forward substitution rescales as solve's back substitution does.
         """
         n, kl, ku = self.n, self.kl, self.ku
-        y = self._padded(c)
+        y = np.concatenate([c, np.zeros(kl + ku, dtype=np.complex128)])
         for j, u in enumerate(self.upper):
             yj = y[j] / u[0].conj()
             y[j] = yj
@@ -321,8 +370,9 @@ def spectral_radius(
     |lambda_2| / |lambda_1| of the sorted eigenvalues: 1 for a dominant
     complex-conjugate pair or a zero spectrum, 0 for a nonzero 1 x 1
     matrix. 'dense' is the only method; a matrix of dimension above
-    MAX_DENSE_DIMENSION, or a plain array that is not a non-empty square
-    2-D array, raises ValueError, before any solve or lookup.
+    MAX_DENSE_DIMENSION, a plain array that is not a non-empty square 2-D
+    array, or an n_leading that is not a non-negative integer raises
+    ValueError, before any solve or lookup.
 
     An IntervalOperator's eigenvalues and certificate are memoized by
     (scheme, k, J) for the _SOLVED_SIZE most recently used triples, so an
@@ -332,6 +382,8 @@ def spectral_radius(
     """
     if method != "dense":
         raise ValueError(f"unknown method {method!r}")
+    if isinstance(n_leading, bool) or not isinstance(n_leading, int | np.integer) or n_leading < 0:
+        raise ValueError(f"n_leading must be a non-negative integer, not {n_leading!r}")
     if isinstance(A, IntervalOperator):
         _check_dense(A.n)
         key = (A.scheme, A.k, A.J)
@@ -380,76 +432,49 @@ def _gram_band(band: tuple[int, int, np.ndarray]) -> np.ndarray:
     return G
 
 
-def _gram_positive(blocks: list[np.ndarray], t: np.ndarray) -> np.ndarray:
-    """Whether LDL^T without pivoting of t I - M has only positive pivots, per shift.
-
-    t holds the shifts, (S, C), one column per matrix. blocks[k] holds the
-    negated upper Gram bands of the rows k h .. k h + h + b - 1 of every
-    matrix: blocks[k][e, j, c] = -M_c[k h + j, k h + j + e], zero past the
-    matrix. Elimination keeps only the window of rows i..i+b: its last row
-    and column are still untouched band entries, and the Schur complement
-    of the rest is a packed upper triangle of (S, C) arrays. A NaN pivot
-    counts as a failure. The zero rows past a matrix meet none of its rows,
-    so their pivot is t itself and fails nothing that had not failed.
-    b >= 1: a diagonal M has lo = hi, so a chunk of them is never factored.
-    """
-    b = blocks[0].shape[0] - 1
-    low = np.full(t.shape, np.inf)  # the lowest pivot of each column
-    # w[p][q - p] is the Schur complement entry of rows i + p and i + q, q < b
-    w = [[t + blocks[0][0, p] if q == p else blocks[0][q - p, p] for q in range(p, b)]
-         for p in range(b)]
-    for block in blocks:
-        for i in range(block.shape[1] - b):
-            pivot = w[0][0]
-            np.minimum(low, pivot, out=low)
-            top = w[0][1:] + [block[b, i]]  # row i against rows i+1..i+b
-            scaled = [x / pivot for x in top]
-            w = [
-                [(w[p][q - p] if q < b else block[b - p, i + p]) - top[p - 1] * scaled[q - 1]
-                 for q in range(p, b + 1)]
-                for p in range(1, b)
-            ] + [[t + block[0, i + b] - top[b - 1] * scaled[b - 1]]]
-    return low > 0.0
-
-
 def _gram_bisect(chunk: list[tuple[np.ndarray, float, float]]) -> np.ndarray:
     """sqrt(lambda_max(M)) for each (band, lo, hi) of _gram_norms, bisecting from [lo, hi].
 
-    The bands are laid side by side in the chunk's order, negated, and cut
-    into blocks of _GRAM_ROWS rows for _gram_positive, padded to the widest
-    and the longest band with zeros: a shorter matrix goes on as M = 0 rows,
-    whose pivot t > 0 never fails. Each pass tests _GRAM_SHIFTS shifts
-    evenly spaced inside every open bracket, which becomes the gap between
-    the smallest shift that passed and the one below it. The chunk is
-    emptied, so that its bands are freed once the blocks hold them.
+    The bands are laid side by side in the chunk's order, negated, as
+    upper[i, e, c] = -M_c[i, i + e], padded to the widest and the longest
+    band with zeros: a shorter matrix goes on as M = 0 rows, whose pivot
+    t > 0 never fails. Each pass tests _GRAM_SHIFTS shifts evenly spaced
+    inside every open bracket, which becomes the gap between the smallest
+    shift that passed and the one below it. A pass factors every t I - M
+    through one work block of _GRAM_ROWS + b rows by 2 b + 1 columns by
+    (shifts, chunk), in _BandLU's row layout, with the symmetric mode of one
+    _band_elimination: it writes the next _GRAM_ROWS rows of t I - M below
+    the b rows carried over, eliminates the first _GRAM_ROWS and carries
+    the last b to the top. The chunk is emptied, so that its bands are
+    freed once upper holds them.
     """
     bands, lo, hi = zip(*chunk)
     lo, hi = np.array(lo), np.array(hi)
     chunk.clear()
-    width, n = max(G.shape[0] for G in bands), max(G.shape[1] for G in bands)
-    blocks = []
-    for start in range(0, n, _GRAM_ROWS):
-        rows = min(_GRAM_ROWS, n - start) + width - 1
-        block = np.zeros((width, rows, len(bands)))
-        for c, G in enumerate(bands):
-            G = G[:, start:start + rows]
-            np.negative(G, out=block[:G.shape[0], :G.shape[1], c])
-        blocks.append(block)
+    b, n = max(G.shape[0] for G in bands) - 1, max(G.shape[1] for G in bands)
+    upper = np.zeros((-(-n // _GRAM_ROWS) * _GRAM_ROWS + b, b + 1, len(bands)))
+    for c, G in enumerate(bands):
+        np.negative(G.T, out=upper[:G.shape[1], :G.shape[0], c])
     del bands
+    work = np.zeros((_GRAM_ROWS + b, 2 * b + 1, _GRAM_SHIFTS, lo.size))
+    eliminate = _band_elimination(work, b)[1]
     fractions = np.arange(1, _GRAM_SHIFTS + 1)[:, None] / (_GRAM_SHIFTS + 1)
-    never, always = np.zeros((1, lo.size), bool), np.ones((1, lo.size), bool)
     columns = np.arange(lo.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
-            open_ = hi - lo > 4.0 * _EPS * hi
-            if not open_.any():
-                break
+        while (open_ := hi - lo > 4.0 * _EPS * hi).any():
             t = lo + (hi - lo) * fractions
+            low = np.full(t.shape, np.inf)
+            for start in range(0, n, _GRAM_ROWS):
+                top = b if start else 0  # the rows above top were carried over
+                work[top:, b:] = upper[start + top:start + b + _GRAM_ROWS, :, None]
+                work[top:, b] += t
+                np.minimum(low, eliminate(min(_GRAM_ROWS, n - start)), out=low)
+                work[:b] = work[_GRAM_ROWS:]  # the rows still to be eliminated
+            # the smallest shift that passed, or hi, and the shift below it, or lo
+            first = np.vstack([low > 0.0, np.ones((1, lo.size), bool)]).argmax(axis=0)
             shifts = np.vstack([lo[None], t, hi[None]])
-            passed = np.vstack([never, _gram_positive(blocks, t), always])
-            first = passed.argmax(axis=0)
-            hi = np.where(open_, shifts[first, columns], hi)
-            lo = np.where(open_, shifts[first - 1, columns], lo)
+            hi = np.where(open_, shifts[first + 1, columns], hi)
+            lo = np.where(open_, shifts[first, columns], lo)
     return np.sqrt(hi)
 
 
@@ -470,13 +495,15 @@ def _gram_norms(ops: Iterable[IntervalOperator | np.ndarray]) -> np.ndarray:
     the conservative end for a check of ||A|| <= 1 + tol. A NaN or
     non-positive pivot fails the test.
 
+    The factorizations are the symmetric mode of _band_elimination, the
+    kernel whose pivoted mode is _BandLU, batched over shifts x operators.
     Each Gram band is formed in O(n b^2) from the operator's band, which
     _band gives as it does to _BandLU: an IntervalOperator's own, with no
     dense matrix built, or a plain array's read off its nonzeros. The
     operators are streamed, and only the bands of one chunk of _GRAM_CHUNK
-    of them are held at a time. A band wider than
-    _GRAM_WIDEST costs more this way than operator_norm's dense SVD, which
-    takes that operator instead.
+    of them are held at a time. A band wider than _GRAM_WIDEST costs more
+    this way than operator_norm's dense SVD, which takes that operator
+    instead. Only real arrays are taken: a complex one raises ValueError.
     """
     norms: list[float] = []
     chunk: list[tuple[np.ndarray, float, float]] = []
@@ -488,7 +515,7 @@ def _gram_norms(ops: Iterable[IntervalOperator | np.ndarray]) -> np.ndarray:
         slots.clear()
 
     for A in ops:
-        band = _band(A)
+        band = _band(A, real=True)
         if band[0] + band[1] > _GRAM_WIDEST:
             norms.append(operator_norm(A))
             continue
@@ -566,10 +593,12 @@ def power_bound_probe(
     or when the certified ||A|| is below 1 by more than the chain's rounding
     and the exponent ledger has fallen to 2^-1075. Those zeros are proven,
     not computed, so n_svd counts only the powers computed before them.
+    A complex array raises ValueError: the ledger and the certificate are
+    written for real matrices.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    entries = _dense(A)
+    entries = _dense(A, real=True)
     size = entries.shape[0]
     B = np.eye(size)
     v = np.full(size, 1.0 / math.sqrt(size))

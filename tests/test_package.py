@@ -137,6 +137,14 @@ def test_the_ghost_fold_and_the_correlation_each_have_one_site() -> None:
     assert _readers({"correlate"}) == {("operators.py", "step_halfline_inflow", "correlate")}
 
 
+def test_the_band_elimination_has_one_kernel_and_two_readers() -> None:
+    # the certificate's LU and Lemma 1's Gram bisection are the two modes of
+    # one kernel, so a third band elimination cannot appear unnoticed
+    kernel = {"_band_elimination"}
+    assert _readers(kernel) == {("spectral.py", owner, "_band_elimination")
+                                for owner in ("_BandLU", "_gram_bisect")}
+
+
 def test_cli_reads_only_the_reports_and_scheme_resolution() -> None:
     # the commands parse, resolve the scheme, call one experiments function
     # and print

@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from advstab import experiments, operators, spectral, stencil
@@ -43,6 +43,23 @@ def test_spectral_radius_refuses_an_empty_or_non_square_array(monkeypatch) -> No
               np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="non-empty square 2-D array"):
             spectral.spectral_radius(A)
+
+
+def test_spectral_radius_refuses_a_negative_or_fractional_n_leading(monkeypatch) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a bad n_leading reached a solve")
+
+    # n_leading = -1 used to slice w[:-1]: all eigenvalues but the last
+    op = operators.IntervalOperator(stencil.builtin("coeff1"), 1, 20)
+    spectral.spectral_radius(op)
+    spectral.spectral_radius(operators.IntervalOperator(op.scheme, 1, 21))
+    memo = list(spectral._SOLVED)  # a lookup of op would move it to the end
+    monkeypatch.setattr(spectral, "_solve", forbidden)
+    for A in (np.eye(3), op):
+        for n_leading in (-1, 2.0, 1.5, "3", None, True):
+            with pytest.raises(ValueError, match="n_leading must be a non-negative integer"):
+                spectral.spectral_radius(A, n_leading=n_leading)
+    assert list(spectral._SOLVED) == memo
 
 
 def test_spectral_radius_has_only_the_dense_method() -> None:
@@ -211,6 +228,57 @@ def test_band_solves_match_dense_solves(n: int, kl: int, ku: int, seed: int) -> 
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), kl=st.integers(0, 4), ku=st.integers(0, 4),
+       extra=st.integers(0, 3), diagonal=st.booleans(), seed=st.integers(0, 2**32 - 1))
+# one product per shift in each update: numpy's SIMD loops would fuse it
+@example(n=2, kl=1, ku=0, extra=1, diagonal=False, seed=0)
+@example(n=3, kl=1, ku=0, extra=1, diagonal=False, seed=1)
+def test_a_batch_of_shifts_factors_each_shift_as_alone(
+    n: int, kl: int, ku: int, extra: int, diagonal: bool, seed: int
+) -> None:
+    rng = np.random.default_rng(seed)
+    A = _banded(rng, n, 0, 0) if diagonal else _banded(rng, n, kl, ku)
+    # A[0, 0] zeroes the first pivot: a swap, or the floor for a diagonal A,
+    # at that shift only; 1e3 makes A - zI diagonally dominant, so it never swaps
+    extras = rng.standard_normal(extra) + 1j * rng.standard_normal(extra)
+    z = np.concatenate([[A[0, 0], 1e3], extras])
+    kl, ku, band_rows = band = spectral._band(A)
+    # A - zI in _BandLU's row layout, one trailing column per shift
+    rows = np.zeros((n + kl, 2 * kl + ku + 1, z.size), dtype=np.complex128)
+    rows[:n, :kl + ku + 1] = band_rows[ku:ku + n, :, None]
+    rows[:n, kl] -= z
+    floor = spectral._BandLU(band, z[0]).floor
+    blocks, eliminate = spectral._band_elimination(rows, kl, floor)
+    pivots = eliminate()
+    for s, shift in enumerate(z):
+        lu = spectral._BandLU(band, shift)
+        assert pivots[:, s].tolist() == lu.pivots
+        assert blocks[:, 1:, 0, s].tobytes() == lu.lower.tobytes()
+        assert blocks[:, 0, :, s].tobytes() == lu.upper.tobytes()
+    assert not pivots[:, 1].any()
+    if diagonal:
+        assert np.argwhere(blocks[:, 0, 0] == floor).tolist() == [[0, 0]]
+    elif kl and n > 1:
+        assert pivots[0, 0] > 0
+
+
+def test_a_nan_or_negative_pivot_fails_only_its_own_batch_element() -> None:
+    # LDL^T of 2 x 2 tridiagonal bands [-1, 2, -1] at once, upper half only,
+    # with a NaN on one diagonal and a -5 on another
+    n = 6
+    rows = np.zeros((n + 1, 3, 2, 2))
+    rows[:n, 1], rows[:n - 1, 2] = 2.0, -1.0
+    rows[3, 1, 0, 1] = np.nan
+    rows[2, 1, 1, 0] = -5.0
+    alone = [spectral._band_elimination(rows[..., i, j, None].copy(), 1)[1]()
+             for i, j in itertools.product(range(2), repeat=2)]
+    low = spectral._band_elimination(rows, 1)[1]()
+    assert low.ravel().tobytes() == np.concatenate(alone).tobytes()
+    assert low[0, 0] == low[1, 1] == pytest.approx(7 / 6)  # the last pivot of [-1, 2, -1]
+    assert math.isnan(low[0, 1]) and low[1, 0] < 0.0
+
+
 def _matrix(name: str, k: int, J: int, **params) -> np.ndarray:
     return operators.assemble_matrix(stencil.builtin(name, **params), k, J).entries
 
@@ -334,7 +402,7 @@ def _assert_gram_norms_match_svd(ops: list) -> None:
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_gram_norms_match_the_svd_in_input_order(data) -> None:
-    # a chunk of 4 makes every batch span several chunks, each sorted by n
+    # a chunk of 4 makes every batch span several chunks of mixed sizes
     with mock.patch.object(spectral, "_GRAM_CHUNK", 4):
         batch = data.draw(_three_point_batches())
         _assert_gram_norms_match_svd([_three_point(*args) for args in batch])
@@ -368,6 +436,13 @@ def test_a_band_past_the_widest_takes_the_svd_in_its_place() -> None:
     got = spectral._gram_norms(ops)
     assert [got[1], got[3]] == [spectral.operator_norm(ops[1]), spectral.operator_norm(ops[3])]
     _assert_gram_norms_match_svd(ops)
+
+
+def test_gram_norms_refuse_a_complex_array_by_its_dtype() -> None:
+    # a narrow band and one past _GRAM_WIDEST, which would go to the SVD
+    for A in (np.eye(4) + 0.5j * np.eye(4, k=1), np.eye(9) + 0.5j * np.eye(9, k=8)):
+        with pytest.raises(ValueError, match="dtype complex128 is complex"):
+            spectral._gram_norms([_three_point(0.3, 0.6, 1, 10), A])
 
 
 def test_gram_norms_of_one_or_no_operator() -> None:
@@ -430,6 +505,19 @@ def test_power_bound_probe_refuses_an_empty_or_non_square_array(monkeypatch) -> 
     for A in (np.zeros((0, 0)), np.zeros((2, 3)), np.ones(4), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="non-empty square 2-D array"):
             spectral.power_bound_probe(A, 3)
+
+
+def test_power_bound_probe_refuses_a_complex_array_by_its_dtype(monkeypatch) -> None:
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a complex matrix reached a norm")
+
+    monkeypatch.setattr(spectral, "_certified_norm2", forbidden)
+    rng = np.random.default_rng(53)
+    for dtype in (np.complex64, np.complex128):
+        # a zero imaginary part is refused too: the route is chosen by dtype
+        for A in (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)), np.eye(3)):
+            with pytest.raises(ValueError, match=f"dtype {np.dtype(dtype)} is complex"):
+                spectral.power_bound_probe(A.astype(dtype), 3)
 
 
 def test_power_bound_probe_certifies_most_criterion_7_powers() -> None:
