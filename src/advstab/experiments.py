@@ -3,10 +3,10 @@
 check_report, spectrum_report and simulate_report answer through the
 symbol, the spectrum and time stepping; reproduce runs a pinned bundle, the
 paper's evidence as pass/fail clauses: lemma1 the energy identity behind
-the three-point norm bound, halfline the bounded half-line semigroups,
-example1 and example2 the two growing interval examples. Each writes its
-artifacts, report JSON included, and returns the report the command
-prints; no other module writes a file. An unusable input raises
+the three-point norm bound at k = 1, halfline the bounded half-line
+semigroups, example1 and example2 the two growing interval examples. Each
+writes its artifacts, report JSON included, and returns the report the
+command prints; no other module writes a file. An unusable input raises
 BundleInputError, naming the manifest field it came from. Nothing
 numeric loads at module scope, so the parser can read TARGETS before the
 BLAS thread caps are set; reports call the library via module attributes.
@@ -61,6 +61,7 @@ _OPTIONAL = (lambda v: v is None or _is_num(v), "a finite number or null")
 _NONNEG = (lambda v: _is_num(v) and v >= 0, "a finite number >= 0")
 _NAME = (lambda v: isinstance(v, str), "a builtin scheme name")
 _IC_KIND = (lambda v: v in ("gaussian", "wavepacket"), "'gaussian' or 'wavepacket'")
+_K_ONE = (lambda v: v == 1 and _is_int(v), "1 (lemma1 is the k = 1 statement)")
 
 
 def _pair(kind: tuple) -> tuple:
@@ -87,7 +88,7 @@ _EXAMPLE = {
 }
 _LEMMA1 = {
     "grid_points": _COUNT, "J_draws_per_cell": _COUNT, "J_range": _pair(_COUNT),
-    "k": _ORDER, "seed": _NATURAL, "norm_tol": _NONNEG,
+    "seed": _NATURAL, "norm_tol": _NONNEG,
     "residual_draws": _COUNT, "residual_seed": _NATURAL, "residual_tol": _NONNEG,
     "residual_lam_a_range": _pair(_NUMBER), "residual_nu_range": _pair(_NUMBER),
     "residual_J_range": _pair(_COUNT),
@@ -298,9 +299,10 @@ def _lemma1(target: str, m: dict, steps: int | None, out: str | None):
 
     from . import operators, simulate, spectral, stencil
 
-    k, (j_lo, j_hi) = m["k"], m["J_range"]
-    # three-point schemes: r + p = 2
-    _input(f"{target}.J_range", operators._check_interval, k, j_lo + 1, 2)
+    # Lemma 1 is the k = 1 statement (Neumann outflow), as the energy clause
+    # checks: a manifest may still say k = 1, but no other order
+    _check(f"{target}.k", m.get("k", 1), _K_ONE)
+    j_lo, j_hi = m["J_range"]
     _input(f"{target}.J_range", operators._check_dense, j_hi + 1)
 
     rng = np.random.default_rng(m["seed"])
@@ -312,7 +314,7 @@ def _lemma1(target: str, m: dict, steps: int | None, out: str | None):
                 scheme = stencil.builtin("three-point", lam_a=float(lam_a), nu=float(nu))
                 for _ in range(m["J_draws_per_cell"]):
                     J = int(rng.integers(j_lo, j_hi + 1))
-                    yield operators.IntervalOperator(scheme, k, J)
+                    yield operators.IntervalOperator(scheme, 1, J)
 
     # streamed: one chunk of Gram bands is held at a time, and no dense matrix
     norms = spectral._gram_norms(draws())

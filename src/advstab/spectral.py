@@ -4,20 +4,20 @@ Spectral radii come from the eigenvalues of one dense LAPACK eigensolve,
 without eigenvectors, limited to matrices of dimension at most
 operators.MAX_DENSE_DIMENSION. The dominant eigenvalue z is certified by
 banded inverse iteration: one LU with partial pivoting of A - zI, copied
-from the operator's band (_band), gives its eigen-residual and, through
-one adjoint solve, an estimate of its condition number. Plain one-vector
-power iteration would stall on a dominant complex conjugate pair, the
-signature of an oscillatory boundary instability, and is deliberately not
-offered for eigenvalues; the power-bound probe iterates only on the
-symmetric B^T B, and keeps a norm only under a Kato-Temple certificate.
+from the operator's band (a plain array's from _band), gives its
+eigen-residual and, through one adjoint solve, an estimate of its
+condition number. Plain one-vector power iteration would stall on a
+dominant complex conjugate pair, the signature of an oscillatory boundary
+instability, and is deliberately not offered for eigenvalues; the
+power-bound probe iterates only on the symmetric B^T B, and keeps a norm
+only under a Kato-Temple certificate.
 
 operator_norm is the dense SVD of one matrix. The lemma1 sweep instead
-streams its operators into the private _gram_norms, which bisects for the
-largest eigenvalue of each Gram matrix A^T A with banded LDL^T
-factorizations, batched over a chunk of operators and a few shifts at
-once. It forms each Gram band from the operator's own band and builds no
-dense matrix; only an operator whose band is too wide for the bisection
-to pay goes to the SVD.
+streams its interval operators into the private _gram_norms, which
+bisects for the largest eigenvalue of each Gram matrix A^T A with banded
+LDL^T factorizations, batched over a chunk of operators and a few shifts
+at once. It forms each Gram band from the operator's own band and builds
+no dense matrix.
 
 Both band factorizations are one kernel, _band_elimination, in two modes:
 it eliminates a band in place over trailing batch axes, by LU with
@@ -77,10 +77,6 @@ _SOLVED_SIZE = 16
 _GRAM_CHUNK = 192
 _GRAM_SHIFTS = 7
 _GRAM_ROWS = 16
-# the widest Gram band (b = kl + ku) _gram_norms bisects: each row updates
-# a b x b block, and the lemma1 sweep (one BLAS thread) took about the
-# dense SVD's time at b = 5 (k = 5, 1.1x) and 1.3x it at b = 6
-_GRAM_WIDEST = 5
 
 
 class PowerBoundOverflow(RuntimeError):
@@ -157,16 +153,12 @@ def _dense(A: IntervalOperator | np.ndarray, real: bool = False) -> np.ndarray:
     return entries
 
 
-def _band(A: IntervalOperator | np.ndarray, real: bool = False) -> tuple[int, int, np.ndarray]:
-    """(kl, ku, rows): A's band, in IntervalOperator.band's layout.
+def _band(entries: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(kl, ku, rows): a plain array's band, in IntervalOperator.band's layout.
 
-    An operator's is its own band. A plain array's, checked by _dense,
-    reaches the outermost diagonals that hold a nonzero, and its rows keep
-    the array's dtype.
+    entries are checked by _dense. The band reaches the outermost diagonals
+    that hold a nonzero, and its rows keep the array's dtype.
     """
-    if isinstance(A, IntervalOperator):
-        return A.band
-    entries = _dense(A, real)
     n = entries.shape[0]
     held = [d for d in range(1 - n, n) if np.diagonal(entries, d).any()] + [0]
     kl, ku = -min(held), max(held)
@@ -239,9 +231,10 @@ def _band_elimination(rows: np.ndarray, kl: int, floor: float | None = None):
 
 
 class _BandLU:
-    """LU with partial pivoting of A - zI for a band (kl, ku, rows) of _band.
+    """LU with partial pivoting of A - zI for a band (kl, ku, rows) of A.
 
-    An interval operator and a plain array thus take the same path. Row i
+    The band is laid out as IntervalOperator.band: an interval operator's
+    own, or a plain array's from _band, so both take the same path. Row i
     of A - zI is kept as row i of a complex buffer, (A - zI)[i, i - kl + c]
     in column c, which is row ku + i of the band, over the width
     2 kl + ku + 1 that row interchanges can fill; kl zero rows below keep
@@ -347,13 +340,15 @@ def _certify(A: np.ndarray, band: tuple, z: complex) -> tuple[float, float]:
     return residual, 1.0 / overlap if overlap > 0.0 else math.inf
 
 
-def _solve(A: IntervalOperator | np.ndarray) -> tuple[np.ndarray, float, float]:
-    """(read-only eigenvalues by decreasing modulus, residual, condition) of A."""
-    entries = _dense(A)
+def _solve(entries: np.ndarray, band: tuple) -> tuple[np.ndarray, float, float]:
+    """(read-only eigenvalues by decreasing modulus, residual, condition) of A.
+
+    entries and band are A's, checked once by the caller.
+    """
     w = np.linalg.eigvals(entries)
     w = w[np.argsort(-np.abs(w))]
     w.setflags(write=False)
-    return (w, *_certify(entries, _band(A), complex(w[0])))
+    return (w, *_certify(entries, band, complex(w[0])))
 
 
 def spectral_radius(
@@ -389,13 +384,14 @@ def spectral_radius(
         key = (A.scheme, A.k, A.J)
         solved = _SOLVED.pop(key, None)
         if solved is None:
-            solved = _solve(A)
+            solved = _solve(A.entries, A.band)
         _SOLVED[key] = solved
         if len(_SOLVED) > _SOLVED_SIZE:
             _SOLVED.popitem(last=False)
     else:
-        _check_dense(_dense(A).shape[0])
-        solved = _solve(A)
+        entries = _dense(A)  # the one check of a plain array
+        _check_dense(entries.shape[0])
+        solved = _solve(entries, _band(entries))
     w, residual, condition = solved
     rho = float(abs(w[0]))
     second = float(abs(w[1])) if w.size > 1 else 0.0
@@ -416,10 +412,10 @@ def operator_norm(A: IntervalOperator | np.ndarray) -> float:
 def _gram_band(band: tuple[int, int, np.ndarray]) -> np.ndarray:
     """The upper band of M = A^T A as a (b + 1) x n array G[e, i] = M[i, i + e], b = kl + ku.
 
-    band is A's (kl, ku, rows) from _band. Row l of A holds A[l, l + d] for
-    d = -kl..ku, and each product of two of those diagonals adds to one
-    diagonal of M, so the band costs O(n b^2) and no dense product is
-    formed. G[e, i] is 0 where i + e >= n.
+    band is A's (kl, ku, rows), IntervalOperator.band. Row l of A holds
+    A[l, l + d] for d = -kl..ku, and each product of two of those
+    diagonals adds to one diagonal of M, so the band costs O(n b^2) and no
+    dense product is formed. G[e, i] is 0 where i + e >= n.
     """
     kl, ku, rows = band
     n = rows.shape[0] - kl - ku
@@ -478,8 +474,8 @@ def _gram_bisect(chunk: list[tuple[np.ndarray, float, float]]) -> np.ndarray:
     return np.sqrt(hi)
 
 
-def _gram_norms(ops: Iterable[IntervalOperator | np.ndarray]) -> np.ndarray:
-    """||A||_2 of each operator, in input order, by bisection on its banded Gram matrix.
+def _gram_norms(ops: Iterable[IntervalOperator]) -> np.ndarray:
+    """||A||_2 of each interval operator, in input order, by bisection on its banded Gram matrix.
 
     ||A||^2 is the largest eigenvalue of M = A^T A, and t I - M is positive
     definite exactly when t > lambda_max(M), which is when its LDL^T
@@ -497,40 +493,24 @@ def _gram_norms(ops: Iterable[IntervalOperator | np.ndarray]) -> np.ndarray:
 
     The factorizations are the symmetric mode of _band_elimination, the
     kernel whose pivoted mode is _BandLU, batched over shifts x operators.
-    Each Gram band is formed in O(n b^2) from the operator's band, which
-    _band gives as it does to _BandLU: an IntervalOperator's own, with no
-    dense matrix built, or a plain array's read off its nonzeros. The
-    operators are streamed, and only the bands of one chunk of _GRAM_CHUNK
-    of them are held at a time. A band wider than _GRAM_WIDEST costs more
-    this way than operator_norm's dense SVD, which takes that operator
-    instead. Only real arrays are taken: a complex one raises ValueError.
+    Each Gram band is formed in O(n b^2) from the operator's own band, the
+    one _BandLU reads, and no dense matrix is built. The operators are
+    streamed, and only the bands of one chunk of _GRAM_CHUNK of them are
+    held at a time.
     """
     norms: list[float] = []
     chunk: list[tuple[np.ndarray, float, float]] = []
-    slots: list[int] = []  # the place in norms of each chunk entry
-
-    def bisect_chunk() -> None:
-        for slot, norm in zip(slots, _gram_bisect(chunk)):  # empties chunk
-            norms[slot] = norm
-        slots.clear()
-
     for A in ops:
-        band = _band(A, real=True)
-        if band[0] + band[1] > _GRAM_WIDEST:
-            norms.append(operator_norm(A))
-            continue
-        G = _gram_band(band)
+        G = _gram_band(A.band)
         magnitudes = np.abs(G)
         row_sums = magnitudes.sum(axis=0)
         for e in range(1, G.shape[0]):
             row_sums[e:] += magnitudes[e, :-e]
-        slots.append(len(norms))
-        norms.append(math.nan)
         chunk.append((G, float(G[0].max()), float(row_sums.max())))
         if len(chunk) == _GRAM_CHUNK:
-            bisect_chunk()
+            norms.extend(_gram_bisect(chunk))  # empties chunk
     if chunk:
-        bisect_chunk()
+        norms.extend(_gram_bisect(chunk))
     return np.array(norms)
 
 

@@ -457,7 +457,6 @@ SMALL_LEMMA1 = {
         "grid_points": 3,
         "J_draws_per_cell": 1,
         "J_range": [5, 30],
-        "k": 1,
         "norm_tol": 1e-12,
         "seed": 5,
         "residual_draws": 10,
@@ -505,6 +504,15 @@ def test_reproduce_lemma1_fails_an_overflowing_energy_residual(
     assert norm["pass"]
     assert not residual["pass"] and residual["computed"] is None
     assert rep["info"]["worst_relative_residual"] is None
+
+
+def test_reproduce_lemma1_runs_a_manifest_that_still_says_k_is_one() -> None:
+    manifest = experiments.load_manifest()
+    assert "k" not in manifest["lemma1"]
+    report = experiments.reproduce("lemma1", manifest)
+    assert report["overall"] == "PASS"
+    manifest["lemma1"]["k"] = 1
+    assert experiments.reproduce("lemma1", manifest) == report
 
 
 def test_reproduce_unknown_target_rejected_by_parser() -> None:
@@ -595,6 +603,9 @@ def _packaged_with(edit) -> dict:
          "lemma1.J_range"),
         ("example2", _packaged_with(lambda m: m["example2"]["ic"].update(width_param=-1.0)),
          "example2.ic.width_param"),
+        # lemma1 is the k = 1 statement: a manifest from before k was dropped
+        # that still asks for another order is refused, not run at k = 1
+        ("lemma1", _packaged_with(lambda m: m["lemma1"].update(k=2)), "lemma1.k"),
     ],
 )
 def test_reproduce_bad_manifest_is_usage_error(

@@ -145,6 +145,34 @@ def test_the_band_elimination_has_one_kernel_and_two_readers() -> None:
                                 for owner in ("_BandLU", "_gram_bisect")}
 
 
+def test_no_library_engine_falls_back_to_the_dense_svd() -> None:
+    # operator_norm stays the reference the tests and criterion 5 check
+    # against; the lemma1 sweep's engine bisects every band it is given
+    assert _readers({"operator_norm"}) == set()
+    # a plain array's band is read off its checked entries at the edge only
+    assert _readers({"_band"}) == {("spectral.py", "spectral_radius", "_band")}
+
+
+def _fields(schema: dict) -> set[str]:
+    """Every key of a manifest schema, nested sections flattened."""
+    return set(schema).union(*(_fields(kind) for kind in schema.values()
+                               if isinstance(kind, dict)))
+
+
+def test_every_manifest_field_is_read_by_its_bundle() -> None:
+    # a field that nothing reads cannot stay behind in a schema: each is read
+    # as a string subscript inside the bundle function it is checked for
+    from advstab import experiments
+
+    tree = ast.parse(Path(experiments.__file__).read_text(encoding="utf-8"))
+    bundles = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for bundle, schema in experiments._BUNDLES.values():
+        read = {node.slice.value for node in ast.walk(bundles[bundle.__name__])
+                if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant)
+                and isinstance(node.slice.value, str)}
+        assert sorted(_fields(schema) - read) == [], bundle.__name__
+
+
 def test_cli_reads_only_the_reports_and_scheme_resolution() -> None:
     # the commands parse, resolve the scheme, call one experiments function
     # and print

@@ -62,6 +62,23 @@ def test_spectral_radius_refuses_a_negative_or_fractional_n_leading(monkeypatch)
     assert list(spectral._SOLVED) == memo
 
 
+def test_spectral_radius_checks_a_plain_array_once(monkeypatch) -> None:
+    # the edge checks the array, and the solve and the band read the checked
+    # entries: the scan of every entry for a NaN runs once per call
+    calls = []
+    check = spectral._dense
+
+    def counted(A, *args, **kwargs):
+        calls.append(A)
+        return check(A, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_dense", counted)
+    A = np.diag([0.5, -2.0, 1.0]) + np.eye(3, k=1)
+    for _ in range(2):
+        assert spectral.spectral_radius(A).rho == 2.0
+    assert len(calls) == 2 and all(M is A for M in calls)
+
+
 def test_spectral_radius_has_only_the_dense_method() -> None:
     for method in ("iterative", "auto"):
         with pytest.raises(ValueError, match="unknown method"):
@@ -428,21 +445,6 @@ def test_gram_norm_without_a_ghost_matches_the_svd(lam_a) -> None:
     A = _three_point(lam_a, lam_a, 1, 80)
     assert A.scheme.p == 0
     _assert_gram_norms_match_svd([A])
-
-
-def test_a_band_past_the_widest_takes_the_svd_in_its_place() -> None:
-    # k = 8 widens the last row to kl = 7, so b = 8 > _GRAM_WIDEST
-    ops = [_three_point(0.3, 0.6, k, 40) for k in (1, 8, 2, 8, 5)]
-    got = spectral._gram_norms(ops)
-    assert [got[1], got[3]] == [spectral.operator_norm(ops[1]), spectral.operator_norm(ops[3])]
-    _assert_gram_norms_match_svd(ops)
-
-
-def test_gram_norms_refuse_a_complex_array_by_its_dtype() -> None:
-    # a narrow band and one past _GRAM_WIDEST, which would go to the SVD
-    for A in (np.eye(4) + 0.5j * np.eye(4, k=1), np.eye(9) + 0.5j * np.eye(9, k=8)):
-        with pytest.raises(ValueError, match="dtype complex128 is complex"):
-            spectral._gram_norms([_three_point(0.3, 0.6, 1, 10), A])
 
 
 def test_gram_norms_of_one_or_no_operator() -> None:
