@@ -148,7 +148,9 @@ def _spectrum(scheme, k: int, grid, full: bool):
     """(operator, eigensolve, rate (rho - 1)/dx); full keeps every eigenvalue."""
     from . import operators, spectral
 
-    A = _input(None, operators.assemble_matrix, scheme, k, grid.J)
+    # the size checks are input errors; a matrix that overflows is a numeric failure
+    A = _input(None, operators.IntervalOperator, scheme, k, grid.J)
+    _input(None, operators._check_dense, A.n)
     # one eigensolve serves rho and the full list, largest modulus first
     result = spectral.spectral_radius(A, n_leading=A.n if full else 10)
     return A, result, (result.rho - 1.0) / grid.dx

@@ -247,7 +247,10 @@ class IntervalOperator:
         coefficients and those entries are exact. Only the last k columns
         feel the ghost fold; each is one step of its unit vector, written
         over its band rows, so the stepper stays the source of truth there.
-        The band is O(n (kl + ku)) and has no dense guard.
+        A fold whose entries overflow float range is a ValueError naming the
+        scheme and k, raised here and unwarned, so every band and every
+        dense matrix of an operator is finite. The band is O(n (kl + ku))
+        and has no dense guard.
         """
         r, p, k, n = self.scheme.r, self.scheme.p, self.k, self.n
         kl, ku = min(max(r, k - 1) if p else r, n - 1), min(p, n - 1)
@@ -255,12 +258,17 @@ class IntervalOperator:
         for ell, a in zip(self.scheme.ells.tolist(), self.scheme.coeffs_float):
             rows[ku + max(0, -ell):ku + n - max(0, ell), kl + ell] = a
         e = np.zeros(n, dtype=np.float64)
-        for j in range(n - k, n):
-            e[j] = 1.0
-            (states,) = self.advance(e, 1)
-            i = np.arange(max(0, j - ku), min(n, j + kl + 1))
-            rows[ku + i, kl + j - i] = states[0, i]
-            e[j] = 0.0
+        # an overflow reaches the band as inf or NaN, checked once below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(n - k, n):
+                e[j] = 1.0
+                (states,) = self.advance(e, 1)
+                i = np.arange(max(0, j - ku), min(n, j + kl + 1))
+                rows[ku + i, kl + j - i] = states[0, i]
+                e[j] = 0.0
+        if not np.isfinite(rows).all():
+            raise ValueError(f"the iteration matrix of scheme {self.scheme.name!r} at "
+                             f"k = {k} overflows float range in its outflow ghost fold")
         rows.setflags(write=False)
         return kl, ku, rows
 

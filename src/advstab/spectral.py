@@ -4,15 +4,14 @@ Spectral radii come from the eigenvalues of one dense LAPACK eigensolve,
 without eigenvectors, limited to matrices of dimension at most
 operators.MAX_DENSE_DIMENSION. The dominant eigenvalue z is certified by
 banded inverse iteration: one LU with partial pivoting of A - zI, copied
-from the operator's band (a plain array's from _band), gives its
-eigen-residual and, through one adjoint solve, an estimate of its
-condition number. Plain one-vector power iteration would stall on a
-dominant complex conjugate pair, the signature of an oscillatory boundary
-instability, and is deliberately not offered for eigenvalues; the
-power-bound probe iterates only on the symmetric B^T B, and keeps a norm
-only under a Kato-Temple certificate.
+from the operator's band, gives its eigen-residual and, through one
+adjoint solve, an estimate of its condition number. Plain one-vector
+power iteration would stall on a dominant complex conjugate pair, the
+signature of an oscillatory boundary instability, and is deliberately not
+offered for eigenvalues; the power-bound probe iterates only on the
+symmetric B^T B, and keeps a norm only under a Kato-Temple certificate.
 
-operator_norm is the dense SVD of one matrix. The lemma1 sweep instead
+operator_norm is the dense SVD of one operator. The lemma1 sweep instead
 streams its interval operators into the private _gram_norms, which
 bisects for the largest eigenvalue of each Gram matrix A^T A with banded
 LDL^T factorizations, batched over a chunk of operators and a few shifts
@@ -31,8 +30,12 @@ frozen, so spectral_radius solves each one once per process. Its private
 memo, keyed by that triple and never by the operator, keeps the
 read-only eigenvalues by decreasing modulus and the certificate of the
 first, for the _SOLVED_SIZE most recently used operators; a hit returns
-the same certificate. It holds no operator and no dense matrix. A plain
-array is solved on every call.
+the same certificate. It holds no operator and no dense matrix.
+
+spectral_radius and operator_norm take an IntervalOperator and nothing
+else. power_bound_probe also takes a plain real square array: its
+certificate and exponent ledger are generic matrix numerics. The private
+kernels _solve, _certify and _BandLU take any matrix and its band.
 """
 
 from __future__ import annotations
@@ -134,12 +137,13 @@ class ScanRow:
     normalized_excess: float
 
 
-def _dense(A: IntervalOperator | np.ndarray, real: bool = False) -> np.ndarray:
-    """A's entries; ValueError unless a plain array is a non-empty, square, finite 2-D array.
+def _dense(A: IntervalOperator | np.ndarray) -> np.ndarray:
+    """The probe's A as entries; ValueError unless an array is non-empty, square, finite and real.
 
-    An IntervalOperator is finite by construction and is not scanned. With
-    real set, a complex array is refused too, by its dtype, for the routes
-    written for real matrices only.
+    An IntervalOperator's band refuses an entry that overflows where it is
+    built, so its entries are not scanned. A complex array is refused by
+    its dtype: the probe's ledger and certificate are written for real
+    matrices.
     """
     if isinstance(A, IntervalOperator):
         return A.entries
@@ -148,25 +152,9 @@ def _dense(A: IntervalOperator | np.ndarray, real: bool = False) -> np.ndarray:
         raise ValueError(f"matrix must be a non-empty square 2-D array, not {entries.shape}")
     if not np.isfinite(entries).all():
         raise ValueError("matrix entries must be finite")
-    if real and np.iscomplexobj(entries):
+    if np.iscomplexobj(entries):
         raise ValueError(f"matrix dtype {entries.dtype} is complex; this route takes real ones")
     return entries
-
-
-def _band(entries: np.ndarray) -> tuple[int, int, np.ndarray]:
-    """(kl, ku, rows): a plain array's band, in IntervalOperator.band's layout.
-
-    entries are checked by _dense. The band reaches the outermost diagonals
-    that hold a nonzero, and its rows keep the array's dtype.
-    """
-    n = entries.shape[0]
-    held = [d for d in range(1 - n, n) if np.diagonal(entries, d).any()] + [0]
-    kl, ku = -min(held), max(held)
-    rows = np.zeros((n + kl + ku, kl + ku + 1), dtype=entries.dtype)
-    for d in range(-kl, ku + 1):
-        start = ku + max(0, -d)
-        rows[start:start + n - abs(d), kl + d] = np.diagonal(entries, d)
-    return kl, ku, rows
 
 
 def _band_elimination(rows: np.ndarray, kl: int, floor: float | None = None):
@@ -233,8 +221,8 @@ def _band_elimination(rows: np.ndarray, kl: int, floor: float | None = None):
 class _BandLU:
     """LU with partial pivoting of A - zI for a band (kl, ku, rows) of A.
 
-    The band is laid out as IntervalOperator.band: an interval operator's
-    own, or a plain array's from _band, so both take the same path. Row i
+    The band is laid out as IntervalOperator.band; a generic matrix's band
+    in that layout, as the tests give, takes the same path. Row i
     of A - zI is kept as row i of a complex buffer, (A - zI)[i, i - kl + c]
     in column c, which is row ku + i of the band, over the width
     2 kl + ku + 1 that row interchanges can fill; kl zero rows below keep
@@ -343,7 +331,7 @@ def _certify(A: np.ndarray, band: tuple, z: complex) -> tuple[float, float]:
 def _solve(entries: np.ndarray, band: tuple) -> tuple[np.ndarray, float, float]:
     """(read-only eigenvalues by decreasing modulus, residual, condition) of A.
 
-    entries and band are A's, checked once by the caller.
+    entries and band are A's: an interval operator's, or any matrix's.
     """
     w = np.linalg.eigvals(entries)
     w = w[np.argsort(-np.abs(w))]
@@ -352,46 +340,43 @@ def _solve(entries: np.ndarray, band: tuple) -> tuple[np.ndarray, float, float]:
 
 
 def spectral_radius(
-    A: IntervalOperator | np.ndarray,
+    A: IntervalOperator,
     method: str = "dense",
     n_leading: int = 10,
 ) -> SpectralReport:
-    """Spectral radius from the dense eigenvalues, certified by banded inverse iteration.
+    """An interval operator's spectral radius, certified by banded inverse iteration.
 
-    np.linalg.eigvals gives every eigenvalue and no eigenvectors. The
-    dominant one, z, is certified by _certify: its eigen-residual from
-    inverse iteration with a band LU of A - zI, and an estimate of its
-    condition number from one adjoint solve. modulus_ratio is
-    |lambda_2| / |lambda_1| of the sorted eigenvalues: 1 for a dominant
-    complex-conjugate pair or a zero spectrum, 0 for a nonzero 1 x 1
-    matrix. 'dense' is the only method; a matrix of dimension above
-    MAX_DENSE_DIMENSION, a plain array that is not a non-empty square 2-D
-    array, or an n_leading that is not a non-negative integer raises
-    ValueError, before any solve or lookup.
+    np.linalg.eigvals gives every eigenvalue of A.entries and no
+    eigenvectors. The dominant one, z, is certified by _certify: its
+    eigen-residual from inverse iteration with a band LU of A - zI, copied
+    from A.band, and an estimate of its condition number from one adjoint
+    solve. modulus_ratio is |lambda_2| / |lambda_1| of the sorted
+    eigenvalues: 1 for a dominant complex-conjugate pair or a zero
+    spectrum, 0 for a nonzero 1 x 1 matrix. An A that is not an
+    IntervalOperator raises TypeError first. 'dense' is the only method; a
+    matrix of dimension above MAX_DENSE_DIMENSION or an n_leading that is
+    not a non-negative integer raises ValueError; each is checked before
+    any solve or lookup.
 
-    An IntervalOperator's eigenvalues and certificate are memoized by
-    (scheme, k, J) for the _SOLVED_SIZE most recently used triples, so an
-    equal operator built again is not solved again and gets the same
-    certificate; each call still builds its own report with its own
-    n_leading. A plain array is never memoized.
+    The eigenvalues and certificate are memoized by (scheme, k, J) for the
+    _SOLVED_SIZE most recently used triples, so an equal operator built
+    again is not solved again and gets the same certificate; each call
+    still builds its own report with its own n_leading.
     """
+    if not isinstance(A, IntervalOperator):
+        raise TypeError(f"spectral_radius takes an IntervalOperator, not {type(A).__name__}")
     if method != "dense":
         raise ValueError(f"unknown method {method!r}")
     if isinstance(n_leading, bool) or not isinstance(n_leading, int | np.integer) or n_leading < 0:
         raise ValueError(f"n_leading must be a non-negative integer, not {n_leading!r}")
-    if isinstance(A, IntervalOperator):
-        _check_dense(A.n)
-        key = (A.scheme, A.k, A.J)
-        solved = _SOLVED.pop(key, None)
-        if solved is None:
-            solved = _solve(A.entries, A.band)
-        _SOLVED[key] = solved
-        if len(_SOLVED) > _SOLVED_SIZE:
-            _SOLVED.popitem(last=False)
-    else:
-        entries = _dense(A)  # the one check of a plain array
-        _check_dense(entries.shape[0])
-        solved = _solve(entries, _band(entries))
+    _check_dense(A.n)
+    key = (A.scheme, A.k, A.J)
+    solved = _SOLVED.pop(key, None)
+    if solved is None:
+        solved = _solve(A.entries, A.band)
+    _SOLVED[key] = solved
+    if len(_SOLVED) > _SOLVED_SIZE:
+        _SOLVED.popitem(last=False)
     w, residual, condition = solved
     rho = float(abs(w[0]))
     second = float(abs(w[1])) if w.size > 1 else 0.0
@@ -403,10 +388,14 @@ def spectral_radius(
     )
 
 
-def operator_norm(A: IntervalOperator | np.ndarray) -> float:
-    """l2-induced operator norm (largest singular value) by dense SVD."""
-    entries = _dense(A)
-    return float(np.linalg.norm(entries, 2))
+def operator_norm(A: IntervalOperator) -> float:
+    """An interval operator's l2-induced norm (largest singular value), by dense SVD.
+
+    An A that is not an IntervalOperator raises TypeError.
+    """
+    if not isinstance(A, IntervalOperator):
+        raise TypeError(f"operator_norm takes an IntervalOperator, not {type(A).__name__}")
+    return float(np.linalg.norm(A.entries, 2))
 
 
 def _gram_band(band: tuple[int, int, np.ndarray]) -> np.ndarray:
@@ -573,12 +562,15 @@ def power_bound_probe(
     or when the certified ||A|| is below 1 by more than the chain's rounding
     and the exponent ledger has fallen to 2^-1075. Those zeros are proven,
     not computed, so n_svd counts only the powers computed before them.
-    A complex array raises ValueError: the ledger and the certificate are
-    written for real matrices.
+
+    A is an IntervalOperator or a plain real square array. An array that
+    is not a non-empty square 2-D array, holds a NaN or an infinite entry,
+    or has a complex dtype raises ValueError: the ledger and the
+    certificate are written for finite real matrices.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    entries = _dense(A, real=True)
+    entries = _dense(A)
     size = entries.shape[0]
     B = np.eye(size)
     v = np.full(size, 1.0 / math.sqrt(size))

@@ -681,6 +681,17 @@ def test_reproduce_numeric_value_error_still_exits_3(capsys, monkeypatch) -> Non
     assert "numeric failure" in err
 
 
+def test_a_matrix_that_overflows_is_a_numeric_failure(capsys, tmp_path) -> None:
+    # the operator's band refuses it where it is built, before any eigensolve
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps({"name": "big", "r": 0, "p": 1, "coefficients": ["1", "1e305"],
+                             "lambda": "1", "a": "1"}))
+    code, rep, err = _run(capsys, ["spectrum", "--scheme", str(p), "--k", "30", "--J", "40"])
+    assert code == 3 and rep == {}
+    assert err == ("numeric failure: the iteration matrix of scheme 'big' at k = 30 "
+                   "overflows float range in its outflow ghost fold\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--scheme", "upwind", "--lam-a", "0.5", "--k", "1", "--J", "10",
      "--ic", "gaussian"],

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from hypothesis import strategies as hst
 
 from advstab import boundary, experiments, operators, spectral, stencil
 from advstab.operators import Grid, IntervalOperator, SupportedSequence
+
+from dense_band import band_of
 
 
 def _three_point_display(lam_a: float, nu: float, J: int, k: int) -> np.ndarray:
@@ -308,7 +311,7 @@ _BAND_PARAMS = {
 @pytest.mark.parametrize("name", stencil.builtin_names())
 def test_band_is_the_nonzero_band_of_the_entries(name: str) -> None:
     # the structural widths are the widths of the nonzeros, so the band and
-    # the band _band reads off the dense matrix agree bit for bit
+    # the band read off the dense matrix's nonzeros agree bit for bit
     for params in _BAND_PARAMS[name]:
         scheme = stencil.builtin(name, **params)
         for k in range(1, 31):
@@ -316,10 +319,28 @@ def test_band_is_the_nonzero_band_of_the_entries(name: str) -> None:
             for n in (fewest, fewest + 1, fewest + 17):
                 op = IntervalOperator(scheme, k, n - 1)
                 kl, ku, rows = op.band
-                want_kl, want_ku, want = spectral._band(op.entries)
+                want_kl, want_ku, want = band_of(op.entries)
                 assert (kl, ku) == (want_kl, want_ku)
                 assert rows.tobytes() == want.tobytes()
                 assert not rows.flags.writeable
+
+
+@pytest.mark.parametrize("coefficient, k", [("1e305", 30), ("1e307", 10)])
+def test_a_fold_that_overflows_is_refused_where_the_band_is_built(coefficient, k) -> None:
+    # a_1 times the order-k fold weights passes float range in the ghost
+    # columns; the refusal reaches every reader of the band, unwarned
+    scheme = stencil.Scheme(name="big", r=0, p=1, lam=Fraction(1), velocity=Fraction(1),
+                            coefficients=(Fraction(1), Fraction(coefficient)))
+    op = IntervalOperator(scheme, k, 40)
+    readers = (lambda: op.band, lambda: op.entries, lambda: spectral.operator_norm(op),
+               lambda: spectral.power_bound_probe(op, 3), lambda: spectral.spectral_radius(op))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for read in readers:
+            with pytest.raises(ValueError, match=f"scheme 'big' at k = {k} overflows float range"):
+                read()
+        # a lower order folds with smaller weights and stays finite
+        assert np.isfinite(IntervalOperator(scheme, 3, 40).entries).all()
 
 
 def test_assemble_matrix_guards_dimension() -> None:

@@ -149,8 +149,9 @@ def test_no_library_engine_falls_back_to_the_dense_svd() -> None:
     # operator_norm stays the reference the tests and criterion 5 check
     # against; the lemma1 sweep's engine bisects every band it is given
     assert _readers({"operator_norm"}) == set()
-    # a plain array's band is read off its checked entries at the edge only
-    assert _readers({"_band"}) == {("spectral.py", "spectral_radius", "_band")}
+    # spectral_radius and operator_norm take interval operators only: the
+    # plain-array edge serves the power-bound probe alone
+    assert _readers({"_dense"}) == {("spectral.py", "power_bound_probe", "_dense")}
 
 
 def _fields(schema: dict) -> set[str]:

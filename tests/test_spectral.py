@@ -9,6 +9,7 @@ import json
 import math
 import warnings
 import weakref
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -19,30 +20,39 @@ from hypothesis import strategies as st
 
 from advstab import experiments, operators, spectral, stencil
 
+from dense_band import band_of
+
 
 # ---------------------------------------------------------------------------
 # spectral radius
 
 def test_spectral_radius_dense_respects_limit() -> None:
-    with pytest.raises(ValueError):
-        spectral.spectral_radius(
-            np.zeros((operators.MAX_DENSE_DIMENSION + 1,) * 2), method="dense"
-        )
     A = operators.IntervalOperator(stencil.builtin("upwind", lam_a=0.5), 1,
                                    operators.MAX_DENSE_DIMENSION)
     with pytest.raises(ValueError, match="dense guard"):
         spectral.spectral_radius(A)
 
 
-def test_spectral_radius_refuses_an_empty_or_non_square_array(monkeypatch) -> None:
+def test_spectral_radius_and_operator_norm_take_an_interval_operator_only(monkeypatch) -> None:
     def forbidden(*args, **kwargs):
-        raise AssertionError("a malformed matrix reached the eigensolve")
+        raise AssertionError("a value that is not an interval operator reached a solve")
 
+    spectral.spectral_radius(operators.IntervalOperator(stencil.builtin("coeff1"), 1, 20))
+    memo = list(spectral._SOLVED)
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
-    for A in (np.zeros((0, 0)), np.zeros((2, 3)), np.ones(4), np.float64(2.0),
-              np.zeros((2, 2, 2))):
-        with pytest.raises(ValueError, match="non-empty square 2-D array"):
-            spectral.spectral_radius(A)
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+    monkeypatch.setattr(spectral, "_solve", forbidden)
+    big = np.broadcast_to(0.0, (operators.MAX_DENSE_DIMENSION + 1,) * 2)  # past the guard
+    for A, kind in ((np.eye(3), "ndarray"), (big, "ndarray"), (np.zeros((2, 3)), "ndarray"),
+                    ([[1.0]], "list"), (2.0, "float"), (None, "NoneType")):
+        # the type is checked first: before the method, n_leading and the dense guard
+        with pytest.raises(TypeError, match=f"spectral_radius takes an IntervalOperator, "
+                                            f"not {kind}$"):
+            spectral.spectral_radius(A, method="iterative", n_leading=-1)
+        with pytest.raises(TypeError, match=f"operator_norm takes an IntervalOperator, "
+                                            f"not {kind}$"):
+            spectral.operator_norm(A)
+    assert list(spectral._SOLVED) == memo
 
 
 def test_spectral_radius_refuses_a_negative_or_fractional_n_leading(monkeypatch) -> None:
@@ -55,66 +65,65 @@ def test_spectral_radius_refuses_a_negative_or_fractional_n_leading(monkeypatch)
     spectral.spectral_radius(operators.IntervalOperator(op.scheme, 1, 21))
     memo = list(spectral._SOLVED)  # a lookup of op would move it to the end
     monkeypatch.setattr(spectral, "_solve", forbidden)
-    for A in (np.eye(3), op):
-        for n_leading in (-1, 2.0, 1.5, "3", None, True):
-            with pytest.raises(ValueError, match="n_leading must be a non-negative integer"):
-                spectral.spectral_radius(A, n_leading=n_leading)
+    for n_leading in (-1, 2.0, 1.5, "3", None, True):
+        with pytest.raises(ValueError, match="n_leading must be a non-negative integer"):
+            spectral.spectral_radius(op, n_leading=n_leading)
     assert list(spectral._SOLVED) == memo
 
 
-def test_spectral_radius_checks_a_plain_array_once(monkeypatch) -> None:
-    # the edge checks the array, and the solve and the band read the checked
-    # entries: the scan of every entry for a NaN runs once per call
-    calls = []
-    check = spectral._dense
-
-    def counted(A, *args, **kwargs):
-        calls.append(A)
-        return check(A, *args, **kwargs)
-
-    monkeypatch.setattr(spectral, "_dense", counted)
-    A = np.diag([0.5, -2.0, 1.0]) + np.eye(3, k=1)
-    for _ in range(2):
-        assert spectral.spectral_radius(A).rho == 2.0
-    assert len(calls) == 2 and all(M is A for M in calls)
-
-
 def test_spectral_radius_has_only_the_dense_method() -> None:
+    op = operators.IntervalOperator(stencil.builtin("coeff1"), 1, 20)
     for method in ("iterative", "auto"):
         with pytest.raises(ValueError, match="unknown method"):
-            spectral.spectral_radius(np.eye(3), method=method)
+            spectral.spectral_radius(op, method=method)
 
 
 def test_spectral_radius_known_diagonal() -> None:
-    rep = spectral.spectral_radius(np.diag([0.5, -2.0, 1.0]))
+    # one coefficient and no ghost: the operator is -2 I
+    scheme = stencil.Scheme(name="minus-two", r=0, p=0, coefficients=(Fraction(-2),),
+                            lam=Fraction(1), velocity=Fraction(1))
+    rep = spectral.spectral_radius(operators.IntervalOperator(scheme, 1, 9))
     assert rep.method == "dense"
     assert abs(rep.rho - 2.0) < 1e-13
     assert rep.residual < 1e-12
     assert abs(rep.leading_eigenvalues[0] - (-2.0)) < 1e-13
-    assert rep.modulus_ratio == 0.5
+    assert rep.modulus_ratio == 1.0
     assert rep.eigen_condition == pytest.approx(1.0, abs=1e-12)
 
 
 def test_spectral_radius_rotation_complex_pair() -> None:
-    c, s = np.cos(0.4), np.sin(0.4)
-    rep = spectral.spectral_radius(0.9 * np.array([[c, -s], [s, c]]))
-    assert abs(rep.rho - 0.9) < 1e-13
-    assert abs(abs(rep.leading_eigenvalues[0]) - 0.9) < 1e-13
-    assert abs(rep.leading_eigenvalues[0].imag) > 0.1
+    # coeff2 at k = 2 grows through a dominant conjugate pair, which turns
+    # each step as a rotation does
+    rep = spectral.spectral_radius(operators.IntervalOperator(stencil.builtin("coeff2"), 2, 60))
+    first, second = rep.leading_eigenvalues[:2]
+    assert rep.rho == abs(first) > 1.0
+    assert abs(first.imag) > 0.01 and second == first.conjugate()
+    assert rep.modulus_ratio == 1.0
 
 
 def test_spectral_radius_of_the_identity_is_one_by_the_dense_method() -> None:
-    rep = spectral.spectral_radius(np.eye(10))
+    rep = spectral.spectral_radius(operators.IntervalOperator(stencil.builtin("identity"), 1, 9))
     assert rep.method == "dense"
     assert rep.rho == pytest.approx(1.0, abs=1e-14)
+
+
+def test_modulus_ratio_of_a_single_point_and_of_a_zero_spectrum() -> None:
+    # a nonzero 1 x 1 matrix has no second eigenvalue: ratio 0
+    one = spectral.spectral_radius(operators.IntervalOperator(stencil.builtin("identity"), 1, 0))
+    assert (one.rho, one.modulus_ratio) == (1.0, 0.0)
+    # upwind at lam a = 1 is the pure shift, nilpotent: ratio 1
+    shift = operators.IntervalOperator(stencil.builtin("upwind", lam_a=1.0), 1, 20)
+    zero = spectral.spectral_radius(shift)
+    assert (zero.rho, zero.modulus_ratio) == (0.0, 1.0)
 
 
 def test_jordan_block_floor_pivots_neither_overflow_nor_hide_the_defect() -> None:
     # every pivot of the nilpotent shift is the eps ||A||_1 floor: without
     # rescaling, the back substitution would pass 1e308 within 20 rows
-    rep = spectral.spectral_radius(np.eye(300, k=1))
-    assert rep.rho == 0.0 and rep.residual < 1e-14
-    assert rep.eigen_condition == math.inf
+    A = np.eye(300, k=1)
+    w, residual, condition = spectral._solve(A, band_of(A))
+    assert abs(w[0]) == 0.0 and residual < 1e-14
+    assert condition == math.inf
 
 
 def test_spectrum_report_prints_an_infinite_condition_as_null(monkeypatch) -> None:
@@ -160,15 +169,6 @@ def test_equal_operators_share_one_solve_and_one_certificate(monkeypatch) -> Non
     (w, residual, condition), = spectral._SOLVED.values()
     assert w.shape == (61,) and not w.flags.writeable
     assert (residual, condition) == (first.residual, first.eigen_condition)
-
-
-def test_plain_arrays_are_solved_on_every_call(monkeypatch) -> None:
-    spectral._SOLVED.clear()
-    A = _matrix("coeff2", 2, 60)
-    calls = _count_eigvals(monkeypatch)
-    reports = [spectral.spectral_radius(A) for _ in range(2)]
-    assert calls == [61, 61] and reports[0] == reports[1]
-    assert not spectral._SOLVED
 
 
 def test_memo_keeps_the_most_recently_used_sixteen(monkeypatch) -> None:
@@ -238,7 +238,7 @@ def test_band_solves_match_dense_solves(n: int, kl: int, ku: int, seed: int) -> 
     M = A - z * np.eye(n)
     # a forward error of 1e-10 needs a condition number well below 1/(1e6 eps)
     assume(np.linalg.cond(M) < 1e4)
-    lu = spectral._BandLU(spectral._band(A), z)
+    lu = spectral._BandLU(band_of(A), z)
     b = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     for got, want in ((lu.solve(b), np.linalg.solve(M, b)),
                       (lu.solve_adjoint(b), np.linalg.solve(M.conj().T, b))):
@@ -260,7 +260,7 @@ def test_a_batch_of_shifts_factors_each_shift_as_alone(
     # at that shift only; 1e3 makes A - zI diagonally dominant, so it never swaps
     extras = rng.standard_normal(extra) + 1j * rng.standard_normal(extra)
     z = np.concatenate([[A[0, 0], 1e3], extras])
-    kl, ku, band_rows = band = spectral._band(A)
+    kl, ku, band_rows = band = band_of(A)
     # A - zI in _BandLU's row layout, one trailing column per shift
     rows = np.zeros((n + kl, 2 * kl + ku + 1, z.size), dtype=np.complex128)
     rows[:n, :kl + ku + 1] = band_rows[ku:ku + n, :, None]
@@ -296,8 +296,8 @@ def test_a_nan_or_negative_pivot_fails_only_its_own_batch_element() -> None:
     assert math.isnan(low[0, 1]) and low[1, 0] < 0.0
 
 
-def _matrix(name: str, k: int, J: int, **params) -> np.ndarray:
-    return operators.assemble_matrix(stencil.builtin(name, **params), k, J).entries
+def _matrix(name: str, k: int, J: int, **params) -> operators.IntervalOperator:
+    return operators.assemble_matrix(stencil.builtin(name, **params), k, J)
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -333,7 +333,7 @@ def test_condition_estimate_matches_scipy_left_and_right_vectors(
     from scipy.linalg import eig
 
     A = _matrix(name, k, 60, **params)
-    w, left, right = eig(A, left=True)
+    w, left, right = eig(A.entries, left=True)
     i = np.argmax(np.abs(w))
     x, y = right[:, i], left[:, i]
     kappa = np.linalg.norm(x) * np.linalg.norm(y) / abs(np.vdot(y, x))
@@ -348,24 +348,30 @@ def test_condition_estimate_matches_scipy_left_and_right_vectors(
 # operator norm
 
 def test_operator_norm_known_matrices() -> None:
-    assert spectral.operator_norm(np.array([[0.0, 2.0], [0.0, 0.0]])) == 2.0
-    assert abs(spectral.operator_norm(np.eye(17)) - 1.0) < 1e-14
+    # the pure shift drops the last node and keeps the rest: norm 1
+    shift = operators.IntervalOperator(stencil.builtin("upwind", lam_a=1.0), 1, 16)
+    assert spectral.operator_norm(shift) == 1.0
+    identity = operators.IntervalOperator(stencil.builtin("identity"), 1, 16)
+    assert abs(spectral.operator_norm(identity) - 1.0) < 1e-14
 
 
 def test_operator_norm_matches_svd_on_random_dense() -> None:
     rng = np.random.default_rng(29)
-    A = rng.standard_normal((60, 60))
-    assert abs(spectral.operator_norm(A) - np.linalg.svd(A, compute_uv=False)[0]) < 1e-10
+    for lam_a, nu in rng.uniform(-0.5, 1.5, (5, 2)):
+        A = _matrix("three-point", int(rng.integers(1, 5)), 59, lam_a=lam_a, nu=nu)
+        want = np.linalg.svd(A.entries, compute_uv=False)[0]
+        assert abs(spectral.operator_norm(A) - want) < 1e-10 * max(1.0, want)
 
 
 def test_band_of_a_plain_array_holds_its_nonzero_diagonals() -> None:
+    # the tests' oracle for IntervalOperator.band and their feed to the band kernels
     rng = np.random.default_rng(43)
     for dtype in (np.float64, np.complex128):
         for _ in range(250):
             n = int(rng.integers(1, 12))
             A = (rng.standard_normal((n, n)) * (rng.random((n, n)) < rng.random())).astype(dtype)
             i, j = np.nonzero(A)
-            kl, ku, rows = spectral._band(A)
+            kl, ku, rows = band_of(A)
             assert (kl, ku) == (int((i - j).max(initial=0)), int((j - i).max(initial=0)))
             assert rows.shape == (n + kl + ku, kl + ku + 1) and rows.dtype == dtype
             # rows[ku + i, kl + d] = A[i, i + d], zero everywhere else
@@ -660,16 +666,13 @@ def test_non_finite_arrays_are_refused_before_any_kernel(monkeypatch) -> None:
     def forbidden(*args, **kwargs):
         raise AssertionError("a non-finite matrix reached a kernel")
 
-    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
     monkeypatch.setattr(np.linalg, "norm", forbidden)
     monkeypatch.setattr(spectral, "_certified_norm2", forbidden)
     for bad in (np.nan, np.inf, -np.inf):
         A = np.eye(3)
         A[1, 2] = bad
-        for solve in (spectral.spectral_radius, spectral.operator_norm,
-                      lambda M: spectral.power_bound_probe(M, 3)):
-            with pytest.raises(ValueError, match="entries must be finite"):
-                solve(A)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            spectral.power_bound_probe(A, 3)
 
 
 def test_an_overflowing_certificate_warns_nothing() -> None:
