@@ -5,7 +5,10 @@ prints a JSON report to standard output; --out and --dump-matrix name the
 artifacts, and the directory of each is checked before any computation.
 Exit codes: 0 success, 1 a check ran and failed, 2 usage error or a path
 that cannot be read or written, 3 numeric failure (eigensolver
-nonconvergence, overflow, an array too large to allocate).
+nonconvergence, overflow, an array too large to allocate). A usage error
+is experiments.BundleInputError, whether a report raised it or this module
+did for a bad flag, scheme, initial condition, manifest path or
+ADVSTAB_THREADS value.
 
 A command checks its own flags, resolves the scheme, calls one report
 function of experiments (check_report, spectrum_report, simulate_report,
@@ -26,6 +29,7 @@ import os
 import sys
 
 from . import experiments
+from .experiments import BundleInputError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -41,17 +45,13 @@ _THREAD_VARS = (
 )
 
 
-class UsageError(Exception):
-    """Bad arguments or unreadable inputs; maps to exit code 2."""
-
-
 def _cap_threads() -> None:
     # must run before anything imports numpy in this process
     raw = os.environ.get("ADVSTAB_THREADS", "").strip()
     if not raw:
         return
     if not raw.isdigit() or int(raw) < 1:
-        raise UsageError(f"ADVSTAB_THREADS must be a positive integer, got {raw!r}")
+        raise BundleInputError(f"ADVSTAB_THREADS must be a positive integer, got {raw!r}")
     for var in _THREAD_VARS:
         os.environ.setdefault(var, raw)
 
@@ -79,15 +79,16 @@ def _resolve_scheme(args: argparse.Namespace):
     is_file = choice.strip().lower() not in stencil.builtin_names() and (
         choice.endswith(".json") or os.sep in choice or os.path.exists(choice))
     if is_file and not os.path.exists(choice):
-        raise UsageError(f"scheme file not found: {choice}")
+        raise BundleInputError(f"scheme file not found: {choice}")
     if is_file and (args.lam_a is not None or args.nu is not None):
-        raise UsageError(f"--lam-a and --nu apply to builtin schemes, not {choice}")
+        raise BundleInputError(f"--lam-a and --nu apply to builtin schemes, not {choice}")
     try:
         if is_file:
             return stencil.load_scheme(choice)
         return stencil.builtin(choice, lam_a=args.lam_a, nu=args.nu)
     except ValueError as exc:
-        raise UsageError(f"bad scheme file {choice}: {exc}" if is_file else str(exc)) from exc
+        raise BundleInputError(
+            f"bad scheme file {choice}: {exc}" if is_file else str(exc)) from exc
 
 
 def _parse_ic(args: argparse.Namespace) -> dict:
@@ -99,11 +100,11 @@ def _parse_ic(args: argparse.Namespace) -> dict:
         try:
             theta = float(tail) * math.pi
         except ValueError as exc:
-            raise UsageError(
+            raise BundleInputError(
                 f"bad wave-packet frequency {tail!r}; expected wavepacket:<theta-over-pi>"
             ) from exc
     else:
-        raise UsageError(
+        raise BundleInputError(
             f"unknown initial condition {args.ic!r}; use gaussian or wavepacket:<theta-over-pi>"
         )
     return {"kind": "gaussian" if theta is None else "wavepacket", "center": args.center,
@@ -117,7 +118,7 @@ def _emit_report(report: dict) -> None:
 
 
 def _check_output_dirs(args: argparse.Namespace) -> None:
-    """UsageError unless every --out and --dump-matrix path is in an existing directory.
+    """BundleInputError unless every --out and --dump-matrix path is in an existing directory.
 
     Run before any numeric work, so a mistyped path costs no computation.
     """
@@ -125,7 +126,7 @@ def _check_output_dirs(args: argparse.Namespace) -> None:
                        ("--dump-matrix", getattr(args, "dump_matrix", None))):
         folder = os.path.dirname(path or "") or os.curdir
         if path and not os.path.isdir(folder):
-            raise UsageError(f"{flag} {path}: {folder} is not an existing directory")
+            raise BundleInputError(f"{flag} {path}: {folder} is not an existing directory")
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +135,7 @@ def _check_output_dirs(args: argparse.Namespace) -> None:
 def cmd_scheme_check(args: argparse.Namespace) -> int:
     for flag, tol in (("--tol", args.tol), ("--mode-tol", args.mode_tol)):
         if not 0.0 <= tol < math.inf:
-            raise UsageError(f"{flag} must be a finite number >= 0, got {tol}")
+            raise BundleInputError(f"{flag} must be a finite number >= 0, got {tol}")
     report = experiments.check_report(_resolve_scheme(args), args.mode_tol,
                                       args.tol if args.assert_stable else None, args.out)
     _emit_report(report)
@@ -160,7 +161,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     try:
         manifest = experiments.load_manifest(args.manifest)
     except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read manifest {args.manifest}: {exc}") from exc
+        raise BundleInputError(f"cannot read manifest {args.manifest}: {exc}") from exc
     # --steps 0, the default, keeps the pinned step count
     report = experiments.reproduce(args.target, manifest, args.steps or None, args.out)
     _emit_report(report)
@@ -277,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         _check_output_dirs(args)
         return args.handler(args)
-    except (UsageError, experiments.BundleInputError) as exc:
+    except BundleInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -29,7 +29,11 @@ __all__ = ["TARGETS", "BundleInputError", "check_report", "load_manifest", "repr
 
 
 class BundleInputError(ValueError):
-    """An input a report cannot use: a manifest field, a step count or an argument."""
+    """An input that cannot be used, exit code 2 on the command line.
+
+    It covers a manifest field, a step count or a report argument, and the
+    command line's own flags, scheme file, manifest path and ADVSTAB_THREADS.
+    """
 
 
 def load_manifest(path: str | None = None) -> dict:
@@ -144,16 +148,13 @@ def _grid(scheme, J: int, L: float):
     return _input(None, operators.Grid, J=J, L=L, lam=scheme.lam_float)
 
 
-def _spectrum(scheme, k: int, grid, full: bool):
-    """(operator, eigensolve, rate (rho - 1)/dx); full keeps every eigenvalue."""
-    from . import operators, spectral
+def _spectrum(A, grid, full: bool):
+    """(eigensolve, rate (rho - 1)/dx) of the operator A; full keeps every eigenvalue."""
+    from . import spectral
 
-    # the size checks are input errors; a matrix that overflows is a numeric failure
-    A = _input(None, operators.IntervalOperator, scheme, k, grid.J)
-    _input(None, operators._check_dense, A.n)
     # one eigensolve serves rho and the full list, largest modulus first
     result = spectral.spectral_radius(A, n_leading=A.n if full else 10)
-    return A, result, (result.rho - 1.0) / grid.dx
+    return result, (result.rho - 1.0) / grid.dx
 
 
 def _stepping(scheme, k: int, grid, ic, steps: int, snapshot_stride: int = 0):
@@ -246,8 +247,8 @@ def _example(target: str, m: dict, steps: int | None, out: str | None):
 
     scheme = _input(f"{target}.scheme", stencil.builtin, m["scheme"])
     k, J = m["k"], m["J"]
-    _input(f"{target}.J", operators._check_interval, k, J + 1, scheme.r + scheme.p)
-    _input(f"{target}.J", operators._check_dense, J + 1)
+    A = _input(f"{target}.J", operators.IntervalOperator, scheme, k, J)
+    _input(f"{target}.J", operators._check_dense, A.n)
     icm, theta = m["ic"], None
     if icm["kind"] == "wavepacket":
         _check(f"{target}.ic", icm, {"theta_over_pi": _NUMBER})
@@ -264,7 +265,8 @@ def _example(target: str, m: dict, steps: int | None, out: str | None):
                                f"window; it needs >= {min_steps}")
     grid = _grid(scheme, J, 1.0)
 
-    _, result, rate = _spectrum(scheme, k, grid, False)
+    result, rate = _spectrum(A, grid, False)
+    del A  # its dense entries need not stay resident through the run and the record CSV
     record, fit, _ = _stepping(scheme, k, grid, ic, n_steps)
     if fit is None:
         # shortened override run: the pinned window is infeasible
@@ -508,6 +510,8 @@ def spectrum_report(scheme, k: int, J: int, L: float, full: bool,
     and, for n <= _CSV_LIMIT, a CSV. Files that coincide are refused before
     assembly; written lists them all.
     """
+    from . import operators
+
     grid = _grid(scheme, J, L)
     json_path = _report_json_path(out)
     csv_path = json_path[: -len(".json")] + ".csv" if json_path and full else None
@@ -517,7 +521,10 @@ def spectrum_report(scheme, k: int, J: int, L: float, full: bool,
     if len({os.path.realpath(path) for path in written}) < len(written):
         raise BundleInputError(f"--out and --dump-matrix name one file twice: {written}")
 
-    A, result, rate = _spectrum(scheme, k, grid, full)
+    # the size checks are input errors; a matrix that overflows is a numeric failure
+    A = _input(None, operators.IntervalOperator, scheme, k, J)
+    _input(None, operators._check_dense, A.n)
+    result, rate = _spectrum(A, grid, full)
     report: dict = {
         "command": "spectrum", "scheme": scheme.name, "k": k, "J": J, "L": L,
         "dx": grid.dx, "n": A.n, "method": result.method, "rho": result.rho,

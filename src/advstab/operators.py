@@ -101,19 +101,6 @@ def _check_dense(n: int) -> None:
         raise ValueError(f"J + 1 = {n} exceeds dense guard {MAX_DENSE_DIMENSION}")
 
 
-def _check_interval(k: int, n: int, width: int) -> None:
-    """ValueError unless n points hold the k ghost sources and a stencil of r + p = width.
-
-    ghost_weights checks the range of k.
-    """
-    if n < k:
-        raise ValueError(f"grid with {n} points cannot support extrapolation order k = {k}")
-    if n < width:
-        raise ValueError(
-            f"grid with {n} points is narrower than the stencil (r + p = {width})"
-        )
-
-
 @lru_cache(maxsize=None)
 def _float_ghost_weights(p: int, k: int) -> np.ndarray:
     """boundary.ghost_weights(p, k) as a read-only Fortran-ordered p x k float64 array.
@@ -159,9 +146,15 @@ class IntervalOperator:
     toeplitz_block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        r, p = self.scheme.r, self.scheme.p
-        _check_interval(self.k, self.n, r + p)
-        object.__setattr__(self, "ghost_fold", _float_ghost_weights(p, self.k))
+        r, p, k, n = self.scheme.r, self.scheme.p, self.k, self.n
+        # n points must hold the k ghost sources and the stencil; ghost_weights
+        # checks the range of k
+        if n < k:
+            raise ValueError(f"grid with {n} points cannot support extrapolation order k = {k}")
+        if n < r + p:
+            raise ValueError(
+                f"grid with {n} points is narrower than the stencil (r + p = {r + p})")
+        object.__setattr__(self, "ghost_fold", _float_ghost_weights(p, k))
         block = np.zeros((_BLOCK + r + p, _BLOCK), dtype=np.float64)
         cols = np.arange(_BLOCK)
         block[np.arange(r + p + 1)[:, None] + cols, cols] = self.scheme.coeffs_float[:, None]

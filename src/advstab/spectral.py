@@ -32,10 +32,10 @@ read-only eigenvalues by decreasing modulus and the certificate of the
 first, for the _SOLVED_SIZE most recently used operators; a hit returns
 the same certificate. It holds no operator and no dense matrix.
 
-spectral_radius and operator_norm take an IntervalOperator and nothing
-else. power_bound_probe also takes a plain real square array: its
-certificate and exponent ledger are generic matrix numerics. The private
-kernels _solve, _certify and _BandLU take any matrix and its band.
+spectral_radius, operator_norm and power_bound_probe take an
+IntervalOperator and nothing else. The private kernels take any matrix:
+_solve, _certify and _BandLU with its band, and _power_bounds, the probe's
+loop, a real square finite one.
 """
 
 from __future__ import annotations
@@ -135,26 +135,6 @@ class ScanRow:
     J: int
     rho: float
     normalized_excess: float
-
-
-def _dense(A: IntervalOperator | np.ndarray) -> np.ndarray:
-    """The probe's A as entries; ValueError unless an array is non-empty, square, finite and real.
-
-    An IntervalOperator's band refuses an entry that overflows where it is
-    built, so its entries are not scanned. A complex array is refused by
-    its dtype: the probe's ledger and certificate are written for real
-    matrices.
-    """
-    if isinstance(A, IntervalOperator):
-        return A.entries
-    entries = np.asarray(A)
-    if entries.ndim != 2 or not 0 < entries.shape[0] == entries.shape[1]:
-        raise ValueError(f"matrix must be a non-empty square 2-D array, not {entries.shape}")
-    if not np.isfinite(entries).all():
-        raise ValueError("matrix entries must be finite")
-    if np.iscomplexobj(entries):
-        raise ValueError(f"matrix dtype {entries.dtype} is complex; this route takes real ones")
-    return entries
 
 
 def _band_elimination(rows: np.ndarray, kl: int, floor: float | None = None):
@@ -325,7 +305,7 @@ def _certify(A: np.ndarray, band: tuple, z: complex) -> tuple[float, float]:
     residual, x = min(steps, key=lambda step: step[0])
     y = lu.solve_adjoint(start)
     overlap = abs(np.vdot(y, x)) / np.linalg.norm(y)
-    return residual, 1.0 / overlap if overlap > 0.0 else math.inf
+    return residual, float(1.0 / overlap) if overlap > 0.0 else math.inf
 
 
 def _solve(entries: np.ndarray, band: tuple) -> tuple[np.ndarray, float, float]:
@@ -544,9 +524,7 @@ def _certified_norm2(B: np.ndarray, v: np.ndarray) -> tuple[float, np.ndarray, b
     return float(np.linalg.norm(B, 2)), v, True
 
 
-def power_bound_probe(
-    A: IntervalOperator | np.ndarray, n_max: int
-) -> PowerBoundResult:
+def power_bound_probe(A: IntervalOperator, n_max: int) -> PowerBoundResult:
     """Compute ||A^n|| for n = 1..n_max with renormalized products.
 
     Powers are accumulated with per-step renormalization by a power of two
@@ -563,14 +541,19 @@ def power_bound_probe(
     and the exponent ledger has fallen to 2^-1075. Those zeros are proven,
     not computed, so n_svd counts only the powers computed before them.
 
-    A is an IntervalOperator or a plain real square array. An array that
-    is not a non-empty square 2-D array, holds a NaN or an infinite entry,
-    or has a complex dtype raises ValueError: the ledger and the
-    certificate are written for finite real matrices.
+    An A that is not an IntervalOperator raises TypeError first, and an
+    n_max below 1 raises ValueError. The loop is _power_bounds on A.entries,
+    which the operator's band keeps real, square and finite.
     """
+    if not isinstance(A, IntervalOperator):
+        raise TypeError(f"power_bound_probe takes an IntervalOperator, not {type(A).__name__}")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    entries = _dense(A)
+    return _power_bounds(A.entries, n_max)
+
+
+def _power_bounds(entries: np.ndarray, n_max: int) -> PowerBoundResult:
+    """power_bound_probe's loop over the powers of a real square finite matrix."""
     size = entries.shape[0]
     B = np.eye(size)
     v = np.full(size, 1.0 / math.sqrt(size))

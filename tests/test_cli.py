@@ -606,6 +606,8 @@ def _packaged_with(edit) -> dict:
         # lemma1 is the k = 1 statement: a manifest from before k was dropped
         # that still asks for another order is refused, not run at k = 1
         ("lemma1", _packaged_with(lambda m: m["lemma1"].update(k=2)), "lemma1.k"),
+        ("example2", _packaged_with(lambda m: m["example2"].update(J=5)),
+         "example2.J: grid with 6 points is narrower than the stencil (r + p = 14)"),
     ],
 )
 def test_reproduce_bad_manifest_is_usage_error(

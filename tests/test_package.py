@@ -80,10 +80,10 @@ def test_library_imports_no_sparse_eigensolver() -> None:
     assert [line for line in imported if "scipy.sparse" in line] == []
 
 
-# the private names one library module may read from another: shared
-# argument checks, the slope fit's sample floor and the lemma1 sweep's
-# batched norm engine
-SHARED_PRIVATE_NAMES = {"_check_interval", "_check_dense", "_MIN_FIT_SAMPLES", "_gram_norms"}
+# the private names one library module may read from another: the dense
+# guard, the slope fit's sample floor and the lemma1 sweep's batched norm
+# engine; the interval size checks belong to IntervalOperator alone
+SHARED_PRIVATE_NAMES = {"_check_dense", "_MIN_FIT_SAMPLES", "_gram_norms"}
 
 
 def _is_private(name: str) -> bool:
@@ -149,9 +149,9 @@ def test_no_library_engine_falls_back_to_the_dense_svd() -> None:
     # operator_norm stays the reference the tests and criterion 5 check
     # against; the lemma1 sweep's engine bisects every band it is given
     assert _readers({"operator_norm"}) == set()
-    # spectral_radius and operator_norm take interval operators only: the
-    # plain-array edge serves the power-bound probe alone
-    assert _readers({"_dense"}) == {("spectral.py", "power_bound_probe", "_dense")}
+    # every public spectral function takes an interval operator: the probe's
+    # loop, which takes any matrix, is reached through the probe alone
+    assert _readers({"_power_bounds"}) == {("spectral.py", "power_bound_probe", "_power_bounds")}
 
 
 def _fields(schema: dict) -> set[str]:
@@ -185,6 +185,13 @@ def test_cli_reads_only_the_reports_and_scheme_resolution() -> None:
                         for alias in node.names)
     assert sorted(name for name in read
                   if name.partition(".")[0] not in ("experiments", "stencil")) == []
+
+
+def test_cli_defines_no_class() -> None:
+    # an input error from the command line is the reports' BundleInputError
+    path = Path(advstab.__file__).resolve().parent / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)] == []
 
 
 def test_numeric_modules_import_no_json_os_or_tempfile() -> None:
