@@ -4,12 +4,14 @@ check_report, spectrum_report and simulate_report answer through the
 symbol, the spectrum and time stepping; reproduce runs a pinned bundle, the
 paper's evidence as pass/fail clauses: lemma1 the energy identity behind
 the three-point norm bound at k = 1, halfline the bounded half-line
-semigroups, example1 and example2 the two growing interval examples. Each
-writes its artifacts, report JSON included, and returns the report the
-command prints; no other module writes a file. An unusable input raises
-BundleInputError, naming the manifest field it came from. Nothing
-numeric loads at module scope, so the parser can read TARGETS before the
-BLAS thread caps are set; reports call the library via module attributes.
+semigroups, example1 and example2 the two growing interval examples. A
+clause passes by its tolerance kind's rule on the values it prints
+(_passes). Each writes its artifacts, report JSON included, and returns
+the report the command prints; no other module writes a file. An unusable
+input raises BundleInputError, naming the manifest field it came from.
+Nothing numeric loads at module scope, so the parser can read TARGETS
+before the BLAS thread caps are set; reports call the library via module
+attributes.
 """
 
 from __future__ import annotations
@@ -130,13 +132,21 @@ def _input(where: str | None, build: Callable, *args, **kwargs):
         raise BundleInputError(f"manifest {where}: {exc}" if where else str(exc)) from exc
 
 
-def _clause(
-    name: str, computed: float, reference: float, tol_kind: str, tol: float, passed: bool
-) -> dict:
-    # strict JSON: a value that overflowed is reported as null
-    return {"name": name, "computed": float(computed) if math.isfinite(computed) else None,
-            "reference": float(reference),
-            "tolerance": {tol_kind: float(tol)}, "pass": bool(passed)}
+def _finite(x: float) -> float | None:
+    """x as a float, or None (null in strict JSON) where it overflowed or is NaN."""
+    return float(x) if math.isfinite(x) else None
+
+
+def _passes(kind: str, c: float, r: float, tol: float) -> bool:
+    """abs |c - r| <= tol, rel |c - r| <= tol |r|, max c <= r + tol; c not finite fails."""
+    rules = {"abs": abs(c - r) <= tol, "rel": abs(c - r) <= tol * abs(r), "max": c <= r + tol}
+    return math.isfinite(c) and rules[kind]
+
+
+def _clause(name: str, computed: float, reference: float, kind: str, tol: float) -> dict:
+    c, r, tol = float(computed), float(reference), float(tol)
+    return {"name": name, "computed": _finite(c), "reference": r, "tolerance": {kind: tol},
+            "pass": _passes(kind, c, r, tol)}
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +282,13 @@ def _example(target: str, m: dict, steps: int | None, out: str | None):
         # shortened override run: the pinned window is infeasible
         t_end = (record.l2_norms.size - 1) * record.params["dt"]
         fit = simulate.growth_slope(record, window=(t_end / 2.0, t_end))
-    ref_rate, rate_tol = m["reference_rate"], m["rate_tol_abs"]
-    ref_slope, ref_tol = m["reference_slope"], m["slope_reference_rel_tol"]
-    eigen_tol, slope = m["slope_eigen_rel_tol"], fit.slope
     clauses = [
-        _clause("eigenvalue rate (rho - 1)/dx vs reference", rate, ref_rate, "abs",
-                rate_tol, abs(rate - ref_rate) <= rate_tol),
-        _clause("growth slope vs computed eigenvalue rate", slope, rate, "rel",
-                eigen_tol, abs(slope - rate) <= eigen_tol * abs(rate)),
-        _clause("growth slope vs reference slope", slope, ref_slope, "rel",
-                ref_tol, abs(slope - ref_slope) <= ref_tol * abs(ref_slope)),
+        _clause("eigenvalue rate (rho - 1)/dx vs reference", rate, m["reference_rate"],
+                "abs", m["rate_tol_abs"]),
+        _clause("growth slope vs computed eigenvalue rate", fit.slope, rate, "rel",
+                m["slope_eigen_rel_tol"]),
+        _clause("growth slope vs reference slope", fit.slope, m["reference_slope"], "rel",
+                m["slope_reference_rel_tol"]),
     ]
     info = {
         "scheme": scheme.name, "k": k, "J": J,
@@ -312,46 +319,40 @@ def _lemma1(target: str, m: dict, steps: int | None, out: str | None):
     rng = np.random.default_rng(m["seed"])
     n_grid = m["grid_points"]  # per axis of the (lam*a, nu) stability box
 
-    def draws():
-        for lam_a in np.linspace(0.0, 1.0, n_grid):
-            for nu in np.linspace(lam_a * lam_a, 1.0, n_grid):
-                scheme = stencil.builtin("three-point", lam_a=float(lam_a), nu=float(nu))
-                for _ in range(m["J_draws_per_cell"]):
-                    J = int(rng.integers(j_lo, j_hi + 1))
-                    yield operators.IntervalOperator(scheme, 1, J)
-
-    # streamed: one chunk of Gram bands is held at a time, and no dense matrix
-    norms = spectral._gram_norms(draws())
+    cells = (stencil.builtin("three-point", lam_a=float(lam_a), nu=float(nu))
+             for lam_a in np.linspace(0.0, 1.0, n_grid)
+             for nu in np.linspace(lam_a * lam_a, 1.0, n_grid))
+    draws = sorted(((scheme, int(rng.integers(j_lo, j_hi + 1)))
+                    for scheme in cells for _ in range(m["J_draws_per_cell"])),
+                   key=lambda draw: draw[1])
+    # drawn in manifest order, streamed by increasing J so that a Gram chunk pads
+    # its bands little; one chunk of Gram bands is held at a time, no dense matrix
+    norms = spectral._gram_norms(operators.IntervalOperator(s, 1, J) for s, J in draws)
     worst_excess = float(np.max(norms, initial=-math.inf)) - 1.0
-    n_matrices = norms.size
 
     rng2 = np.random.default_rng(m["residual_seed"])
     la_lo, la_hi = m["residual_lam_a_range"]
     nu_lo, nu_hi = m["residual_nu_range"]
     rj_lo, rj_hi = m["residual_J_range"]
-    worst_rel_residual = 0.0
-    for _ in range(m["residual_draws"]):
+    ratios = np.empty(m["residual_draws"])
+    for i in range(ratios.size):
         lam_a = float(rng2.uniform(la_lo, la_hi))
         nu = float(rng2.uniform(nu_lo, nu_hi))
         J = int(rng2.integers(rj_lo, rj_hi + 1))
         u = rng2.standard_normal(J + 1)
-        # a step or energy that overflows gives inf or NaN, which fails the
-        # clause as inf: max() would drop a NaN
-        with np.errstate(over="ignore", invalid="ignore"):
-            res = simulate.lemma1_identity_residual(u, lam_a, nu)
-        ratio = res / float(np.dot(u, u))
-        worst_rel_residual = max(worst_rel_residual, ratio if math.isfinite(ratio) else math.inf)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow gives inf or NaN
+            ratios[i] = simulate.lemma1_identity_residual(u, lam_a, nu) / float(np.dot(u, u))
+    worst_rel_residual = float(np.max(ratios))  # np.max keeps a NaN: it fails the clause
 
-    norm_tol, res_tol, worst_res = m["norm_tol"], m["residual_tol"], worst_rel_residual
     clauses = [
         _clause("operator norm excess over the (lam*a, nu) stability box", worst_excess,
-                0.0, "abs", norm_tol, worst_excess <= norm_tol),
-        _clause("energy identity residual / ||u||^2 over random draws", worst_res, 0.0,
-                "abs", res_tol, worst_res <= res_tol),
+                0.0, "max", m["norm_tol"]),
+        _clause("energy identity residual / ||u||^2 over random draws", worst_rel_residual,
+                0.0, "max", m["residual_tol"]),
     ]
-    info = {"matrices_checked": n_matrices, "residual_draws": m["residual_draws"],
+    info = {"matrices_checked": norms.size, "residual_draws": m["residual_draws"],
             "worst_norm_excess": worst_excess,
-            "worst_relative_residual": worst_res if math.isfinite(worst_res) else None}
+            "worst_relative_residual": _finite(worst_rel_residual)}
     return clauses, info
 
 
@@ -388,40 +389,40 @@ def _halfline(target: str, m: dict, steps: int | None, out: str | None):
         for row, (start, x) in zip(block, ics):
             row[start:start + x.size] = x
         u = operators.SupportedSequence(values=block, offset=0)
-        prev, worst_rows = u.norm(), np.zeros(n_ics)
-        # a row's ratio counts only while its norm is above 1e-280, below
-        # which ratios are rounding noise; fmax skips a NaN as max() does
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a row's ratio counts only while its norm is above 1e-280, below which
+        # ratios are rounding noise; an overflow's NaN, kept by maximum, fails
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            prev, worst_rows = u.norm(), np.zeros(n_ics)
             for _ in range(n_steps):
                 u = operators.step_halfline_inflow(scheme, u)
                 cur = u.norm()
-                np.fmax(worst_rows, cur / prev, out=worst_rows, where=prev > 1e-280)
+                np.maximum(worst_rows, cur / prev, out=worst_rows, where=prev > 1e-280)
                 prev = cur
         inflow_worst[scheme.name] = worst = float(worst_rows.max())
-        clauses.append(_clause(f"inflow step-norm ratio, {scheme.name}", worst, 1.0, "abs",
-                               c["tol"], worst <= 1.0 + c["tol"]))
+        clauses.append(_clause(f"inflow step-norm ratio, {scheme.name}", worst, 1.0, "max",
+                               c["tol"]))
 
     rng2 = np.random.default_rng(o["seed"])
-    outflow_ratios: dict[str, dict[str, float]] = {}
+    outflow_ratios: dict[str, dict[str, float | None]] = {}
     for scheme, k in cases:
         support = o["support"]
         u = operators.SupportedSequence(rng2.standard_normal(support + 1), -support)
-        norm0 = u.norm()
-        max_small = max_large = 1.0
-        for n in range(1, n_large + 1):
-            u = operators.step_halfline_outflow(scheme, k, u, J=0)
-            ratio = u.norm() / norm0
-            if n <= n_small:
-                max_small = max(max_small, ratio)
-            max_large = max(max_large, ratio)
+        norm0, ratios = u.norm(), np.empty(n_large)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n in range(n_large):
+                u = operators.step_halfline_outflow(scheme, k, u, J=0)
+                ratios[n] = u.norm() / norm0
+        max_small = float(np.max(ratios[:n_small], initial=1.0))  # a NaN stays, and fails
+        max_large = float(np.max(ratios, initial=1.0))
         rel_change = abs(max_large - max_small) / max_small
-        outflow_ratios[scheme.name] = {"max_ratio_short": max_small,
-                                       "max_ratio_long": max_large,
-                                       "relative_change": rel_change}
+        outflow_ratios[scheme.name] = {"max_ratio_short": _finite(max_small),
+                                       "max_ratio_long": _finite(max_large),
+                                       "relative_change": _finite(rel_change)}
         clauses.append(_clause(
             f"outflow max ||u^n||/||u^0|| drift as the horizon doubles, {scheme.name} k={k}",
-            rel_change, 0.0, "rel", o["rel_change_tol"], rel_change <= o["rel_change_tol"]))
-    info = {"inflow_worst_ratios": inflow_worst, "outflow": outflow_ratios}
+            rel_change, 0.0, "max", o["rel_change_tol"]))
+    info = {"inflow_worst_ratios": {name: _finite(x) for name, x in inflow_worst.items()},
+            "outflow": outflow_ratios}
     return clauses, info
 
 
@@ -492,7 +493,7 @@ def check_report(scheme, mode_tol: float, tol: float | None, out: str | None = N
     except ValueError as exc:
         report.update(modes=None, modes_note=str(exc))
     if tol is not None:
-        report.update(stability_tol=tol, stable=bool(sup <= 1.0 + tol))
+        report.update(stability_tol=tol, stable=_passes("max", sup, 1.0, tol))
     if out:
         _write_json(_report_json_path(out), report)
     return report
@@ -531,8 +532,7 @@ def spectrum_report(scheme, k: int, J: int, L: float, full: bool,
         "rho_minus_one": result.rho - 1.0, "normalized_excess": rate,
         "eigen_residual": result.residual,
         # an estimate of kappa_1, null where it is infinite: JSON has no inf
-        "eigen_condition": (result.eigen_condition
-                            if math.isfinite(result.eigen_condition) else None),
+        "eigen_condition": _finite(result.eigen_condition),
         "modulus_ratio": result.modulus_ratio,
         "leading_eigenvalues": [[z.real, z.imag] for z in result.leading_eigenvalues[:10]],
     }
@@ -566,11 +566,10 @@ def simulate_report(scheme, k: int, J: int, L: float, ic: dict, steps: int,
     record, fit, note = _stepping(scheme, k, _grid(scheme, J, L), initial, steps,
                                   snapshot_stride)
     steps_recorded = record.l2_norms.size - 1
-    final = float(record.l2_norms[-1])  # null past an overflow: JSON has no inf or NaN
     report: dict = {
         "command": "simulate", "params": record.params, "truncated": record.truncated,
         "steps_recorded": steps_recorded, "final_time": steps_recorded * record.params["dt"],
-        "final_l2_norm": final if math.isfinite(final) else None,
+        "final_l2_norm": _finite(record.l2_norms[-1]),  # null past an overflow
     }
     if fit is None:
         report.update(slope=None, slope_note=note)

@@ -12,11 +12,12 @@ offered for eigenvalues; the power-bound probe iterates only on the
 symmetric B^T B, and keeps a norm only under a Kato-Temple certificate.
 
 operator_norm is the dense SVD of one operator. The lemma1 sweep instead
-streams its interval operators into the private _gram_norms, which
-bisects for the largest eigenvalue of each Gram matrix A^T A with banded
-LDL^T factorizations, batched over a chunk of operators and a few shifts
-at once. It forms each Gram band from the operator's own band and builds
-no dense matrix.
+streams its interval operators, by increasing J, into the private
+_gram_norms, which bisects for the largest eigenvalue of each Gram matrix
+A^T A with banded LDL^T factorizations, batched over a chunk of operators
+and a few shifts at once. It forms each Gram band from the operator's own
+band and builds no dense matrix. Each norm is the same bits whatever the
+order of the stream, so a caller may order it to suit the chunks.
 
 Both band factorizations are one kernel, _band_elimination, in two modes:
 it eliminates a band in place over trailing batch axes, by LU with
@@ -80,6 +81,8 @@ _SOLVED_SIZE = 16
 _GRAM_CHUNK = 192
 _GRAM_SHIFTS = 7
 _GRAM_ROWS = 16
+# a bisection bracket [lo, hi] is closed once hi - lo <= _GRAM_CLOSED * hi
+_GRAM_CLOSED = 4.0 * _EPS
 
 
 class PowerBoundOverflow(RuntimeError):
@@ -426,7 +429,7 @@ def _gram_bisect(chunk: list[tuple[np.ndarray, float, float]]) -> np.ndarray:
     fractions = np.arange(1, _GRAM_SHIFTS + 1)[:, None] / (_GRAM_SHIFTS + 1)
     columns = np.arange(lo.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while (open_ := hi - lo > 4.0 * _EPS * hi).any():
+        while (open_ := hi - lo > _GRAM_CLOSED * hi).any():
             t = lo + (hi - lo) * fractions
             low = np.full(t.shape, np.inf)
             for start in range(0, n, _GRAM_ROWS):
@@ -458,28 +461,44 @@ def _gram_norms(ops: Iterable[IntervalOperator]) -> np.ndarray:
     definite for an E of the order of b eps ||M||; hi is thus an upper
     bound on lambda_max up to that rounding and the rounding of M. That is
     the conservative end for a check of ||A|| <= 1 + tol. A NaN or
-    non-positive pivot fails the test.
+    non-positive pivot fails the test. A bracket that is closed from the
+    start, such as the identity's lo = hi = 1, is settled as sqrt(hi)
+    without a factorization.
 
     The factorizations are the symmetric mode of _band_elimination, the
     kernel whose pivoted mode is _BandLU, batched over shifts x operators.
     Each Gram band is formed in O(n b^2) from the operator's own band, the
     one _BandLU reads, and no dense matrix is built. The operators are
-    streamed, and only the bands of one chunk of _GRAM_CHUNK of them are
-    held at a time.
+    streamed, and only the bands of one chunk of _GRAM_CHUNK open brackets
+    are held at a time. A chunk pads its bands to its longest, but no norm
+    depends on the other operators of its chunk, so a permuted stream gives
+    the permuted norms bit for bit; operators of about one size in a row
+    pad least.
     """
     norms: list[float] = []
     chunk: list[tuple[np.ndarray, float, float]] = []
+    slots: list[int] = []  # where the chunk's norms go
+
+    def bisect() -> None:
+        for i, norm in zip(slots, _gram_bisect(chunk)):  # empties chunk
+            norms[i] = norm
+        slots.clear()
+
     for A in ops:
         G = _gram_band(A.band)
         magnitudes = np.abs(G)
         row_sums = magnitudes.sum(axis=0)
         for e in range(1, G.shape[0]):
             row_sums[e:] += magnitudes[e, :-e]
-        chunk.append((G, float(G[0].max()), float(row_sums.max())))
-        if len(chunk) == _GRAM_CHUNK:
-            norms.extend(_gram_bisect(chunk))  # empties chunk
+        lo, hi = float(G[0].max()), float(row_sums.max())
+        norms.append(math.sqrt(hi))  # a closed bracket's norm, as _gram_bisect returns it
+        if hi - lo > _GRAM_CLOSED * hi:
+            chunk.append((G, lo, hi))
+            slots.append(len(norms) - 1)
+            if len(chunk) == _GRAM_CHUNK:
+                bisect()
     if chunk:
-        norms.extend(_gram_bisect(chunk))
+        bisect()
     return np.array(norms)
 
 

@@ -72,6 +72,16 @@ def test_check_assert_stable_fails_on_amplifying_scheme(capsys) -> None:
     assert rep["von_neumann_sup"] > 1.0
 
 
+@pytest.mark.parametrize("tol, stable", [(1e-4, True), (1.1e-5, False)])
+def test_check_stable_is_the_one_sided_rule_on_the_printed_values(capsys, tol, stable) -> None:
+    # coeff1's sup |C| - 1 is 1.1178e-5: inside 1e-4, just outside 1.1e-5
+    code, rep, _ = _run(capsys, ["scheme", "check", "--scheme", "coeff1", "--assert-stable",
+                                 "--tol", repr(tol)])
+    assert rep["stability_tol"] == tol and rep["stable"] is stable
+    assert rep["stable"] is (rep["von_neumann_sup"] <= 1.0 + rep["stability_tol"])
+    assert code == (0 if stable else 1)
+
+
 def test_check_writes_report_file(capsys, tmp_path) -> None:
     out = tmp_path / "check"
     code, rep, _ = _run(
@@ -504,6 +514,68 @@ def test_reproduce_lemma1_fails_an_overflowing_energy_residual(
     assert norm["pass"]
     assert not residual["pass"] and residual["computed"] is None
     assert rep["info"]["worst_relative_residual"] is None
+
+
+# halfline manifests whose stepping overflows: coeff1 with a 30th-order
+# outflow closure grows past float range, and so does a three-point scheme
+# with nu = 1e200 on the inflow half-line
+OVERFLOWING_HALFLINE = {
+    "outflow": lambda m: m["halfline"]["outflow"].update(cases=[["coeff1", 30]]),
+    "inflow": lambda m: m["halfline"]["contraction"].update(
+        schemes=[["three-point", 0.5, 1e200]]),
+}
+
+
+def _verdict(clause: dict) -> bool:
+    """The clause's pass flag recomputed from the values the report prints."""
+    (kind, tol), = clause["tolerance"].items()
+    c, r = clause["computed"], clause["reference"]
+    if c is None:  # a computed value that is not finite fails
+        return False
+    return {"abs": abs(c - r) <= tol, "rel": abs(c - r) <= tol * abs(r),
+            "max": c <= r + tol}[kind]
+
+
+@pytest.mark.parametrize("argv, edit", [
+    (["--target", "lemma1"], None),
+    (["--target", "halfline"], None),
+    (["--target", "example2", "--steps", "40"], None),
+    (["--target", "halfline"], OVERFLOWING_HALFLINE["outflow"]),
+    (["--target", "halfline"], OVERFLOWING_HALFLINE["inflow"]),
+], ids=["lemma1", "halfline", "example2-steps-40", "outflow-overflow", "inflow-overflow"])
+def test_every_clause_passes_by_the_rule_of_its_printed_tolerance(
+    capsys, tmp_path, argv, edit
+) -> None:
+    if edit is not None:
+        argv = [*argv, "--manifest", _write_manifest(tmp_path, _packaged_with(edit))]
+    code, rep, _ = _run(capsys, ["reproduce", *argv])
+    assert [c["pass"] for c in rep["clauses"]] == [_verdict(c) for c in rep["clauses"]]
+    assert rep["overall"] == ("PASS" if all(map(_verdict, rep["clauses"])) else "FAIL")
+    assert code == (0 if rep["overall"] == "PASS" else 1)
+    # the upper bounds are one-sided, the examples' comparisons two-sided
+    one_sided = argv[1] in ("lemma1", "halfline")
+    assert all((set(c["tolerance"]) == {"max"}) is one_sided for c in rep["clauses"])
+
+
+@pytest.mark.parametrize("where", sorted(OVERFLOWING_HALFLINE))
+def test_reproduce_halfline_fails_an_overflowing_case(capsys, tmp_path, where) -> None:
+    # the overflow used to leak numpy warnings and crash the report with exit 3
+    p = _write_manifest(tmp_path, _packaged_with(OVERFLOWING_HALFLINE[where]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rep, err = _run(capsys, ["reproduce", "--target", "halfline", "--manifest", p])
+    assert code == 1 and rep["overall"] == "FAIL" and err == ""
+    info = rep["info"]
+    if where == "outflow":
+        (clause,) = [c for c in rep["clauses"] if c["name"].startswith("outflow")]
+        assert info["outflow"] == {"coeff1": dict.fromkeys(
+            ("max_ratio_short", "max_ratio_long", "relative_change"))}
+    else:
+        (clause,) = [c for c in rep["clauses"] if c["name"].startswith("inflow")]
+        assert info["inflow_worst_ratios"] == {"three-point(0.5,1e+200)": None}
+    assert clause["computed"] is None and clause["pass"] is False
+    # the cases that do not overflow still pass
+    assert all(c["pass"] for c in rep["clauses"] if c is not clause)
 
 
 def test_reproduce_lemma1_runs_a_manifest_that_still_says_k_is_one() -> None:

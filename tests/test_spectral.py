@@ -471,6 +471,36 @@ def test_gram_norms_of_one_or_no_operator() -> None:
     assert spectral._gram_norms([]).shape == (0,)
 
 
+def test_gram_norms_of_a_permuted_list_are_the_permuted_norms(monkeypatch) -> None:
+    # the identity and the pure shift have closed brackets (lo = hi = 1), so
+    # they are settled without a factorization; the others are bisected in
+    # chunks of 4, whose members a permutation changes: no norm may depend
+    # on the operators it shares a chunk with
+    rng = np.random.default_rng(53)
+    closed = [_three_point(lam_a, lam_a, 1, J) for lam_a, J in
+              [(0.0, 5), (1.0, 40), (0.0, 77), (1.0, 3)]]
+    ops = closed + [
+        _three_point(*rng.uniform(-0.5, 1.5, 2), int(k), int(rng.integers(max(1, k - 1), 120)))
+        for k in rng.integers(1, 5, 21)
+    ]
+    bisected: list[int] = []
+    bisect = spectral._gram_bisect
+
+    def counted(chunk):
+        bisected.append(len(chunk))
+        return bisect(chunk)
+
+    monkeypatch.setattr(spectral, "_GRAM_CHUNK", 4)
+    monkeypatch.setattr(spectral, "_gram_bisect", counted)
+    norms = spectral._gram_norms(ops)
+    assert norms[:len(closed)].tolist() == [1.0] * len(closed)
+    assert sum(bisected) == len(ops) - len(closed)
+    # a random order and the lemma1 sweep's, by increasing size
+    for order in (rng.permutation(len(ops)), sorted(range(len(ops)), key=lambda i: ops[i].n)):
+        permuted = spectral._gram_norms([ops[i] for i in order])
+        assert permuted.tobytes() == norms[order].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # power bounds
 
