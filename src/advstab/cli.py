@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode-tol", type=float, default=1e-4,
         help="modulus tolerance for listing unimodular modes (default 1e-4)",
     )
-    check.add_argument("--out", help="also write the JSON report to this path")
+    check.add_argument("--out", help="also write the JSON report to STEM.json, where STEM "
+                                     "is this path less a trailing .json")
     check.set_defaults(handler=cmd_scheme_check)
 
     spectrum = sub.add_parser(
@@ -213,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="include every eigenvalue, from one dense eigensolve",
     )
     spectrum.add_argument(
-        "--out", help="write the JSON report here; with --full also a full-spectrum CSV"
+        "--out", help="write the JSON report to STEM.json, where STEM is this path less a "
+                      "trailing .json, and with --full the full spectrum to STEM.csv"
     )
     spectrum.add_argument(
         "--dump-matrix",
@@ -247,7 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="record a solution snapshot every this many steps (0 disables)",
     )
     simulate.add_argument(
-        "--out", help="prefix for artifacts: <out>_{record,snapshots}.csv and <out>.json"
+        "--out", help="write the JSON report to STEM.json, where STEM is this path less a "
+                      "trailing .json, and the norm history (and snapshots) to "
+                      "STEM_record.csv (and STEM_snapshots.csv)"
     )
     simulate.set_defaults(handler=cmd_simulate)
 
@@ -265,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the pinned step count (smoke runs; 0 keeps the manifest value)",
     )
     reproduce.add_argument(
-        "--out", help="prefix for artifacts (report JSON, record CSV for examples)"
+        "--out", help="write the JSON report to STEM.json, where STEM is this path less a "
+                      "trailing .json, and an example's norm history to STEM_record.csv"
     )
     reproduce.set_defaults(handler=cmd_reproduce)
 

@@ -244,12 +244,14 @@ def _write_record(record, out: str) -> str:
     return path
 
 
-def _report_json_path(out: str | None) -> str | None:
-    return out if not out or out.endswith(".json") else out + ".json"
+def _stem(out: str | None) -> str | None:
+    """--out less a trailing .json: the report goes to STEM.json, every other artifact
+    to STEM<suffix>, so --out P and --out P.json write the same files."""
+    return out[: -len(".json")] if out and out.endswith(".json") else out
 
 
 # ---------------------------------------------------------------------------
-# bundles: (target, checked section m, step override, artifact prefix) ->
+# bundles: (target, checked section m, step override, artifact stem) ->
 # (clauses, info); only the examples use the last two
 
 def _example(target: str, m: dict, steps: int | None, out: str | None):
@@ -442,8 +444,8 @@ def reproduce(
     """Run the bundle for target against manifest[target]; return its report.
 
     steps overrides the examples' pinned step count (the other targets have
-    none). out names the report JSON (.json added if missing) and prefixes
-    the examples' record CSV. overall is 'PASS' when every clause passes.
+    none). out (see _stem) names the report JSON and the examples' record
+    CSV. overall is 'PASS' when every clause passes.
     """
     if target not in _BUNDLES:
         raise BundleInputError(f"unknown target {target!r}; known: {', '.join(TARGETS)}")
@@ -455,12 +457,13 @@ def reproduce(
     if steps is not None and not _is_int(steps):
         raise BundleInputError(f"{target}: steps must be an integer >= 1, got {steps!r}")
     _check(target, manifest[target], schema)
-    clauses, info = bundle(target, manifest[target], steps, out)
+    stem = _stem(out)
+    clauses, info = bundle(target, manifest[target], steps, stem)
     overall = all(cl["pass"] for cl in clauses)
     report = {"command": "reproduce", "target": target, "clauses": clauses, "info": info,
               "overall": "PASS" if overall else "FAIL"}
     if out:
-        _write_json(_report_json_path(out), report)
+        _write_json(stem + ".json", report)
     return report
 
 
@@ -470,8 +473,8 @@ def reproduce(
 def check_report(scheme, mode_tol: float, tol: float | None, out: str | None = None) -> dict:
     """The symbol route: consistency, sup |C| and the modes within mode_tol of |C| = 1.
 
-    With tol, stable says whether sup |C| <= 1 + tol. out names the report
-    JSON (.json added if missing).
+    With tol, stable says whether sup |C| <= 1 + tol. out (see _stem) names
+    the report JSON.
     """
     from . import stencil
 
@@ -495,7 +498,7 @@ def check_report(scheme, mode_tol: float, tol: float | None, out: str | None = N
     if tol is not None:
         report.update(stability_tol=tol, stable=_passes("max", sup, 1.0, tol))
     if out:
-        _write_json(_report_json_path(out), report)
+        _write_json(_stem(out) + ".json", report)
     return report
 
 
@@ -505,17 +508,18 @@ def spectrum_report(scheme, k: int, J: int, L: float, full: bool,
 
     The dominant eigenvalue carries its eigen-residual, an estimate of its
     condition number and the modulus ratio |lambda_2| / |lambda_1|.
-    full adds every eigenvalue. out names the report JSON (.json added if
-    missing); full puts the eigenvalue CSV beside it. matrix_path dumps the
-    matrix as column-major float64 bytes, a JSON sidecar (n, scheme, k, J)
-    and, for n <= _CSV_LIMIT, a CSV. Files that coincide are refused before
-    assembly; written lists them all.
+    full adds every eigenvalue. out (see _stem) names the report JSON and,
+    with full, the eigenvalue CSV. matrix_path dumps the matrix as
+    column-major float64 bytes, a JSON sidecar (n, scheme, k, J) and, for
+    n <= _CSV_LIMIT, a CSV. Files that coincide are refused before assembly;
+    written lists them all.
     """
     from . import operators
 
     grid = _grid(scheme, J, L)
-    json_path = _report_json_path(out)
-    csv_path = json_path[: -len(".json")] + ".csv" if json_path and full else None
+    stem = _stem(out)
+    json_path = stem + ".json" if out else None
+    csv_path = stem + ".csv" if out and full else None
     ends = ("", ".json", ".csv") if J + 1 <= _CSV_LIMIT else ("", ".json")  # n = J + 1
     dumps = [matrix_path + end for end in ends] if matrix_path else []
     written = [*dumps, *(path for path in (csv_path, json_path) if path)]
@@ -557,8 +561,8 @@ def simulate_report(scheme, k: int, J: int, L: float, ic: dict, steps: int,
     """The stepping route: a run from ic (InitialCondition's fields) and its growth slope.
 
     The slope fits the default window; it is null, with slope_note saying why, if that
-    window is infeasible. out prefixes the record CSV, the snapshot CSV (n, j, u) and
-    the sidecar JSON, the run's parameters and fit.
+    window is infeasible. out (see _stem) names the report JSON, the record CSV and,
+    with a snapshot_stride above 0, the snapshot CSV (n, j, u); written lists them.
     """
     from . import simulate
 
@@ -577,13 +581,12 @@ def simulate_report(scheme, k: int, J: int, L: float, ic: dict, steps: int,
         report.update(slope=fit.slope, slope_window=list(fit.window),
                       slope_r_squared=fit.r_squared)
     if out:
-        snapshot_path, sidecar_path = out + "_snapshots.csv", out + ".json"
-        report["written"] = [_write_record(record, out), snapshot_path, sidecar_path]
-        _write_csv(snapshot_path, ("n", "j", "u"), ((repr(n), repr(j), repr(x))
-                   for n, state in record.snapshots for j, x in enumerate(state.tolist())))
-        # everything needed to re-run the record, and its fit
-        _write_json(sidecar_path, {**record.params, "truncated": record.truncated,
-                                   "n_recorded": int(record.l2_norms.size),
-                                   "slope": report["slope"],
-                                   "slope_window": report.get("slope_window")})
+        stem = _stem(out)
+        written = report["written"] = [_write_record(record, stem)]
+        if snapshot_stride:
+            written.append(stem + "_snapshots.csv")
+            _write_csv(written[-1], ("n", "j", "u"), ((repr(n), repr(j), repr(x))
+                       for n, state in record.snapshots for j, x in enumerate(state.tolist())))
+        written.append(stem + ".json")
+        _write_json(written[-1], report)
     return report

@@ -80,6 +80,11 @@ class Grid:
             raise ValueError("L and lam must be finite")
         if self.L <= 0 or self.lam <= 0:
             raise ValueError("L and lam must be positive")
+        # a finite positive L or lam can still put dx or dt outside float range
+        if not (0.0 < self.dx and 0.0 < self.dt < math.inf):
+            raise ValueError(f"L = {self.L}, lam = {self.lam} and J = {self.J} give "
+                             f"dx = {self.dx} and dt = {self.dt}; both must be positive "
+                             "and finite")
 
     @property
     def dx(self) -> float:

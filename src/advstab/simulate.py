@@ -31,6 +31,10 @@ __all__ = [
 
 # growth_slope fits no window with fewer finite samples
 _MIN_FIT_SAMPLES = 10
+# cells per quad_vec call in build_initial: a Gauss-Kronrod pass holds 21
+# vectors of this many floats, under 1 MB, where one call over a large grid
+# would hold them grid-sized
+_CELL_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -38,9 +42,9 @@ class InitialCondition:
     """Initial data builder description.
 
     kind 'gaussian' is exp(-width_param*(x - center)^2); kind 'wavepacket'
-    modulates that envelope by cos(theta*(j - center/dx)) so the grid
-    frequency theta is resolved exactly at the nodes. sampling is 'point'
-    (default) or 'cell_average'.
+    modulates that envelope by cos(theta*(s - center/dx)), s = x/dx, so the
+    grid frequency theta is resolved exactly at the nodes s = j. sampling
+    is 'point' (default) or 'cell_average' (see build_initial).
     """
 
     kind: str
@@ -76,7 +80,7 @@ class InitialCondition:
 
 @dataclass(frozen=True)
 class SimulationRecord:
-    """Norms (times and ln-norms derive from them), snapshots, run parameters."""
+    """Norms, snapshots, run parameters; t_n = n dt for the norm l2_norms[n]."""
 
     l2_norms: np.ndarray
     snapshots: tuple[tuple[int, np.ndarray], ...]
@@ -86,18 +90,6 @@ class SimulationRecord:
     def truncated(self) -> bool:
         """Whether the last norm is non-finite; run stops at its first non-finite one."""
         return not math.isfinite(self.l2_norms[-1])
-
-    @property
-    def times(self) -> np.ndarray:
-        """t_n = n dt for every recorded step."""
-        return np.arange(self.l2_norms.size) * self.params["dt"]
-
-    @property
-    def ln_l2_norms(self) -> np.ndarray:
-        """ln of the norms; NaN where a norm is 0."""
-        l2 = self.l2_norms
-        # log only where positive: no log(0) warning and no full-size temporary
-        return np.log(l2, out=np.full(l2.shape, np.nan), where=l2 > 0.0)
 
 
 @dataclass(frozen=True)
@@ -127,43 +119,36 @@ def _envelope(d: np.ndarray, w: float) -> np.ndarray:
     return np.exp(exponent)
 
 
-def _continuum_function(ic: InitialCondition, grid: Grid) -> Callable[[float], float]:
-    c, w = ic.center, ic.width_param
-
-    def envelope(x: float) -> float:
-        try:
-            return math.exp(-w * (x - c) ** 2)
-        except OverflowError:  # (x - c) ** 2 past float range, as in _envelope
-            t = math.sqrt(w) * abs(x - c)
-            return math.exp(-t * t) if w else 1.0
-
+def _profile(ic: InitialCondition, dx: float, s: np.ndarray) -> np.ndarray:
+    """The initial condition at x = s dx, for grid coordinates s (an array)."""
+    envelope = _envelope(s * dx - ic.center, ic.width_param)
     if ic.kind == "gaussian":
         return envelope
-    theta = float(ic.packet_theta)
-    dx = grid.dx
-    return lambda x: math.cos((theta / dx) * (x - c)) * envelope(x)
+    # carrier phase formed from grid coordinates: theta*(s - center/dx) avoids
+    # the precision loss of evaluating cos((theta/dx)*(x - center))
+    carrier = np.cos(float(ic.packet_theta) * (s - ic.center / dx))
+    return carrier * envelope
 
 
 def build_initial(ic: InitialCondition, grid: Grid) -> np.ndarray:
-    """Sample the initial condition on x_0..x_J (point or cell average)."""
-    if ic.sampling == "cell_average":
-        from scipy.integrate import quad  # the library's only scipy use
-        f = _continuum_function(ic, grid)
-        dx = grid.dx
-        out = np.empty(grid.J + 1)
-        for j in range(grid.J + 1):
-            val, _ = quad(f, j * dx, (j + 1) * dx, epsabs=1e-14, epsrel=1e-10, limit=200)
-            out[j] = val / dx
-        return out
-    envelope = _envelope(grid.xs - ic.center, ic.width_param)
-    if ic.kind == "gaussian":
-        return envelope
-    # carrier phase formed from grid indices: theta*(j - center/dx) avoids
-    # the precision loss of evaluating cos((theta/dx)*(x_j - center))
-    theta = float(ic.packet_theta)
-    j = np.arange(grid.J + 1, dtype=np.float64)
-    carrier = np.cos(theta * (j - ic.center / grid.dx))
-    return carrier * envelope
+    """Sample the initial condition on x_0..x_J (point or cell average).
+
+    A point sample is the profile at s = j; a cell average is its integral
+    over s in [j, j + 1], by one vector quadrature per _CELL_BLOCK cells.
+    It refines until its error estimate is below the larger of 1e-14 and
+    1e-10 times the block's largest average; a smooth profile meets that on the first
+    Gauss-Kronrod pass, whose error is near rounding.
+    """
+    dx, n = grid.dx, grid.J + 1
+    if ic.sampling == "point":
+        return _profile(ic, dx, np.arange(n, dtype=np.float64))
+    from scipy.integrate import quad_vec  # the library's only scipy use
+    out = np.empty(n)
+    for lo in range(0, n, _CELL_BLOCK):
+        cells = np.arange(lo, min(lo + _CELL_BLOCK, n), dtype=np.float64)
+        out[lo:lo + cells.size] = quad_vec(lambda t: _profile(ic, dx, cells + t), 0.0, 1.0,
+                                           epsabs=1e-14, epsrel=1e-10, norm="max")[0]
+    return out
 
 
 def run(
@@ -245,9 +230,10 @@ def run(
 def default_window(record: SimulationRecord) -> tuple[float, float]:
     """(max(t_end / 2, 2 L), t_end): the last half of the run, from t = 2 L on.
 
-    t_end = (size - 1) dt is the last recorded time, the same float as
-    times[-1]. A domain traversal takes L / |a|, so t = 2 L is two of them
-    only at |a| = 1; Lax-Wendroff at a = 0.5 would need 4 L.
+    t_end = (size - 1) dt is the last recorded time, the product the record
+    CSV writes in its last t cell. A domain traversal takes L / |a|, so
+    t = 2 L is two of them only at |a| = 1; Lax-Wendroff at a = 0.5 would
+    need 4 L.
     """
     t_end = (record.l2_norms.size - 1) * record.params["dt"]
     L = float(record.params.get("L", 1.0))
@@ -259,8 +245,8 @@ def _window_samples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fresh arrays (t, ln l2) of the samples with t0 <= t_n <= t1 and a finite ln.
 
-    t_n = n dt is monotone in n, so two bisections over the same products
-    as times find the index range lo..hi that the comparisons select, also
+    t_n = n dt is monotone in n, so two bisections over those products
+    find the index range lo..hi that the comparisons select, also
     for NaN or infinite bounds and reversed windows. ln is finite exactly
     where 0 < l2 < inf. Only that slice of the record is read, and every
     array made is window-sized.

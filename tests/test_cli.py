@@ -289,6 +289,19 @@ def test_spectrum_non_finite_length_is_usage_error(capsys, length) -> None:
     assert "finite" in err
 
 
+@pytest.mark.parametrize("route", [[], ["--ic", "wavepacket:0.5"], ["--ic", "gaussian"]])
+def test_a_length_whose_spacing_underflows_is_usage_error(
+    capsys, monkeypatch, no_numerics, route
+) -> None:
+    # L = 1e-323 is finite and positive, but dx = L / 51 rounds to 0
+    monkeypatch.setattr(simulate, "build_initial", no_numerics)
+    command = ["simulate", *route, "--steps", "10"] if route else ["spectrum"]
+    code, rep, err = _run(capsys, [*command, "--scheme", "upwind", "--lam-a", "0.5",
+                                   "--k", "1", "--J", "50", "--L", "1e-323"])
+    assert code == 2 and rep == {}
+    assert err.startswith("error: L = 1e-323") and "dx = 0.0" in err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -309,9 +322,9 @@ def test_simulate_unit_cfl_upwind_empties_domain(capsys, tmp_path) -> None:
     rows = (tmp_path / "run_record.csv").read_text().strip().splitlines()
     assert len(rows) == 14
     assert (tmp_path / "run_snapshots.csv").exists()
-    side = json.loads((tmp_path / "run.json").read_text())
-    assert side["scheme"] == "upwind(1.0)"
-    assert side["J"] == 9
+    assert json.loads((tmp_path / "run.json").read_text()) == rep
+    assert rep["params"]["scheme"] == "upwind(1.0)"
+    assert rep["params"]["J"] == 9
 
 
 def test_simulate_wavepacket_ic(capsys) -> None:
@@ -649,6 +662,7 @@ def no_numerics(monkeypatch):
     for module, name in ((operators, "assemble_matrix"), (spectral, "spectral_radius"),
                          (spectral, "operator_norm"), (spectral, "_gram_norms")):
         monkeypatch.setattr(module, name, forbidden)
+    return forbidden
 
 
 def _packaged_with(edit) -> dict:
@@ -737,7 +751,7 @@ def test_reproduce_too_few_steps_is_usage_error_before_any_work(
 
     def fit_late_half(n_steps: int) -> simulate.RegressionResult:
         record = simulate.run(scheme, 1, grid, simulate.InitialCondition("gaussian"), n_steps)
-        t_end = float(record.times[-1])
+        t_end = (record.l2_norms.size - 1) * record.params["dt"]
         return simulate.growth_slope(record, window=(t_end / 2.0, t_end))
 
     with pytest.raises(ValueError, match="finite samples"):
@@ -829,9 +843,36 @@ def test_report_file_holds_the_bytes_printed(capsys, monkeypatch, tmp_path) -> N
         (["spectrum", "--scheme", "lax-wendroff", "--lam-a", "0.5", "--k", "3", "--J", "20",
           "--full", "--out", "spec", "--dump-matrix", "M"], "spec.json"),
         (["reproduce", "--target", "lemma1", "--manifest", p, "--out", "r.json"], "r.json"),
+        (["simulate", "--scheme", "upwind", "--lam-a", "0.5", "--k", "1", "--J", "30",
+          "--ic", "wavepacket:0.5", "--steps", "200", "--out", "run"], "run.json"),
+        (["reproduce", "--target", "example2", "--steps", "40", "--out", "ex2"], "ex2.json"),
     ):
-        assert cli.main(argv) == 0
+        # 40 steps are too few for example2's slope clauses: a FAIL report, exit 1
+        assert cli.main(argv) == (1 if "example2" in argv else 0)
         assert (tmp_path / report).read_bytes() == capsys.readouterr().out.encode()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scheme", "check", "--scheme", "coeff1"],
+    ["spectrum", "--scheme", "upwind", "--lam-a", "0.5", "--k", "1", "--J", "5", "--full"],
+    ["simulate", "--scheme", "upwind", "--lam-a", "0.5", "--k", "1", "--J", "9",
+     "--ic", "gaussian", "--steps", "12", "--snapshot-stride", "6"],
+    ["reproduce", "--target", "example2", "--steps", "40"],
+])
+def test_out_with_and_without_json_suffix_writes_the_same_files(
+    capsys, monkeypatch, tmp_path, argv
+) -> None:
+    # the report goes to P.json and every other artifact to P<suffix>
+    seen = []
+    for out in ("P", "P.json"):
+        folder = tmp_path / out.replace(".", "_")
+        folder.mkdir()
+        monkeypatch.chdir(folder)
+        code, rep, _ = _run(capsys, [*argv, "--out", out])
+        assert code == (1 if "example2" in argv else 0)  # 40 steps fail its slope clauses
+        seen.append((sorted(p.name for p in folder.iterdir()), rep.get("written")))
+    assert seen[0] == seen[1]
+    assert "P.json" in seen[0][0] and all(name.startswith(("P.", "P_")) for name in seen[0][0])
 
 
 def test_artifacts_follow_the_umask(capsys, tmp_path) -> None:

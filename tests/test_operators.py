@@ -66,6 +66,10 @@ def test_grid_validation() -> None:
             Grid(J=5, L=bad)
         with pytest.raises(ValueError):
             Grid(J=5, lam=bad)
+    # finite positive L and lam whose dx or dt = lam dx leaves the float range
+    for kwargs in ({"L": 1e-323}, {"L": 1e-300, "lam": 1e-30}, {"L": 1e308, "lam": 1e300}):
+        with pytest.raises(ValueError, match="L = .*lam = .*J = 50"):
+            Grid(J=50, **kwargs)
 
 
 # ---------------------------------------------------------------------------

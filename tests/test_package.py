@@ -154,6 +154,14 @@ def test_no_library_engine_falls_back_to_the_dense_svd() -> None:
     assert _readers({"_power_bounds"}) == {("spectral.py", "power_bound_probe", "_power_bounds")}
 
 
+def test_the_initial_condition_has_one_profile() -> None:
+    # point samples and cell averages both read _profile, so the envelope's
+    # overflow rule and the carrier's phase are written once
+    assert _readers({"_envelope"}) == {("simulate.py", "_profile", "_envelope")}
+    assert _readers({"packet_theta"}) == {("simulate.py", owner, "packet_theta")
+                                          for owner in ("InitialCondition", "_profile")}
+
+
 def _fields(schema: dict) -> set[str]:
     """Every key of a manifest schema, nested sections flattened."""
     return set(schema).union(*(_fields(kind) for kind in schema.values()

@@ -70,10 +70,30 @@ def test_cell_average_of_gaussian_matches_exact_integral() -> None:
     assert np.allclose(u, exact, rtol=1e-9, atol=1e-14)
 
 
+def test_cell_average_of_a_fine_wavepacket_matches_a_40_digit_quadrature() -> None:
+    # theta = 0.9 pi at J = 20 000: the carrier is cos(theta (s - center/dx)) in
+    # grid coordinates s = x / dx, with the float quotient center/dx that the
+    # point samples use, so each cell average is an integral over s in [j, j + 1]
+    mpmath = pytest.importorskip("mpmath")
+    grid = Grid(J=20_000)
+    ic = InitialCondition(kind="wavepacket", packet_theta=0.9 * math.pi,
+                          sampling="cell_average")
+    u = simulate.build_initial(ic, grid)
+    with mpmath.workdps(40):
+        dx, c, w = (mpmath.mpf(v) for v in (grid.dx, ic.center, ic.width_param))
+        theta, shift = mpmath.mpf(ic.packet_theta), mpmath.mpf(ic.center / grid.dx)
+
+        def profile(s):
+            return mpmath.cos(theta * (s - shift)) * mpmath.exp(-w * (s * dx - c) ** 2)
+
+        for j in (6_667, 9_997, 10_000, 10_001, 10_007):
+            assert abs(u[j] - float(mpmath.quad(profile, [j, j + 1]))) <= 1e-13
+
+
 def _cell_average_of(func, grid: Grid, monkeypatch) -> np.ndarray:
     # drive the cell-average quadrature of build_initial with a chosen
-    # continuum function in place of the Gaussian
-    monkeypatch.setattr(simulate, "_continuum_function", lambda ic, g: func)
+    # function of x = s dx in place of the Gaussian profile
+    monkeypatch.setattr(simulate, "_profile", lambda ic, dx, s: func(s * dx))
     ic = InitialCondition(kind="gaussian", sampling="cell_average")
     return simulate.build_initial(ic, grid)
 
@@ -125,8 +145,7 @@ def test_run_record_shapes_and_times() -> None:
     grid = Grid(J=30, lam=s.lam_float)
     ic = InitialCondition(kind="gaussian")
     rec = simulate.run(s, 1, grid, ic, n_steps=25, snapshot_stride=10)
-    assert rec.times.shape == (26,)
-    assert np.allclose(rec.times, np.arange(26) * grid.dt)
+    assert rec.l2_norms.shape == (26,)
     assert [n for n, _ in rec.snapshots] == [0, 10, 20]
     assert not rec.truncated
     assert rec.params["scheme"] == s.name
@@ -180,7 +199,7 @@ def test_run_truncates_on_overflow() -> None:
         warnings.simplefilter("error", RuntimeWarning)
         rec = simulate.run(s, 1, grid, ic, n_steps=100000)
     assert rec.truncated
-    assert rec.times.size < 100001
+    assert rec.l2_norms.size < 100001
     # the offending sample is kept so the record shows where it blew up
     assert np.isfinite(rec.l2_norms[:-1]).all()
     assert rec.l2_norms[-2] > 1e100
@@ -316,8 +335,10 @@ def test_growth_slope_window_selection() -> None:
 def _polyfit_oracle(record: SimulationRecord, window: tuple[float, float]):
     """The fit as it was: a full-length mask, then np.polyfit; (t, ln, fit)."""
     t0, t1 = float(window[0]), float(window[1])
-    t = record.times
-    y = record.ln_l2_norms
+    l2 = record.l2_norms
+    t = np.arange(l2.size) * record.params["dt"]
+    with np.errstate(divide="ignore"):
+        y = np.log(l2)  # -inf at a zero norm, which the mask drops
     mask = (t >= t0) & (t <= t1) & np.isfinite(y)
     if int(mask.sum()) < simulate._MIN_FIT_SAMPLES:
         raise ValueError(f"window [{t0}, {t1}] holds {int(mask.sum())} finite samples; "
@@ -398,7 +419,8 @@ def test_growth_slope_holds_only_window_sized_arrays() -> None:
     record = SimulationRecord(l2_norms=np.exp(0.3 * (np.arange(n) * dt)), snapshots=(),
                               params={"L": 1.0, "dt": dt})
     t0, t1 = simulate.default_window(record)  # (100, 200): the late half
-    window_bytes = 8 * int(np.count_nonzero((record.times >= t0) & (record.times <= t1)))
+    t = np.arange(n) * dt
+    window_bytes = 8 * int(np.count_nonzero((t >= t0) & (t <= t1)))
     tracemalloc.start()
     try:
         fit = simulate.growth_slope(record)
@@ -517,13 +539,16 @@ def test_record_csv_round_trip(tmp_path) -> None:
     assert srows[0] == "n,j,u"
     assert len(srows) == 1 + 3 * 10  # snapshots at n = 0, 6, 12
 
-    side = json.loads(Path(jpath).read_text())
-    assert side["scheme"] == s.name
-    assert side["n_recorded"] == 13
-    assert side["truncated"] is False
-    # the fit rides along; 12 steps are too few for the default window
-    assert side["slope"] is None and side["slope_window"] is None
-    assert {key: side[key] for key in report["params"]} == report["params"]
+    # the report JSON is the report itself, with the run's parameters and its fit
+    assert json.loads(Path(jpath).read_text()) == report
+    assert report["params"]["scheme"] == s.name
+    assert report["steps_recorded"] == 12 and report["truncated"] is False
+    # 12 steps are too few for the default window
+    assert report["slope"] is None and "slope_window" not in report
+    # no snapshot stride, no snapshot file
+    report = experiments.simulate_report(s, 1, 9, 1.0, ic, 12, 0, out + "_bare")
+    assert report["written"] == [out + "_bare_record.csv", out + "_bare.json"]
+    assert not Path(out + "_bare_snapshots.csv").exists()
 
 
 def test_record_arrays_and_csv_bytes_are_pinned(tmp_path) -> None:
@@ -537,9 +562,6 @@ def test_record_arrays_and_csv_bytes_are_pinned(tmp_path) -> None:
     times = np.arange(13) * grid.dt
     with np.errstate(divide="ignore"):
         ln = np.log(l2)
-    ln[l2 == 0.0] = np.nan
-    assert np.array_equal(rec.times, times)
-    assert np.array_equal(rec.ln_l2_norms, ln, equal_nan=True)
 
     path = tmp_path / "run_record.csv"
     assert experiments._write_record(rec, str(tmp_path / "run")) == str(path)
