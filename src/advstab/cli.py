@@ -2,7 +2,8 @@
 
 Subcommands: scheme check, spectrum, simulate, reproduce. Every command
 prints a JSON report to standard output; --out and --dump-matrix name the
-artifacts, and the directory of each is checked before any computation.
+artifacts, and each is checked to name a file in an existing directory
+before any computation.
 Exit codes: 0 success, 1 a check ran and failed, 2 usage error or a path
 that cannot be read or written, 3 numeric failure (eigensolver
 nonconvergence, overflow, an array too large to allocate). A usage error
@@ -118,15 +119,23 @@ def _emit_report(report: dict) -> None:
 
 
 def _check_output_dirs(args: argparse.Namespace) -> None:
-    """BundleInputError unless every --out and --dump-matrix path is in an existing directory.
+    """BundleInputError unless every --out and --dump-matrix path names a file in an
+    existing directory.
 
     Run before any numeric work, so a mistyped path costs no computation.
+    --out names files STEM<suffix>, STEM the path less a trailing .json, so
+    STEM needs a file name; the --dump-matrix path is the dump itself, so it
+    cannot be a directory.
     """
-    for flag, path in (("--out", getattr(args, "out", None)),
-                       ("--dump-matrix", getattr(args, "dump_matrix", None))):
+    out, matrix = getattr(args, "out", None), getattr(args, "dump_matrix", None)
+    for flag, path in (("--out", out), ("--dump-matrix", matrix)):
         folder = os.path.dirname(path or "") or os.curdir
         if path and not os.path.isdir(folder):
             raise BundleInputError(f"{flag} {path}: {folder} is not an existing directory")
+    if out and os.path.basename(out) in ("", ".json"):
+        raise BundleInputError(f"--out {out}: names a directory, not a file stem")
+    if matrix and (not os.path.basename(matrix) or os.path.isdir(matrix)):
+        raise BundleInputError(f"--dump-matrix {matrix}: names a directory, not a file")
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,11 @@ paper's evidence as pass/fail clauses: lemma1 the energy identity behind
 the three-point norm bound at k = 1, halfline the bounded half-line
 semigroups, example1 and example2 the two growing interval examples. A
 clause passes by its tolerance kind's rule on the values it prints
-(_passes). Each writes its artifacts, report JSON included, and returns
-the report the command prints; no other module writes a file. An unusable
+(_passes). Each writes its artifacts, report JSON included, lists them in
+the report's written (the report JSON last) and returns the report the
+command prints. No other module writes a file, and every file here goes
+through _atomic_write_bytes: a temporary file beside the path, then the old
+file unlinked and the new one renamed into place, never over it. An unusable
 input raises BundleInputError, naming the manifest field it came from.
 Nothing numeric loads at module scope, so the parser can read TARGETS
 before the BLAS thread caps are set; reports call the library via module
@@ -16,6 +19,7 @@ attributes.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -183,13 +187,24 @@ def _stepping(scheme, k: int, grid, ic, steps: int, snapshot_stride: int = 0):
 
 _CSV_LIMIT = 64  # the matrix dump adds a CSV copy up to this dimension
 _CSV_BLOCK = 1 << 14  # record rows made Python floats at a time; all at once is large
+# matrix columns copied to bytes at a time, 1 MB at n = 1001; a copy of the
+# whole matrix would set the peak memory of a spectrum --dump-matrix run
+_DUMP_COLUMNS = 128
 
 
 def _atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
-    """Write the chunks to a temporary file beside path, then rename it over path.
+    """Write the chunks to a temporary file beside path, unlink path, then rename.
+
+    path holds its old bytes until every chunk is written and the temporary
+    file is closed; it is missing only between the unlink and the rename, so
+    a reader finds the complete old file, the complete new one or none.
+    Nothing is fsynced: no promise holds across a power loss. The rename never
+    lands on an existing file, because on ext4 (auto_da_alloc) a rename over
+    one starts a writeback of the new file that later file operations wait
+    for; README gives the measured cost.
 
     The file gets mode 0o666 & ~umask, as open() gives it. An OSError names
-    path, not the temporary file.
+    path, not the temporary file; a path that is a directory is left as it is.
     """
     tmp = None
     try:
@@ -199,6 +214,8 @@ def _atomic_write_bytes(path: str, chunks: Iterable[bytes]) -> None:
         tmp = name
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(path)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -251,10 +268,10 @@ def _stem(out: str | None) -> str | None:
 
 
 # ---------------------------------------------------------------------------
-# bundles: (target, checked section m, step override, artifact stem) ->
-# (clauses, info); only the examples use the last two
+# bundles: (target, checked section m, step override) -> (clauses, info, the
+# run's record or None); only the examples take the override and return a record
 
-def _example(target: str, m: dict, steps: int | None, out: str | None):
+def _example(target: str, m: dict, steps: int | None):
     from . import operators, simulate, stencil
 
     scheme = _input(f"{target}.scheme", stencil.builtin, m["scheme"])
@@ -302,12 +319,10 @@ def _example(target: str, m: dict, steps: int | None, out: str | None):
         info["note"] = (
             f"steps overridden to {n_steps}; the pinned experiment uses {m['steps']}"
         )
-    if out:
-        info["written"] = [_write_record(record, out)]
-    return clauses, info
+    return clauses, info, record
 
 
-def _lemma1(target: str, m: dict, steps: int | None, out: str | None):
+def _lemma1(target: str, m: dict, steps: int | None):
     import numpy as np
 
     from . import operators, simulate, spectral, stencil
@@ -355,10 +370,10 @@ def _lemma1(target: str, m: dict, steps: int | None, out: str | None):
     info = {"matrices_checked": norms.size, "residual_draws": m["residual_draws"],
             "worst_norm_excess": worst_excess,
             "worst_relative_residual": _finite(worst_rel_residual)}
-    return clauses, info
+    return clauses, info, None
 
 
-def _halfline(target: str, m: dict, steps: int | None, out: str | None):
+def _halfline(target: str, m: dict, steps: int | None):
     import numpy as np
 
     from . import operators, stencil
@@ -425,7 +440,7 @@ def _halfline(target: str, m: dict, steps: int | None, out: str | None):
             rel_change, 0.0, "max", o["rel_change_tol"]))
     info = {"inflow_worst_ratios": {name: _finite(x) for name, x in inflow_worst.items()},
             "outflow": outflow_ratios}
-    return clauses, info
+    return clauses, info, None
 
 
 # the one target table: the parser's --target choices and the dispatch
@@ -445,7 +460,7 @@ def reproduce(
 
     steps overrides the examples' pinned step count (the other targets have
     none). out (see _stem) names the report JSON and the examples' record
-    CSV. overall is 'PASS' when every clause passes.
+    CSV; written lists them. overall is 'PASS' when every clause passes.
     """
     if target not in _BUNDLES:
         raise BundleInputError(f"unknown target {target!r}; known: {', '.join(TARGETS)}")
@@ -457,13 +472,15 @@ def reproduce(
     if steps is not None and not _is_int(steps):
         raise BundleInputError(f"{target}: steps must be an integer >= 1, got {steps!r}")
     _check(target, manifest[target], schema)
-    stem = _stem(out)
-    clauses, info = bundle(target, manifest[target], steps, stem)
+    clauses, info, record = bundle(target, manifest[target], steps)
     overall = all(cl["pass"] for cl in clauses)
     report = {"command": "reproduce", "target": target, "clauses": clauses, "info": info,
               "overall": "PASS" if overall else "FAIL"}
     if out:
-        _write_json(stem + ".json", report)
+        stem = _stem(out)
+        written = report["written"] = [] if record is None else [_write_record(record, stem)]
+        written.append(stem + ".json")
+        _write_json(written[-1], report)
     return report
 
 
@@ -474,7 +491,7 @@ def check_report(scheme, mode_tol: float, tol: float | None, out: str | None = N
     """The symbol route: consistency, sup |C| and the modes within mode_tol of |C| = 1.
 
     With tol, stable says whether sup |C| <= 1 + tol. out (see _stem) names
-    the report JSON.
+    the report JSON, which written lists.
     """
     from . import stencil
 
@@ -498,7 +515,8 @@ def check_report(scheme, mode_tol: float, tol: float | None, out: str | None = N
     if tol is not None:
         report.update(stability_tol=tol, stable=_passes("max", sup, 1.0, tol))
     if out:
-        _write_json(_stem(out) + ".json", report)
+        report["written"] = [_stem(out) + ".json"]
+        _write_json(report["written"][-1], report)
     return report
 
 
@@ -544,7 +562,8 @@ def spectrum_report(scheme, k: int, J: int, L: float, full: bool,
         report["eigenvalues"] = [[z.real, z.imag] for z in result.leading_eigenvalues]
     report["written"] = written
     if dumps:
-        _atomic_write_bytes(dumps[0], [A.entries.tobytes(order="F")])
+        _atomic_write_bytes(dumps[0], (A.entries[:, j:j + _DUMP_COLUMNS].tobytes(order="F")
+                                       for j in range(0, A.n, _DUMP_COLUMNS)))
         _write_json(dumps[1], {"n": A.n, "scheme": scheme.name, "k": k, "J": J})
     if len(dumps) == 3:
         _write_csv(dumps[2], (), (map(repr, row) for row in A.entries.tolist()))

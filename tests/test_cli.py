@@ -814,25 +814,34 @@ def test_parser_leaves_numpy_unloaded() -> None:
         (["simulate", "--scheme", "upwind", "--lam-a", "0.5", "--k", "1", "--J", "20",
           "--ic", "gaussian", "--steps", "5"], "--out"),
         (["reproduce", "--target", "lemma1"], "--out"),
+        (["reproduce", "--target", "example2", "--steps", "40"], "--out"),
     ],
-    ids=["check", "spectrum-out", "spectrum-dump-matrix", "simulate", "reproduce"],
+    ids=["check", "spectrum-out", "spectrum-dump-matrix", "simulate", "reproduce",
+         "reproduce-example"],
 )
 def test_unwritable_output_is_usage_error(
     capsys, monkeypatch, tmp_path, no_numerics, argv, flag
 ) -> None:
     # refused before any work; the error names the path given, not a
-    # temporary file, and no report is printed
+    # temporary file, and no report is printed. A path that names a
+    # directory is refused too: --out d/ would write the hidden d/.json
     def forbidden(*args, **kwargs):
         raise AssertionError("a bad output path must be rejected before any computation")
 
     for module, name in ((stencil, "von_neumann_sup"), (simulate, "run")):
         monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
-    for target in (str(tmp_path / "missing" / "x"), str(tmp_path / "file" / "x")):
+    (tmp_path / "d").mkdir()
+    named_dirs = (["d/", "d/.json", ".json"] if flag == "--out" else ["d", "d/"])
+    for target in (str(tmp_path / "missing" / "x"), str(tmp_path / "file" / "x"),
+                   *named_dirs):
         code, rep, err = _run(capsys, [*argv, flag, target])
         assert code == 2 and rep == {}
-        assert err.startswith("error: ") and target in err
+        assert err.startswith("error: ") and f"{flag} {target}" in err
         assert ".part" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "file"]
+    assert list((tmp_path / "d").iterdir()) == []
 
 
 def test_report_file_holds_the_bytes_printed(capsys, monkeypatch, tmp_path) -> None:
@@ -858,11 +867,13 @@ def test_report_file_holds_the_bytes_printed(capsys, monkeypatch, tmp_path) -> N
     ["simulate", "--scheme", "upwind", "--lam-a", "0.5", "--k", "1", "--J", "9",
      "--ic", "gaussian", "--steps", "12", "--snapshot-stride", "6"],
     ["reproduce", "--target", "example2", "--steps", "40"],
+    ["reproduce", "--target", "lemma1"],
 ])
 def test_out_with_and_without_json_suffix_writes_the_same_files(
     capsys, monkeypatch, tmp_path, argv
 ) -> None:
-    # the report goes to P.json and every other artifact to P<suffix>
+    # the report goes to P.json and every other artifact to P<suffix>;
+    # written lists every file in the folder, the report last
     seen = []
     for out in ("P", "P.json"):
         folder = tmp_path / out.replace(".", "_")
@@ -870,9 +881,11 @@ def test_out_with_and_without_json_suffix_writes_the_same_files(
         monkeypatch.chdir(folder)
         code, rep, _ = _run(capsys, [*argv, "--out", out])
         assert code == (1 if "example2" in argv else 0)  # 40 steps fail its slope clauses
-        seen.append((sorted(p.name for p in folder.iterdir()), rep.get("written")))
+        seen.append((sorted(p.name for p in folder.iterdir()), rep["written"]))
     assert seen[0] == seen[1]
-    assert "P.json" in seen[0][0] and all(name.startswith(("P.", "P_")) for name in seen[0][0])
+    names, written = seen[0]
+    assert sorted(written) == names and written[-1] == "P.json"
+    assert all(name.startswith(("P.", "P_")) for name in names)
 
 
 def test_artifacts_follow_the_umask(capsys, tmp_path) -> None:

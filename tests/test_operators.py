@@ -541,6 +541,16 @@ def test_matrix_save_load_round_trip(tmp_path) -> None:
     assert sidecar == {"n": 13, "scheme": s.name, "k": 2, "J": 12}
 
 
+def test_matrix_dump_streams_column_blocks_with_the_bytes_of_one_copy(tmp_path) -> None:
+    # n = 301 is not a multiple of the block, so the last block is partial
+    s = stencil.builtin("coeff2")
+    A = operators.IntervalOperator(s, 2, 300)
+    assert A.n > experiments._DUMP_COLUMNS and A.n % experiments._DUMP_COLUMNS
+    path = tmp_path / "A.bin"
+    experiments.spectrum_report(s, 2, 300, 1.0, False, None, str(path))
+    assert path.read_bytes() == A.entries.tobytes(order="F")
+
+
 def test_matrix_csv_only_below_limit(tmp_path) -> None:
     # a CSV copy up to dimension 64, that is J = 63
     s = stencil.builtin("upwind", lam_a=0.5)
@@ -563,11 +573,44 @@ def test_matrix_writes_leave_no_temp_files(tmp_path) -> None:
 
 
 def test_a_failed_write_names_the_path_and_leaves_no_temp_file(tmp_path) -> None:
-    # the temporary file cannot be made in a missing directory; os.replace
-    # fails onto a directory
+    # the temporary file cannot be made in a missing directory; a directory
+    # at the path is neither unlinked nor renamed over, and keeps its files
     (tmp_path / "dir").mkdir()
+    (tmp_path / "dir" / "kept").write_bytes(b"old")
     for path in (tmp_path / "missing" / "A.bin", tmp_path / "dir"):
         with pytest.raises(OSError) as exc:
             experiments._atomic_write_bytes(str(path), [b"x"])
         assert exc.value.filename == str(path) and exc.value.filename2 is None
     assert [f.name for f in tmp_path.iterdir()] == ["dir"]
+    assert (tmp_path / "dir" / "kept").read_bytes() == b"old"
+
+
+def test_a_rewrite_never_renames_onto_the_old_file(monkeypatch, tmp_path) -> None:
+    # on ext4 a rename over an existing file starts a writeback that later
+    # file operations wait for; the old file is unlinked first instead
+    path = tmp_path / "A.json"
+    path.write_bytes(b"old")
+    replace, seen = os.replace, []
+
+    def recording(src, dst):
+        seen.append(os.path.lexists(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(experiments.os, "replace", recording)
+    experiments._atomic_write_bytes(str(path), [b"new"])
+    assert seen == [False] and path.read_bytes() == b"new"
+    assert [f.name for f in tmp_path.iterdir()] == ["A.json"]
+
+
+def test_a_write_that_fails_part_way_keeps_the_old_file(tmp_path) -> None:
+    path = tmp_path / "A.bin"
+    path.write_bytes(b"old")
+
+    def chunks():
+        yield b"new"
+        raise RuntimeError("the chunks stopped")
+
+    with pytest.raises(RuntimeError, match="stopped"):
+        experiments._atomic_write_bytes(str(path), chunks())
+    assert path.read_bytes() == b"old"
+    assert [f.name for f in tmp_path.iterdir()] == ["A.bin"]

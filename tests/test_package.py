@@ -162,6 +162,14 @@ def test_the_initial_condition_has_one_profile() -> None:
                                           for owner in ("InitialCondition", "_profile")}
 
 
+def test_every_file_is_written_by_one_function() -> None:
+    # every artifact goes through the one atomic write, so no second writer
+    # can rename over an existing file or leave a partial one behind
+    names = {"replace", "rename", "unlink", "fdopen"}
+    assert {(path, owner) for path, owner, _ in _readers(names)} == {
+        ("experiments.py", "_atomic_write_bytes")}
+
+
 def _fields(schema: dict) -> set[str]:
     """Every key of a manifest schema, nested sections flattened."""
     return set(schema).union(*(_fields(kind) for kind in schema.values()
